@@ -23,7 +23,7 @@ ChurnEngine::ChurnEngine(sim::Network* net, sim::RoutingTree* tree, FaultPlan pl
     : net_(net),
       tree_(tree),
       plan_(std::move(plan)),
-      adjacency_(net->topology().BuildAdjacency()) {
+      neighbors_(net->topology()) {
   size_t n = net_->topology().num_nodes();
   was_alive_.resize(n);
   episode_loss_.resize(n);
@@ -124,8 +124,8 @@ ChurnReport ChurnEngine::BeginEpoch(sim::Epoch epoch) {
     static const uint32_t kRepairSpan = obs::GlobalTracer().InternName("fault.repair");
     obs::ScopedSpan repair_span(kRepairSpan);
     sim::RepairReport repair = tree_->Repair(
-        net_->topology(), adjacency_, [this](sim::NodeId id) { return net_->NodeAlive(id); },
-        repair_rng, &repair_workspace_);
+        neighbors_, [this](sim::NodeId id) { return net_->NodeAlive(id); }, repair_rng,
+        &repair_workspace_);
     last_detached_ = repair.detached;
     report.detached = repair.detached;
     // Only an *actual* tree change notifies algorithms and counts as a

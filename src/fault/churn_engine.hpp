@@ -67,10 +67,10 @@ class ChurnEngine {
   sim::Network* net_;
   sim::RoutingTree* tree_;
   FaultPlan plan_;
-  /// The (immutable) topology adjacency, built once so repeated repairs skip
-  /// the O(n^2) rebuild.
-  std::vector<std::vector<sim::NodeId>> adjacency_;
-  /// Reusable Repair scratch (heard lists, frontier, attachment marks).
+  /// Neighbour lookups over the (immutable) topology, built once for every
+  /// repair.
+  sim::NeighborIndex neighbors_;
+  /// Reusable Repair scratch (adoption rounds, frontier, attachment marks).
   sim::RepairWorkspace repair_workspace_;
   /// A node's concurrent loss episodes by source. The network holds one
   /// compounded extra-loss value per node, so overlapping episode kinds must

@@ -1,145 +1,38 @@
 #include "sim/routing_tree.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <utility>
+
+#include "obs/trace.hpp"
 
 namespace kspot::sim {
 
 namespace {
 
-/// One round of the cluster-aware first-heard adoption discipline: every
-/// node in `frontier` beacons (in rng-shuffled order, modeling radio/arrival
-/// nondeterminism); each node of `candidates` (ascending; the nodes wanting
-/// a parent) that heard one or more beacons adopts a same-room non-sink
-/// broadcaster when it heard one, the first heard otherwise. Returns the
-/// (node, parent) adoptions in node order. Shared by BuildClusterAware and
-/// Repair so the re-attachment rule can never drift from the construction
-/// rule.
-///
-/// The loop is candidate-driven: instead of every beaconing node scanning
-/// its whole neighborhood for joiners (O(|frontier| * degree), which is the
-/// entire attached component in a repair's first round), each of the few
-/// candidates scans its own neighborhood and reconstructs beacon arrival
-/// order from the shuffled frontier ranks — identical adoptions and
-/// identical rng consumption, proportional to the churn instead of the
-/// network.
-std::vector<std::pair<NodeId, NodeId>> ClusterAwareAdoptionRound(
-    const Topology& topology, const std::vector<std::vector<NodeId>>& adj,
-    std::vector<NodeId>& frontier, const std::vector<NodeId>& candidates, util::Rng& rng,
-    RepairWorkspace& workspace) {
-  rng.Shuffle(frontier);
-  size_t n = topology.num_nodes();
-  if (workspace.frontier_pos.size() != n) workspace.frontier_pos.assign(n, -1);
-  for (size_t i = 0; i < frontier.size(); ++i) {
-    workspace.frontier_pos[frontier[i]] = static_cast<int32_t>(i);
+/// Index build plus adoption rounds over the whole topology, each traced.
+RoutingTree Build(const Topology& topology, ParentRule rule, util::Rng* rng) {
+  NeighborIndex index(topology);
+  static const uint32_t kSpan = obs::GlobalTracer().InternName("sim.tree_build");
+  std::vector<NodeId> parents;
+  {
+    obs::ScopedSpan span(kSpan);
+    parents = GrowTree(index, rule, rng);
   }
-  std::vector<std::pair<NodeId, NodeId>> adoptions;
-  for (NodeId v : candidates) {
-    auto& heard = workspace.heard;
-    heard.clear();
-    for (NodeId u : adj[v]) {
-      if (workspace.frontier_pos[u] >= 0) heard.emplace_back(workspace.frontier_pos[u], u);
-    }
-    if (heard.empty()) continue;
-    std::sort(heard.begin(), heard.end());
-    NodeId pick = kNoNode;
-    for (const auto& [rank, u] : heard) {
-      if (topology.room(u) == topology.room(v) && u != kSinkId) {
-        pick = u;
-        break;
-      }
-    }
-    if (pick == kNoNode) pick = heard.front().second;
-    adoptions.emplace_back(v, pick);
-  }
-  for (NodeId u : frontier) workspace.frontier_pos[u] = -1;
-  return adoptions;
+  return RoutingTree::FromParents(std::move(parents));
 }
 
 }  // namespace
 
 RoutingTree RoutingTree::BuildFirstHeard(const Topology& topology, util::Rng& rng) {
-  auto adj = topology.BuildAdjacency();
-  size_t n = topology.num_nodes();
-  std::vector<NodeId> parents(n, kNoNode);
-  std::vector<bool> joined(n, false);
-  joined[kSinkId] = true;
-  // Frontier expansion: nodes that hold the beacon broadcast it; undecided
-  // neighbors adopt the first broadcaster they hear. Randomizing the order of
-  // broadcasters within a depth level models radio/arrival nondeterminism.
-  std::vector<NodeId> frontier = {kSinkId};
-  while (!frontier.empty()) {
-    std::vector<NodeId> shuffled = frontier;
-    rng.Shuffle(shuffled);
-    std::vector<NodeId> next;
-    for (NodeId u : shuffled) {
-      for (NodeId v : adj[u]) {
-        if (!joined[v]) {
-          joined[v] = true;
-          parents[v] = u;
-          next.push_back(v);
-        }
-      }
-    }
-    frontier = std::move(next);
-  }
-  return FromParents(std::move(parents));
+  return Build(topology, ParentRule::kFirstHeard, &rng);
 }
 
 RoutingTree RoutingTree::BuildClusterAware(const Topology& topology, util::Rng& rng) {
-  auto adj = topology.BuildAdjacency();
-  size_t n = topology.num_nodes();
-  std::vector<NodeId> parents(n, kNoNode);
-  std::vector<bool> joined(n, false);
-  joined[kSinkId] = true;
-  // Frontier expansion like first-heard, but an undecided node that hears
-  // several beacons in the same round adopts a same-room broadcaster when
-  // one exists (in a real deployment the cluster id rides in the beacon and
-  // the node filters on it).
-  RepairWorkspace workspace;
-  std::vector<NodeId> frontier = {kSinkId};
-  std::vector<NodeId> candidates;
-  candidates.reserve(n - 1);
-  for (NodeId v = 0; v < n; ++v) {
-    if (v != kSinkId) candidates.push_back(v);
-  }
-  while (!frontier.empty()) {
-    auto adoptions =
-        ClusterAwareAdoptionRound(topology, adj, frontier, candidates, rng, workspace);
-    frontier.clear();
-    for (const auto& [v, parent] : adoptions) {
-      parents[v] = parent;
-      joined[v] = true;
-      frontier.push_back(v);
-    }
-    candidates.erase(
-        std::remove_if(candidates.begin(), candidates.end(), [&](NodeId v) { return joined[v]; }),
-        candidates.end());
-  }
-  return FromParents(std::move(parents));
+  return Build(topology, ParentRule::kClusterAware, &rng);
 }
 
 RoutingTree RoutingTree::BuildMinHop(const Topology& topology) {
-  auto adj = topology.BuildAdjacency();
-  for (auto& neighbors : adj) std::sort(neighbors.begin(), neighbors.end());
-  size_t n = topology.num_nodes();
-  std::vector<NodeId> parents(n, kNoNode);
-  std::vector<bool> joined(n, false);
-  joined[kSinkId] = true;
-  std::deque<NodeId> queue = {kSinkId};
-  while (!queue.empty()) {
-    NodeId u = queue.front();
-    queue.pop_front();
-    for (NodeId v : adj[u]) {
-      if (!joined[v]) {
-        joined[v] = true;
-        parents[v] = u;
-        queue.push_back(v);
-      }
-    }
-  }
-  return FromParents(std::move(parents));
+  return Build(topology, ParentRule::kFirstHeard, nullptr);
 }
 
 RoutingTree RoutingTree::FromParents(std::vector<NodeId> parents) {
@@ -219,13 +112,7 @@ void RoutingTree::FinishConstruction() {
   }
 }
 
-RepairReport RoutingTree::Repair(const Topology& topology,
-                                 const std::function<bool(NodeId)>& is_up, util::Rng& rng) {
-  return Repair(topology, topology.BuildAdjacency(), is_up, rng);
-}
-
-RepairReport RoutingTree::Repair(const Topology& topology,
-                                 const std::vector<std::vector<NodeId>>& adj,
+RepairReport RoutingTree::Repair(const NeighborIndex& index,
                                  const std::function<bool(NodeId)>& is_up, util::Rng& rng,
                                  RepairWorkspace* workspace) {
   RepairWorkspace local;
@@ -292,19 +179,23 @@ RepairReport RoutingTree::Repair(const Topology& topology,
   // rng consumption must match the historical adoption rounds exactly, or
   // repeated Repair calls in one epoch (mid-repair battery deaths) would
   // diverge from the seed behaviour.
+  auto& adoptions = ws.adoptions;
   while (!ws.frontier.empty()) {
-    auto adoptions =
-        ClusterAwareAdoptionRound(topology, adj, ws.frontier, ws.candidates, rng, ws);
+    rng.Shuffle(ws.frontier);
+    adoptions.clear();
+    if (!ws.candidates.empty()) {
+      ws.rounds.Run(index, ws.frontier, ws.candidates, ParentRule::kClusterAware, adoptions);
+    }
     ws.frontier.clear();
     // A joiner's surviving subtree is attached with it; all of the newly
     // attached beacon in the next round.
-    for (const auto& [v, parent] : adoptions) {
-      parents_[v] = parent;
-      report.reattached.push_back({v, parent});
+    for (const Adoption& a : adoptions) {
+      parents_[a.node] = a.parent;
+      report.reattached.push_back({a.node, a.parent});
       report.changed = true;
     }
-    for (const auto& [root, parent] : adoptions) {
-      ws.stack.assign(1, root);
+    for (const Adoption& a : adoptions) {
+      ws.stack.assign(1, a.node);
       while (!ws.stack.empty()) {
         NodeId u = ws.stack.back();
         ws.stack.pop_back();

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/neighbor_index.hpp"
 #include "sim/topology.hpp"
 #include "sim/types.hpp"
 #include "util/rng.hpp"
@@ -54,12 +55,12 @@ struct TopologyDelta {
   }
 };
 
-/// Reusable scratch buffers for Repair / the adoption rounds. Callers that
-/// repair repeatedly (the ChurnEngine, every epoch under churn) pass one in
-/// so the per-round O(n) vector allocations are paid once, not per repair.
+/// Reusable scratch buffers for Repair. Callers that repair repeatedly (the
+/// ChurnEngine, every epoch under churn) pass one in so the per-round O(n)
+/// vector allocations are paid once, not per repair.
 struct RepairWorkspace {
-  std::vector<int32_t> frontier_pos;       ///< Beacon arrival rank per node; -1 = silent.
-  std::vector<std::pair<int32_t, NodeId>> heard;  ///< (rank, beacon) pairs of one joiner.
+  AdoptionRounds rounds;                   ///< Adoption-round scratch.
+  std::vector<Adoption> adoptions;         ///< One round's adoptions.
   std::vector<NodeId> candidates;          ///< Nodes currently wanting a parent.
   std::vector<std::vector<NodeId>> kids;   ///< Surviving children lists.
   std::vector<uint8_t> attached;           ///< Reached-from-sink marks.
@@ -105,17 +106,11 @@ class RoutingTree {
   /// subtrees keep their shape. Up nodes with no physical path to the
   /// attached component stay detached (parent == kNoNode) and are excluded
   /// from pre/post order until a later repair reconnects them. The sink must
-  /// be up. Deterministic given `rng`.
-  RepairReport Repair(const Topology& topology, const std::function<bool(NodeId)>& is_up,
-                      util::Rng& rng);
-
-  /// Repair overload taking the topology's adjacency (`Topology::BuildAdjacency`)
-  /// precomputed and an optional reusable workspace — callers that repair
-  /// repeatedly (the ChurnEngine) avoid the O(n^2) adjacency rebuild and the
-  /// per-call scratch allocations.
-  RepairReport Repair(const Topology& topology, const std::vector<std::vector<NodeId>>& adj,
-                      const std::function<bool(NodeId)>& is_up, util::Rng& rng,
-                      RepairWorkspace* workspace = nullptr);
+  /// be up. `index` covers the topology the tree was built over; callers
+  /// that repair repeatedly keep one index and pass a reusable `workspace`.
+  /// Deterministic given `rng`.
+  RepairReport Repair(const NeighborIndex& index, const std::function<bool(NodeId)>& is_up,
+                      util::Rng& rng, RepairWorkspace* workspace = nullptr);
 
   /// Parent of `id`; kNoNode for the sink.
   NodeId parent(NodeId id) const { return parents_[id]; }

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <unordered_map>
+
+#include "sim/neighbor_index.hpp"
 
 namespace kspot::sim {
 
@@ -34,65 +35,19 @@ std::vector<NodeId> Topology::NodesInRoom(GroupId room) const {
 }
 
 std::vector<std::vector<NodeId>> Topology::BuildAdjacency() const {
-  // Spatial-hash neighbor search: bucket nodes into comm_range-sized cells,
-  // then each node only tests candidates from its 3x3 cell neighborhood —
-  // O(n + edges) expected instead of the O(n^2) all-pairs scan, which is what
-  // makes 100k-node deployments buildable. Each adjacency list is sorted
-  // ascending, exactly the order the all-pairs scan produced.
-  size_t n = positions_.size();
-  std::vector<std::vector<NodeId>> adj(n);
-  if (n == 0) return adj;
-  double cell = comm_range_ > 0.0 ? comm_range_ : 1.0;
-  auto cell_key = [&](const Position& p) {
-    auto cx = static_cast<int64_t>(std::floor(p.x / cell));
-    auto cy = static_cast<int64_t>(std::floor(p.y / cell));
-    return (static_cast<uint64_t>(cx) << 32) ^ static_cast<uint64_t>(cy & 0xFFFFFFFFLL);
-  };
-  std::unordered_map<uint64_t, std::vector<NodeId>> buckets;
-  buckets.reserve(n);
-  for (size_t i = 0; i < n; ++i) buckets[cell_key(positions_[i])].push_back(static_cast<NodeId>(i));
-  std::vector<NodeId> neighbors;
-  for (size_t i = 0; i < n; ++i) {
-    neighbors.clear();
-    auto cx = static_cast<int64_t>(std::floor(positions_[i].x / cell));
-    auto cy = static_cast<int64_t>(std::floor(positions_[i].y / cell));
-    for (int64_t dx = -1; dx <= 1; ++dx) {
-      for (int64_t dy = -1; dy <= 1; ++dy) {
-        uint64_t key = (static_cast<uint64_t>(cx + dx) << 32) ^
-                       static_cast<uint64_t>((cy + dy) & 0xFFFFFFFFLL);
-        auto it = buckets.find(key);
-        if (it == buckets.end()) continue;
-        for (NodeId j : it->second) {
-          if (j == static_cast<NodeId>(i)) continue;
-          if (Distance(positions_[i], positions_[j]) <= comm_range_) neighbors.push_back(j);
-        }
-      }
-    }
-    std::sort(neighbors.begin(), neighbors.end());
-    adj[i].assign(neighbors.begin(), neighbors.end());
+  NeighborIndex index(*this);
+  std::vector<std::vector<NodeId>> adj(num_nodes());
+  for (NodeId v = 0; v < adj.size(); ++v) {
+    index.ForEachNeighbor(v, [&](NodeId u) { adj[v].push_back(u); });
+    std::sort(adj[v].begin(), adj[v].end());
   }
   return adj;
 }
 
 bool Topology::IsConnected() const {
   if (positions_.empty()) return false;
-  auto adj = BuildAdjacency();
-  std::vector<bool> seen(positions_.size(), false);
-  std::vector<NodeId> stack = {kSinkId};
-  seen[kSinkId] = true;
-  size_t count = 0;
-  while (!stack.empty()) {
-    NodeId u = stack.back();
-    stack.pop_back();
-    ++count;
-    for (NodeId v : adj[u]) {
-      if (!seen[v]) {
-        seen[v] = true;
-        stack.push_back(v);
-      }
-    }
-  }
-  return count == positions_.size();
+  std::vector<NodeId> parents = GrowTree(NeighborIndex(*this), ParentRule::kFirstHeard, nullptr);
+  return std::count(parents.begin() + 1, parents.end(), kNoNode) == 0;
 }
 
 Topology MakeGrid(const TopologyOptions& options) {

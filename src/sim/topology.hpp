@@ -53,10 +53,13 @@ class Topology {
   /// Ids of nodes in `room`, ascending.
   std::vector<NodeId> NodesInRoom(GroupId room) const;
 
-  /// Neighbor lists under the disc model (symmetric, excludes self).
+  /// Materialized neighbor lists under the disc model (symmetric, excludes
+  /// self, ascending). O(edges) memory: the library itself never builds
+  /// them and answers neighbour queries from a sim::NeighborIndex instead.
   std::vector<std::vector<NodeId>> BuildAdjacency() const;
 
-  /// True when every node can reach the sink over the disc graph.
+  /// True when every node can reach the sink over the disc graph. Aborts on
+  /// a non-finite position (see sim::NeighborIndex).
   bool IsConnected() const;
 
  private:

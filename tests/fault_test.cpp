@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 #include "fault/churn_engine.hpp"
@@ -25,10 +26,16 @@ sim::Topology GridTopology(size_t nodes, size_t rooms) {
   return sim::MakeGrid(topt);
 }
 
+/// One repair pass over a fresh neighbour index of `topology`.
+sim::RepairReport RepairTree(sim::RoutingTree& tree, const sim::Topology& topology,
+                             const std::function<bool(NodeId)>& is_up, util::Rng& rng) {
+  return tree.Repair(sim::NeighborIndex(topology), is_up, rng);
+}
+
 /// Every up node with a physical path to the sink through up nodes.
 std::vector<uint8_t> PhysicallyReachable(const sim::Topology& topology,
                                          const std::vector<uint8_t>& up) {
-  auto adj = topology.BuildAdjacency();
+  auto adj = testing::AllPairsAdjacency(topology);
   std::vector<uint8_t> reach(topology.num_nodes(), 0);
   std::vector<NodeId> stack = {kSinkId};
   reach[kSinkId] = 1;
@@ -344,7 +351,7 @@ TEST(TreeRepairTest, StripsDeadAndReattachesAllReachable) {
   }
   util::Rng repair_rng(7);
   sim::RepairReport report =
-      tree.Repair(topology, [&](NodeId id) { return up[id] != 0; }, repair_rng);
+      RepairTree(tree, topology, [&](NodeId id) { return up[id] != 0; }, repair_rng);
   EXPECT_TRUE(report.changed);
   EXPECT_GT(report.dead_removed, 0u);
   ExpectTreeInvariants(tree, topology, up);
@@ -357,7 +364,7 @@ TEST(TreeRepairTest, NoOpWhenNothingDied) {
   std::vector<NodeId> before;
   for (NodeId v = 0; v < topology.num_nodes(); ++v) before.push_back(tree.parent(v));
   util::Rng repair_rng(7);
-  sim::RepairReport report = tree.Repair(topology, [](NodeId) { return true; }, repair_rng);
+  sim::RepairReport report = RepairTree(tree, topology, [](NodeId) { return true; }, repair_rng);
   EXPECT_FALSE(report.changed);
   EXPECT_TRUE(report.reattached.empty());
   for (NodeId v = 0; v < topology.num_nodes(); ++v) EXPECT_EQ(tree.parent(v), before[v]);
@@ -376,8 +383,8 @@ TEST(TreeRepairTest, DeterministicAcrossIdenticalRuns) {
     }
     util::Rng rra(seed ^ 0xAB), rrb(seed ^ 0xAB);
     auto is_up = [&](NodeId id) { return up[id] != 0; };
-    ta.Repair(topology, is_up, rra);
-    tb.Repair(topology, is_up, rrb);
+    RepairTree(ta, topology, is_up, rra);
+    RepairTree(tb, topology, is_up, rrb);
     for (NodeId v = 0; v < topology.num_nodes(); ++v) {
       EXPECT_EQ(ta.parent(v), tb.parent(v)) << "seed " << seed << " node " << v;
     }
@@ -397,7 +404,7 @@ TEST(TreeRepairTest, OrphanPrefersSameRoomParent) {
     sim::RoutingTree t = tree;
     util::Rng rng(seed);
     sim::RepairReport report =
-        t.Repair(topology, [&](NodeId id) { return up[id] != 0; }, rng);
+        RepairTree(t, topology, [&](NodeId id) { return up[id] != 0; }, rng);
     ASSERT_EQ(report.reattached.size(), 1u);
     EXPECT_EQ(report.reattached[0].node, 4);
     EXPECT_EQ(t.parent(4), 2) << "seed " << seed;
@@ -407,7 +414,7 @@ TEST(TreeRepairTest, OrphanPrefersSameRoomParent) {
   up[2] = 0;
   util::Rng rng(3);
   sim::RoutingTree t = tree;
-  t.Repair(topology, [&](NodeId id) { return up[id] != 0; }, rng);
+  RepairTree(t, topology, [&](NodeId id) { return up[id] != 0; }, rng);
   EXPECT_EQ(t.parent(4), 1);
 }
 
@@ -430,7 +437,7 @@ TEST(TreeRepairTest, SinkAdjacentFailureReattachesWholeSubtree) {
   up[victim] = 0;
   util::Rng repair_rng(9);
   sim::RepairReport report =
-      tree.Repair(topology, [&](NodeId id) { return up[id] != 0; }, repair_rng);
+      RepairTree(tree, topology, [&](NodeId id) { return up[id] != 0; }, repair_rng);
   EXPECT_GE(report.reattached.size(), 1u);
   ExpectTreeInvariants(tree, topology, up);
   // A grid stays connected after one interior failure: nobody detached.
@@ -445,13 +452,13 @@ TEST(TreeRepairTest, PartitionLeavesNodesDetachedUntilRecovery) {
   std::vector<uint8_t> up = {1, 0, 1};
   util::Rng rng(1);
   sim::RepairReport report =
-      tree.Repair(topology, [&](NodeId id) { return up[id] != 0; }, rng);
+      RepairTree(tree, topology, [&](NodeId id) { return up[id] != 0; }, rng);
   EXPECT_EQ(report.detached, 1u);
   EXPECT_FALSE(tree.attached(2));
   EXPECT_EQ(tree.parent(2), kNoNode);
   up[1] = 1;
   sim::RepairReport second =
-      tree.Repair(topology, [&](NodeId id) { return up[id] != 0; }, rng);
+      RepairTree(tree, topology, [&](NodeId id) { return up[id] != 0; }, rng);
   EXPECT_EQ(second.detached, 0u);
   EXPECT_TRUE(tree.attached(1));
   EXPECT_TRUE(tree.attached(2));

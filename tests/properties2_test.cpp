@@ -112,7 +112,7 @@ TEST(ClusterTreeProperty, ClusterAwareTreeIsStillAValidTree) {
     opt.num_rooms = 8;
     util::Rng topo_rng(seed);
     sim::Topology topo = sim::MakeClusteredRooms(opt, topo_rng);
-    auto adj = topo.BuildAdjacency();
+    auto adj = testing::AllPairsAdjacency(topo);
     util::Rng rng(seed);
     sim::RoutingTree tree = sim::RoutingTree::BuildClusterAware(topo, rng);
     for (sim::NodeId id = 1; id < topo.num_nodes(); ++id) {

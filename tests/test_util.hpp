@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "core/oracle.hpp"
 #include "core/query_spec.hpp"
@@ -11,6 +12,23 @@
 #include "util/rng.hpp"
 
 namespace kspot::testing {
+
+/// Reference disc graph: the O(n^2) all-pairs scan with the library's
+/// `Distance(a, b) <= comm_range` predicate, each list ascending. The
+/// library answers the same question from sim::NeighborIndex.
+inline std::vector<std::vector<sim::NodeId>> AllPairsAdjacency(const sim::Topology& topology) {
+  size_t n = topology.num_nodes();
+  std::vector<std::vector<sim::NodeId>> adj(n);
+  for (sim::NodeId u = 0; u < n; ++u) {
+    for (sim::NodeId v = 0; v < n; ++v) {
+      if (u != v &&
+          sim::Distance(topology.position(u), topology.position(v)) <= topology.comm_range()) {
+        adj[u].push_back(v);
+      }
+    }
+  }
+  return adj;
+}
 
 /// A ready-to-run simulated deployment: topology + tree + network, with the
 /// lifetime plumbing tests shouldn't have to repeat.
