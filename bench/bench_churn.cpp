@@ -32,8 +32,6 @@ struct ChurnRunConfig {
   double battery_j = 0.0;
   bool track_accuracy = false;
   bool stop_at_battery_death = false;
-  /// Shard lanes for the epoch waves (1 = serial; results are invariant).
-  size_t shards = 1;
   /// Query the algorithms answer; FILA requires node grouping.
   core::QuerySpec spec = RoomAvgSpec(3);
 };
@@ -76,7 +74,6 @@ ChurnRunStats RunChurn(SnapshotAlgo algo, const ChurnRunConfig& cfg) {
   sim::NetworkOptions net_opt;
   net_opt.battery_j = cfg.battery_j;
   auto bed = Bed::Grid(cfg.nodes, cfg.rooms, cfg.seed, net_opt);
-  bed.EnableSharding(cfg.shards);
   auto gen = bed.RoomData(cfg.seed);
   auto oracle_gen = bed.RoomData(cfg.seed);
   core::Oracle oracle(&bed.topology, oracle_gen.get(), spec);
@@ -153,7 +150,6 @@ void RegisterChurnLifetime(runner::ScenarioRegistry& registry) {
     // what the lifetime ratio measures.
     cfg.battery_j = opt.quick ? 0.1 : 0.5;
     cfg.seed = opt.seed != 0 ? opt.seed : 131;
-    cfg.shards = opt.shards;
     cfg.fopt.horizon = static_cast<sim::Epoch>(cfg.epochs);
     cfg.fopt.crash_prob = 0.0005;
     cfg.fopt.mean_downtime = 40;
@@ -199,7 +195,6 @@ void RegisterChurnAccuracy(runner::ScenarioRegistry& registry) {
     base.epochs = opt.quick ? 40 : 200;
     base.seed = opt.seed != 0 ? opt.seed : 141;
     base.track_accuracy = true;
-    base.shards = opt.shards;
 
     struct Level {
       const char* label;
@@ -260,7 +255,6 @@ void RegisterRepairCost(runner::ScenarioRegistry& registry) {
     ChurnRunConfig base;
     base.epochs = opt.quick ? 30 : 120;
     base.seed = opt.seed != 0 ? opt.seed : 151;
-    base.shards = opt.shards;
     const std::vector<double> crash_probs =
         opt.quick ? std::vector<double>{0.01} : std::vector<double>{0.002, 0.01, 0.03};
 

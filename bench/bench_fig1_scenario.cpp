@@ -18,7 +18,6 @@ void RegisterFig1Scenario(runner::ScenarioRegistry& registry) {
       "75) while transmitting nothing at all in steady state on this static scene.";
   s.make_trials = [](const runner::SweepOptions& opt) {
     const size_t epochs = opt.quick ? 5 : 10;
-    const size_t shards = opt.shards;
 
     std::vector<runner::Trial> trials;
     for (SnapshotAlgo algo : {SnapshotAlgo::kTag, SnapshotAlgo::kNaive, SnapshotAlgo::kMint}) {
@@ -32,7 +31,6 @@ void RegisterFig1Scenario(runner::ScenarioRegistry& registry) {
         core::Oracle oracle(&oracle_bed.topology, &oracle_gen, spec);
 
         auto bed = Bed::Figure1();
-        bed.EnableSharding(shards);
         data::ConstantGenerator gen(sim::Figure1Readings());
         auto algorithm = MakeSnapshotAlgo(algo, bed.net.get(), &gen, spec);
         core::TopKResult last;

@@ -3,7 +3,8 @@
 /// Every other experiment reports protocol cost (messages, bytes, joules);
 /// this one reports how fast the simulator itself executes — epochs per
 /// second and per-epoch wall-time percentiles for the MINT data plane at
-/// n = 200 / 1000 / 5000 nodes, with and without churn. It exists so that
+/// n = 200 / 1000 / 5000 nodes, with and without churn, plus churn-free rows
+/// at n = 20000 and n = 100000. It exists so that
 /// perf work lands with a measured number: CI runs it quick, uploads the
 /// JSON, and bench/check_regression.py fails the build when epochs/sec
 /// regresses by more than the configured tolerance against the committed
@@ -30,9 +31,6 @@ struct ThroughputConfig {
   size_t epochs = 200;
   uint64_t seed = 161;
   bool churn = false;
-  /// Shard lanes for the epoch waves (1 = serial; results are invariant,
-  /// wall-clock is what changes — which is exactly what E16 measures).
-  size_t shards = 1;
 };
 
 struct ThroughputStats {
@@ -47,7 +45,6 @@ ThroughputStats RunThroughput(const ThroughputConfig& cfg) {
   using Clock = std::chrono::steady_clock;
   core::QuerySpec spec = RoomAvgSpec(3);
   auto bed = Bed::Grid(cfg.nodes, cfg.rooms, cfg.seed);
-  bed.EnableSharding(cfg.shards);
   auto gen = bed.RoomData(cfg.seed);
   auto algorithm = MakeSnapshotAlgo(SnapshotAlgo::kMint, bed.net.get(), gen.get(), spec);
 
@@ -100,20 +97,17 @@ void RegisterThroughput(runner::ScenarioRegistry& registry) {
       size_t rooms;
       size_t epochs;
       size_t quick_epochs;
+      bool churn_row;  ///< Also run the point under churn.
     };
-    const std::vector<Point> points = {
-        {200, 16, 600, 120}, {1000, 32, 200, 60}, {5000, 64, 40, 10}};
+    const std::vector<Point> points = {{200, 16, 600, 120, true},
+                                       {1000, 32, 200, 60, true},
+                                       {5000, 64, 40, 10, true},
+                                       {20000, 64, 20, 5, false},
+                                       {100000, 128, 4, 2, false}};
     std::vector<runner::Trial> trials;
-    auto run_metrics = [](const ThroughputConfig& cfg) -> runner::MetricList {
-      ThroughputStats st = RunThroughput(cfg);
-      return {{"epochs_per_sec", st.epochs_per_sec},
-              {"wall_ms_p50", st.wall_ms.p50},
-              {"wall_ms_p95", st.wall_ms.p95},
-              {"wall_ms_p99", st.wall_ms.p99},
-              {"msgs_per_epoch", st.msgs_per_epoch}};
-    };
     for (const Point& point : points) {
       for (bool churn : {false, true}) {
+        if (churn && !point.churn_row) continue;
         runner::Trial t;
         t.spec.algorithm = "MINT";
         t.spec.seed = opt.seed != 0 ? opt.seed : 161;
@@ -125,42 +119,16 @@ void RegisterThroughput(runner::ScenarioRegistry& registry) {
         cfg.epochs = opt.quick ? point.quick_epochs : point.epochs;
         cfg.seed = t.spec.seed;
         cfg.churn = churn;
-        cfg.shards = opt.shards;
-        t.run = [cfg, run_metrics]() -> runner::MetricList { return run_metrics(cfg); };
+        t.run = [cfg]() -> runner::MetricList {
+          ThroughputStats st = RunThroughput(cfg);
+          return {{"epochs_per_sec", st.epochs_per_sec},
+                  {"wall_ms_p50", st.wall_ms.p50},
+                  {"wall_ms_p95", st.wall_ms.p95},
+                  {"wall_ms_p99", st.wall_ms.p99},
+                  {"msgs_per_epoch", st.msgs_per_epoch}};
+        };
         trials.push_back(std::move(t));
       }
-    }
-    // Sharded large-extent rows: the parallel-epoch execution measured at
-    // scales the serial path cannot reach in sensible wall-clock. These rows
-    // carry an explicit "shards" parameter (the serial rows above stay
-    // param-compatible with their historical baselines) and fix their shard
-    // count regardless of --shards, so the serial/sharded comparison is
-    // always present in one sweep.
-    struct ShardPoint {
-      size_t nodes;
-      size_t rooms;
-      size_t epochs;
-      size_t quick_epochs;
-      size_t shards;
-    };
-    const std::vector<ShardPoint> shard_points = {
-        {20000, 64, 20, 5, 1}, {20000, 64, 20, 5, 8}, {100000, 128, 4, 2, 8}};
-    for (const ShardPoint& point : shard_points) {
-      runner::Trial t;
-      t.spec.algorithm = "MINT";
-      t.spec.seed = opt.seed != 0 ? opt.seed : 161;
-      t.spec.params = {{"n", std::to_string(point.nodes)},
-                       {"churn", "off"},
-                       {"shards", std::to_string(point.shards)}};
-      ThroughputConfig cfg;
-      cfg.nodes = point.nodes;
-      cfg.rooms = point.rooms;
-      cfg.epochs = opt.quick ? point.quick_epochs : point.epochs;
-      cfg.seed = t.spec.seed;
-      cfg.churn = false;
-      cfg.shards = point.shards;
-      t.run = [cfg, run_metrics]() -> runner::MetricList { return run_metrics(cfg); };
-      trials.push_back(std::move(t));
     }
     return trials;
   };

@@ -16,7 +16,6 @@
 #include "runner/scenario.hpp"
 #include "sim/network.hpp"
 #include "sim/routing_tree.hpp"
-#include "sim/shard_runtime.hpp"
 #include "sim/topology.hpp"
 #include "util/rng.hpp"
 
@@ -28,19 +27,6 @@ struct Bed {
   sim::Topology topology;
   sim::RoutingTree tree;
   std::unique_ptr<sim::Network> net;
-  /// Parallel epoch execution, when enabled (see EnableSharding).
-  std::unique_ptr<sim::ShardRuntime> shard_rt;
-
-  /// Attaches a shard runtime so epoch waves on this bed run `shards`
-  /// cluster-head lanes in parallel (no-op at <= 1, keeping the serial
-  /// path). Metric results are bit-identical either way — sharding is a
-  /// wall-clock knob, pinned by golden_equivalence_test.
-  void EnableSharding(size_t shards, size_t threads = 0) {
-    if (shards > 1) {
-      shard_rt = std::make_unique<sim::ShardRuntime>(net.get(),
-                                                     sim::ShardRuntime::Options{shards, threads});
-    }
-  }
 
   /// Regular grid with rectangular rooms (deterministic placement).
   static Bed Grid(size_t nodes, size_t rooms, uint64_t seed, sim::NetworkOptions opt = {}) {

@@ -47,9 +47,6 @@ Execution:
   --quick             Reduced axes/epochs for smoke runs.
   --seed N            Re-base every scenario's sweep on seed N (default:
                       each scenario's published seed).
-  --shards N          Run epoch waves over N parallel cluster-head lanes
-                      inside each trial (default 1 = serial; results are
-                      bit-identical for any N, only wall-clock changes).
 
 Observability (off by default; enabling changes no result bit):
   --obs               Enable the metrics registry AND the span tracer.
@@ -71,7 +68,6 @@ struct CliOptions {
   bool quick = false;
   bool table = true;
   size_t threads = 0;  // 0 = hardware concurrency
-  size_t shards = 1;   // per-trial epoch-wave lanes (1 = serial path)
   uint64_t seed = 0;
   bool obs = false;
   std::vector<std::string> scenarios;
@@ -127,15 +123,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* out, std::string* error) {
         return false;
       }
       out->threads = static_cast<size_t>(threads);
-    } else if (arg == "--shards") {
-      const char* value = need_value(i, "--shards");
-      if (value == nullptr) return false;
-      uint64_t shards = 0;
-      if (!ParseUint(value, &shards) || shards == 0) {
-        *error = std::string("--shards expects a positive integer, got '") + value + "'";
-        return false;
-      }
-      out->shards = static_cast<size_t>(shards);
     } else if (arg == "--seed") {
       const char* value = need_value(i, "--seed");
       if (value == nullptr) return false;
@@ -244,7 +231,6 @@ int main(int argc, char** argv) {
   engine_opt.threads = cli.threads;
   engine_opt.quick = cli.quick;
   engine_opt.seed = cli.seed;
-  engine_opt.shards = cli.shards;
   runner::ExperimentEngine engine(engine_opt);
 
   int failures = 0;

@@ -103,8 +103,8 @@ TopKResult HistoricStream::RunDeltaEpoch(sim::Epoch epoch) {
   auto key = static_cast<sim::GroupId>(epoch);
   bool suppressing = options_.suppression;
   if (suppressing) {
-    // Suppression decisions run serially in id order before the wave, so the
-    // wave callbacks only read shared state (safe under sharded execution).
+    // Suppression decisions run in id order before the wave, so the wave
+    // callbacks only read shared state.
     for (size_t id = 1; id < n; ++id) {
       double v = value_now_[id];
       bool is_head = head_of_[id] == static_cast<sim::NodeId>(id);
@@ -124,8 +124,7 @@ TopKResult HistoricStream::RunDeltaEpoch(sim::Epoch epoch) {
 
   net_->SetPhase(kPhaseDelta);
   using Msg = agg::GroupView;
-  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox,
-                     size_t /*lane*/) -> std::optional<Msg> {
+  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox) -> std::optional<Msg> {
     Msg view;
     for (Msg& child : inbox) view.MergeView(std::move(child));
     if (node != sim::kSinkId) {
@@ -176,8 +175,7 @@ TopKResult HistoricStream::RunScratchEpoch(sim::Epoch epoch) {
   net_->SetPhase(kPhaseScratch);
   auto key = static_cast<sim::GroupId>(epoch);
   using Msg = agg::GroupView;
-  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox,
-                     size_t /*lane*/) -> std::optional<Msg> {
+  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox) -> std::optional<Msg> {
     Msg view;
     for (Msg& child : inbox) view.MergeView(std::move(child));
     if (node != sim::kSinkId) {

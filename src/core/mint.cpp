@@ -56,11 +56,8 @@ uint32_t MintViews::TotalCount(sim::GroupId g) const {
 agg::GroupView MintViews::FullWaveRebuildingState(sim::Epoch epoch, sim::PhaseId phase) {
   using Msg = agg::GroupView;
   net_->SetPhase(phase);
-  gen_->PrepareEpoch(epoch);  // prime serially; Value() is a pure read below
-  // Lane-aware (third argument): every write lands in the visited node's own
-  // slots, so shard lanes over disjoint subtrees never contend.
-  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox,
-                     size_t /*lane*/) -> std::optional<Msg> {
+  gen_->PrepareEpoch(epoch);  // Value() is a pure read below
+  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox) -> std::optional<Msg> {
     Msg view;
     for (Msg& child : inbox) view.MergeView(std::move(child));
     if (node != sim::kSinkId) {
@@ -207,18 +204,8 @@ void MintViews::PruneView(sim::NodeId node, agg::GroupView& view) const {
 agg::GroupView& MintViews::RunUpdateWave(sim::Epoch epoch) {
   using Msg = Delta;
   net_->SetPhase(kPhaseUpdate);
-  gen_->PrepareEpoch(epoch);  // prime serially; Value() is a pure read below
-  // Scratch views sized for the wave before it launches (resizing inside a
-  // concurrent lane would race); one entry serves the serial path.
-  size_t lanes = 1;
-  if (sim::ShardRuntime* rt = net_->shard_runtime(); rt != nullptr && rt->ShouldShard()) {
-    lanes = rt->lane_count();
-  }
-  if (lane_scratch_.size() < lanes) lane_scratch_.resize(lanes);
-  // Lane-aware (third argument): caches are written only for the visited
-  // node and its own children, which live in the same shard lane.
-  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox,
-                     size_t lane) -> std::optional<Msg> {
+  gen_->PrepareEpoch(epoch);  // Value() is a pure read below
+  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox) -> std::optional<Msg> {
     // Apply the children's deltas to their cached views.
     for (Msg& delta : inbox) {
       agg::GroupView& cache = child_view_[delta.from];
@@ -226,8 +213,8 @@ agg::GroupView& MintViews::RunUpdateWave(sim::Epoch epoch) {
       for (sim::GroupId g : delta.removed) cache.Erase(g);
     }
     // Rebuild this node's view from the cached child views + own reading,
-    // into per-lane scratch reused across nodes and epochs.
-    agg::GroupView& view = lane_scratch_[lane];
+    // into scratch reused across nodes and epochs.
+    agg::GroupView& view = update_scratch_;
     view.clear();
     for (sim::NodeId child : net_->tree().children(node)) view.MergeView(child_view_[child]);
     if (node == sim::kSinkId) {

@@ -149,13 +149,11 @@ class MintViews : public EpochAlgorithm {
   /// Per node: cached views of its children, maintained from deltas.
   std::vector<agg::GroupView> child_view_;
 
-  /// Reusable wave state (inboxes, scratch views) — allocated once, reused
-  /// every epoch. The update wave's scratch view is per lane so concurrent
-  /// shard lanes never share it (one entry on the serial path); it is
-  /// pre-sized before the wave launches, never resized inside it.
+  /// Reusable wave state (inboxes, the update wave's scratch view) —
+  /// allocated once, reused every epoch.
   sim::UpWave<agg::GroupView>::Workspace full_wave_ws_;
   sim::UpWave<Delta>::Workspace update_wave_ws_;
-  std::vector<agg::GroupView> lane_scratch_;
+  agg::GroupView update_scratch_;
   agg::GroupView sink_view_;
 
   /// Threshold in force at the nodes (last broadcast), with margin applied.

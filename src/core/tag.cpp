@@ -8,11 +8,8 @@ agg::GroupView TagTopK::CollectFullView(sim::Network& net, data::DataGenerator& 
                                         const QuerySpec& spec, sim::Epoch epoch,
                                         sim::UpWave<agg::GroupView>::Workspace* workspace) {
   using Msg = agg::GroupView;
-  gen.PrepareEpoch(epoch);  // prime serially; Value() is a pure read below
-  // Lane-aware (third argument): the merge is entirely local to the visited
-  // node, so shard lanes over disjoint subtrees never contend.
-  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox,
-                     size_t /*lane*/) -> std::optional<Msg> {
+  gen.PrepareEpoch(epoch);  // Value() is a pure read below
+  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox) -> std::optional<Msg> {
     Msg view;
     for (Msg& child : inbox) view.MergeView(std::move(child));
     if (node != sim::kSinkId) {

@@ -26,12 +26,12 @@ class DataGenerator {
 
   /// Advances the generator's stochastic process to `epoch` so that
   /// subsequent `Value(_, epoch)` calls are pure cache reads. Stateful
-  /// generators mutate on the first Value() of a new epoch; a sharded wave
-  /// calls Value() concurrently, so algorithms prime the epoch serially
-  /// (before launching lanes) through this hook. Calling it is always safe —
-  /// it performs exactly the mutation the first Value() would have, so the
-  /// serial draw order is unchanged — and the default is a no-op for
-  /// stateless generators.
+  /// generators mutate on the first Value() of a new epoch; this hook runs
+  /// that mutation at a point the caller chooses, so an epoch's waves only
+  /// read values and a benchmark can time data generation apart from them.
+  /// Calling it is always safe — it performs exactly the mutation the first
+  /// Value() would have, so the draw order is unchanged — and the default is
+  /// a no-op for stateless generators.
   virtual void PrepareEpoch(sim::Epoch epoch) { (void)epoch; }
 
   /// The modality generated (defines the bounded domain).

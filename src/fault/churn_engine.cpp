@@ -2,7 +2,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/shard_runtime.hpp"
 #include "util/rng.hpp"
 
 namespace kspot::fault {
@@ -145,11 +144,7 @@ ChurnReport ChurnEngine::BeginEpoch(sim::Epoch epoch) {
     report.reattached += repair.reattached.size();
     total_reattached_ += repair.reattached.size();
   }
-  if (report.topology_changed) {
-    ++repair_events_;
-    // The shard plan slices the tree that just changed; the next wave re-cuts.
-    if (sim::ShardRuntime* rt = net_->shard_runtime()) rt->InvalidateTopology();
-  }
+  if (report.topology_changed) ++repair_events_;
   for (size_t i = 0; i < n; ++i) {
     was_alive_[i] = net_->NodeAlive(static_cast<sim::NodeId>(i)) ? 1 : 0;
   }

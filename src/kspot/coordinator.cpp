@@ -15,7 +15,6 @@
 #include "fault/churn_engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/shard_runtime.hpp"
 #include "storage/history_store.hpp"
 
 namespace kspot::system {
@@ -165,7 +164,6 @@ struct QueryCoordinator::Session {
   sim::RoutingTree tree;
   sim::Network net;
   std::unique_ptr<data::DataGenerator> shared_gen;
-  std::unique_ptr<sim::ShardRuntime> shard_rt;
   std::unique_ptr<fault::ChurnEngine> churn;
 
   std::vector<OpGroup> groups;
@@ -408,14 +406,6 @@ util::Status QueryCoordinator::Open() {
   session_ =
       std::make_unique<Session>(*deployment_, NetOptions(), options_.seed ^ options_.net_salt);
   session_->shared_gen = MakeGenerator(options_.seed);
-
-  // Parallel epoch execution: cut the tree at its cluster heads and run the
-  // subtree lanes concurrently (merged deterministically every epoch).
-  // shards <= 1 attaches nothing — the serial path runs exactly as before.
-  if (options_.shards > 1) {
-    session_->shard_rt = std::make_unique<sim::ShardRuntime>(
-        &session_->net, sim::ShardRuntime::Options{options_.shards, options_.shard_threads});
-  }
 
   if (options_.enable_churn) {
     fault::FaultPlanOptions churn_opt = options_.churn;

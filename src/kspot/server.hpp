@@ -45,7 +45,7 @@ struct RunOutcome {
 class KSpotServer {
  public:
   /// Execution knobs: the deployment-wide set shared with QueryCoordinator
-  /// (see DeploymentConfig — epochs, seed, radio, battery, churn, shards)
+  /// (see DeploymentConfig — epochs, seed, radio, battery, churn)
   /// plus the server's own baseline toggle. Churn applies to continuous
   /// snapshot/grouped queries only; historic one-shot queries run over
   /// already-buffered windows and ignore it.

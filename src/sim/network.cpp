@@ -53,33 +53,6 @@ Network::Network(const Topology* topology, const RoutingTree* tree, NetworkOptio
   SetPhase(kDefaultPhase);
 }
 
-Network::Network(const Network& other)
-    : topology_(other.topology_),
-      tree_(other.tree_),
-      options_(other.options_),
-      rng_(other.rng_),
-      events_(other.events_),
-      state_(other.state_),
-      phase_id_(other.phase_id_),
-      phase_name_(other.phase_name_) {
-  // A shard runtime is bound to the object it was attached to; the copy
-  // starts serial.
-}
-
-Network& Network::operator=(const Network& other) {
-  if (this == &other) return *this;
-  topology_ = other.topology_;
-  tree_ = other.tree_;
-  options_ = other.options_;
-  rng_ = other.rng_;
-  events_ = other.events_;
-  state_ = other.state_;
-  phase_id_ = other.phase_id_;
-  phase_name_ = other.phase_name_;
-  shard_runtime_ = nullptr;
-  return *this;
-}
-
 void Network::SetPhase(PhaseId id) {
   if (phase_name_ != nullptr && id == phase_id_) return;
   if (id >= state_.by_phase.size()) {
@@ -193,8 +166,7 @@ int Network::PlannedAttempts(double ewma_loss) const {
 }
 
 bool Network::ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot,
-                              size_t payload_bytes, util::Rng& loss_rng,
-                              TrafficCounters& delta) {
+                              size_t payload_bytes, TrafficCounters& delta) {
   const ReliabilityOptions& rel = options_.reliability;
   size_t frames = options_.radio.FramesForPayload(payload_bytes);
   double link_loss = LinkLossProb(sender, receiver);
@@ -239,7 +211,7 @@ bool Network::ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot,
     ChargeTx(sender, payload_bytes, delta);
     bool lost = false;
     for (size_t f = 0; f < frames && !lost; ++f) {
-      lost = loss_rng.NextBernoulli(link_loss);
+      lost = rng_.NextBernoulli(link_loss);
     }
     est.ewma = rel.ewma_alpha * (lost ? 1.0 : 0.0) + (1.0 - rel.ewma_alpha) * est.ewma;
     if (!lost && NodeAlive(receiver)) {
@@ -265,62 +237,39 @@ void Network::ChargeTx(NodeId sender, size_t payload_bytes, TrafficCounters& cou
   counters.tx_energy_j += tx_j;
 }
 
-bool Network::UnicastToParentWith(NodeId child, size_t payload_bytes, util::Rng& loss_rng,
-                                  TrafficCounters& delta) {
-  NodeId parent = tree_->parent(child);
-  if (options_.reliability.enabled) {
-    return ReliableUnicast(child, parent, child, payload_bytes, loss_rng, delta);
-  }
-  bool delivered = false;
-  // Per-frame loss: the message survives an attempt only if every fragment does.
-  size_t frames = options_.radio.FramesForPayload(payload_bytes);
-  double link_loss = LinkLossProb(child, parent);
-  for (int attempt = 0; attempt <= options_.max_retries && !delivered; ++attempt) {
-    if (!NodeAlive(child)) break;
-    ChargeTx(child, payload_bytes, delta);
-    bool lost = false;
-    for (size_t f = 0; f < frames && !lost; ++f) {
-      lost = loss_rng.NextBernoulli(link_loss);
-    }
-    if (!lost && NodeAlive(parent)) {
-      double rx_j = options_.energy.RxEnergy(options_.radio.AirtimeSeconds(payload_bytes));
-      state_.meters[parent].AddRx(rx_j);
-      delta.rx_energy_j += rx_j;
-      delivered = true;
-    }
-  }
-  return delivered;
-}
-
 bool Network::UnicastToParent(NodeId child, size_t payload_bytes) {
   NodeId parent = tree_->parent(child);
   if (parent == kNoNode) return false;
   if (!NodeAlive(child)) return false;
   TrafficCounters delta;
-  bool delivered = UnicastToParentWith(child, payload_bytes, rng_, delta);
+  bool delivered = false;
+  if (options_.reliability.enabled) {
+    delivered = ReliableUnicast(child, parent, child, payload_bytes, delta);
+  } else {
+    // Per-frame loss: the message survives an attempt only if every fragment does.
+    size_t frames = options_.radio.FramesForPayload(payload_bytes);
+    double link_loss = LinkLossProb(child, parent);
+    for (int attempt = 0; attempt <= options_.max_retries && !delivered; ++attempt) {
+      if (!NodeAlive(child)) break;
+      ChargeTx(child, payload_bytes, delta);
+      bool lost = false;
+      for (size_t f = 0; f < frames && !lost; ++f) {
+        lost = rng_.NextBernoulli(link_loss);
+      }
+      if (!lost && NodeAlive(parent)) {
+        double rx_j = options_.energy.RxEnergy(options_.radio.AirtimeSeconds(payload_bytes));
+        state_.meters[parent].AddRx(rx_j);
+        delta.rx_energy_j += rx_j;
+        delivered = true;
+      }
+    }
+  }
   state_.total.Add(delta);
   state_.by_phase[phase_id_].Add(delta);
   // backoff_us is zero unless the reliability layer waited out retries.
   events_.AdvanceTo(events_.now() + options_.radio.AirtimeMicros(payload_bytes) +
                     delta.backoff_us);
   return delivered;
-}
-
-bool Network::LaneUnicastToParent(NodeId child, size_t payload_bytes, LaneSendEffect* fx) {
-  NodeId parent = tree_->parent(child);
-  if (parent == kNoNode) return false;
-  if (!NodeAlive(child)) return false;
-  bool delivered =
-      UnicastToParentWith(child, payload_bytes, state_.node_rngs[child], fx->delta);
-  fx->airtime = options_.radio.AirtimeMicros(payload_bytes) + fx->delta.backoff_us;
-  fx->sent = true;
-  return delivered;
-}
-
-void Network::CommitLaneSend(const LaneSendEffect& fx) {
-  state_.total.Add(fx.delta);
-  state_.by_phase[phase_id_].Add(fx.delta);
-  events_.AdvanceTo(events_.now() + fx.airtime);
 }
 
 bool Network::UnicastUpPath(NodeId from, size_t payload_bytes) {
@@ -349,7 +298,7 @@ bool Network::UnicastDownPath(NodeId target, size_t payload_bytes) {
     if (options_.reliability.enabled) {
       // Down traffic shares the child-endpoint estimator slot with up traffic
       // (the link is the same; LinkLossProb is symmetric).
-      delivered = ReliableUnicast(sender, receiver, receiver, payload_bytes, rng_, delta);
+      delivered = ReliableUnicast(sender, receiver, receiver, payload_bytes, delta);
     } else {
       size_t frames = options_.radio.FramesForPayload(payload_bytes);
       double link_loss = LinkLossProb(sender, receiver);

@@ -17,8 +17,6 @@
 
 namespace kspot::sim {
 
-class ShardRuntime;
-
 /// The end-to-end reliability & graceful-degradation layer (everything off
 /// by default — a default-constructed struct leaves the network bit-identical
 /// to a build without it). When enabled, unicast sends replace the flat
@@ -84,39 +82,18 @@ struct NetworkOptions {
 /// traffic counters (globally and attributed to named protocol phases).
 ///
 /// All per-epoch mutable state lives in one value-type ShardState, so a
-/// Network is freely copyable (copies evolve independently; an attached
-/// shard runtime does not follow the copy) and the sharded UpWave can hand
-/// worker lanes disjoint per-node slices of the state.
+/// Network is freely copyable: copies evolve independently.
 class Network {
  public:
   /// `topology` and `tree` must outlive the network.
   Network(const Topology* topology, const RoutingTree* tree, NetworkOptions options,
           util::Rng rng);
 
-  Network(const Network& other);
-  Network& operator=(const Network& other);
-
   /// Sends `payload_bytes` from `child` to its parent, applying loss and up
   /// to `max_retries` retransmissions. Every attempt is charged to the
   /// sender; receive energy only on delivered attempts. Returns true when
   /// the message was delivered (false also when either endpoint is dead).
   bool UnicastToParent(NodeId child, size_t payload_bytes);
-
-  /// Lane-scoped variant for the sharded UpWave: identical charging, retry
-  /// and aliveness discipline, but loss is drawn from the *sender's* RNG
-  /// substream (state().node_rngs, populated by the attached ShardRuntime)
-  /// and neither the global counters nor the shared clock are touched — the
-  /// per-message counter delta and airtime land in `fx` instead, for the
-  /// canonical wave-order replay at the merge barrier (CommitLaneSend).
-  /// Safe to call concurrently for senders in disjoint subtrees: it writes
-  /// only the sender's and receiver's per-node entries.
-  bool LaneUnicastToParent(NodeId child, size_t payload_bytes, LaneSendEffect* fx);
-
-  /// Commits one lane send's effect to the global ledgers in canonical
-  /// order: total/phase counters accumulate the delta and the clock advances
-  /// by the airtime, exactly as the serial path would have at this message's
-  /// slot. Serial-only (the merge phase of a sharded wave).
-  void CommitLaneSend(const LaneSendEffect& fx);
 
   /// Broadcasts `payload_bytes` from `node`: one transmission, every alive
   /// child listens; loss is independent per child. Returns the children that
@@ -140,8 +117,7 @@ class Network {
 
   /// Attributes subsequent traffic to an interned protocol phase. The hot
   /// path: an integer compare when the phase is unchanged, an array index
-  /// when it switches. Serial-only: a sharded wave runs entirely under the
-  /// phase in force when it launched.
+  /// when it switches.
   void SetPhase(PhaseId id);
   /// Attributes subsequent traffic to a named protocol phase
   /// (e.g. "mint.update", "tja.lb"). Cheap when the phase is unchanged;
@@ -198,7 +174,7 @@ class Network {
   /// folds the operation/byte counts into the traffic counters (grand total
   /// and current phase). Storage I/O is radio-silent: no frames, no airtime,
   /// no clock movement. Plain scalars keep sim/ independent of storage/; the
-  /// caller snapshots storage::IoCounters deltas. Serial sections only.
+  /// caller snapshots storage::IoCounters deltas.
   void ChargeStorageIo(NodeId node, uint64_t reads, uint64_t writes, uint64_t bytes,
                        double energy_j);
 
@@ -214,16 +190,6 @@ class Network {
   const NetworkOptions& options() const { return options_; }
   /// Loss / fading RNG (exposed for tests).
   util::Rng& rng() { return rng_; }
-
-  /// The whole per-epoch mutable state as a value (exposed for the shard
-  /// runtime and for state-snapshot tests).
-  ShardState& state() { return state_; }
-  const ShardState& state() const { return state_; }
-
-  /// The shard runtime driving this network's parallel waves, nullptr on the
-  /// serial path. Attached by ShardRuntime's constructor; never owned here.
-  ShardRuntime* shard_runtime() const { return shard_runtime_; }
-  void AttachShardRuntime(ShardRuntime* runtime) { shard_runtime_ = runtime; }
 
   /// Per-frame loss probability of the link `from -> to` under the options'
   /// loss model (baseline + distance-dependent gray zone + degradation
@@ -242,12 +208,11 @@ class Network {
   bool EpochDegraded() const { return state_.epoch_degraded != 0; }
   /// Alive wave-order nodes deadlines cut this epoch.
   uint32_t TruncatedNodes() const { return state_.truncated_nodes; }
-  /// Marks the epoch degraded, attributing `truncated` cut nodes. Serial
-  /// sections only (waves call it; lanes never do).
+  /// Marks the epoch degraded, attributing `truncated` cut nodes.
   void MarkEpochDegraded(uint32_t truncated);
   /// Counts the alive wave-order nodes deeper than `depth_cap` slots — the
   /// nodes an UpWave under that deadline cuts — and marks the epoch degraded
-  /// when any exist. Returns the count. Serial-only.
+  /// when any exist. Returns the count.
   uint32_t ApplyWaveDepthBudget(int depth_cap);
   /// Alive, tree-attached sensors (sink excluded): the population a complete
   /// epoch answer should have heard from — the denominator of
@@ -267,20 +232,14 @@ class Network {
   /// string SetPhase overload's unchanged-phase fast path needs no lock.
   /// nullptr only before the constructor's initial SetPhase.
   const std::string* phase_name_ = nullptr;
-  /// Parallel-wave coordinator; non-owning, does not follow copies.
-  ShardRuntime* shard_runtime_ = nullptr;
 
   void ChargeTx(NodeId sender, size_t payload_bytes, TrafficCounters& counters);
-  /// The retry/loss/charge core shared by the serial and lane unicast paths;
-  /// `loss_rng` selects which stream pays the Bernoulli draws.
-  bool UnicastToParentWith(NodeId child, size_t payload_bytes, util::Rng& loss_rng,
-                           TrafficCounters& delta);
   /// Adaptive-ARQ unicast core (ReliabilityOptions::enabled): EWMA-scheduled
   /// attempts, exponential backoff charged as idle listening, per-epoch
   /// retry budget. `link_slot` is the child endpoint of the link (its
-  /// LinkEstimator slot); safe in lanes for in-lane links.
+  /// LinkEstimator slot).
   bool ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot, size_t payload_bytes,
-                       util::Rng& loss_rng, TrafficCounters& delta);
+                       TrafficCounters& delta);
   /// Attempts the adaptive policy schedules for a link estimated at
   /// `ewma_loss`: the smallest A with ewma^A <= residual_target, in
   /// [1, reliability.max_retries + 1]. Deterministic.

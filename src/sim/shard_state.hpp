@@ -6,7 +6,6 @@
 
 #include "sim/energy_model.hpp"
 #include "sim/types.hpp"
-#include "util/rng.hpp"
 
 namespace kspot::sim {
 
@@ -48,9 +47,7 @@ using PhaseId = uint32_t;
 /// link regardless of transfer direction — LinkLossProb is symmetric, so up
 /// and down traffic share one estimate — and `to` records the other endpoint
 /// so a churn re-parenting resets the estimate instead of inheriting a stale
-/// one. Lanes only ever touch slots of their own subtree's nodes, so sharded
-/// waves update estimators race-free, and the estimate evolves from the
-/// sender's own loss draws alone — invariant under shard and thread count.
+/// one.
 struct LinkEstimator {
   NodeId to = kNoNode;  ///< Other endpoint the estimate refers to.
   double ewma = 0.0;    ///< EWMA per-frame loss; seeded from the loss model.
@@ -59,12 +56,10 @@ struct LinkEstimator {
 /// Everything a Network mutates while an epoch runs, extracted into one
 /// plain value type: the per-node battery/energy ledger, the admin up flags
 /// and degradation episodes, the delivered-message accounting, the interned
-/// per-phase counter arrays, and the per-node loss-RNG substreams of the
-/// sharded execution path. Owning this as a value (rather than as loose
-/// members with a cached interior pointer) is what makes Network copyable
-/// and lets the shard runtime hand lanes disjoint slices of it: a lane only
-/// ever touches the per-node entries of its own subtree, so parallel waves
-/// write this struct race-free.
+/// per-phase counter arrays and the reliability layer's per-link state.
+/// Owning this as a value (rather than as loose members with a cached
+/// interior pointer) is what makes Network copyable with defaulted copy
+/// operations.
 struct ShardState {
   /// Per-node energy ledger (battery budget included).
   std::vector<EnergyMeter> meters;
@@ -82,12 +77,6 @@ struct ShardState {
   /// run visited, zero-traffic ones included).
   std::vector<TrafficCounters> by_phase;
   std::vector<uint8_t> phase_touched;
-  /// Per-node loss-RNG substreams, derived once (Rng::Split off the network
-  /// RNG's attach-time state) when a ShardRuntime attaches. Empty on the
-  /// serial path. In a sharded wave every transmission draws loss from the
-  /// *sender's* substream, so outcomes are independent of how subtrees are
-  /// packed into shards and of the worker-thread count.
-  std::vector<util::Rng> node_rngs;
   /// Per-child-endpoint link-quality estimators (reliability layer). Sized
   /// always, consulted only when ReliabilityOptions::enabled.
   std::vector<LinkEstimator> link_est;
@@ -96,23 +85,13 @@ struct ShardState {
   /// off (the adaptive path is never entered).
   std::vector<uint32_t> retry_budget_left;
   /// 1 when a wave deadline truncated this epoch (graceful degradation).
-  /// Written only from serial sections; cleared by BeginReliabilityEpoch.
+  /// Cleared by BeginReliabilityEpoch.
   uint8_t epoch_degraded = 0;
   /// Alive wave-order nodes the deadline cut this epoch, cumulative.
   uint32_t truncated_nodes = 0;
 
   /// Sizes the per-node arrays for `num_nodes` nodes with fresh batteries.
   void Reset(size_t num_nodes, double battery_j);
-};
-
-/// The bookkeeping one deferred (lane-local) transmission produces: the
-/// counter delta the canonical epoch-boundary replay commits, and the
-/// airtime (plus any reliability backoff) by which the shared clock advances
-/// at the message's slot.
-struct LaneSendEffect {
-  TrafficCounters delta;
-  TimeUs airtime = 0;
-  bool sent = false;  ///< True when any attempt was charged (delta is live).
 };
 
 }  // namespace kspot::sim

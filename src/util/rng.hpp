@@ -48,11 +48,11 @@ class Rng {
   ///     yields exactly the sequence the parent would have produced anyway.
   ///   - distinct ids give decorrelated streams (different splitmix seeds),
   ///     and the same id from the same parent state reproduces the same
-  ///     stream — the property the sharded epoch waves rely on to stay
-  ///     bit-identical for any shard or thread count (each sender draws
-  ///     loss from its own `Split(node_id)` substream).
+  ///     stream — so FaultPlan gives each node its own `Split(node_id)`
+  ///     fault process and ChurnEngine derives each epoch's repair stream
+  ///     with `Split(epoch)`, independent of how many draws came before.
   ///   - splitting after the parent has advanced yields different children;
-  ///     split at a well-defined point (e.g. shard-runtime attach).
+  ///     split at a well-defined point (e.g. right after seeding).
   ///
   /// The exact child sequences are pinned by RngTest.SplitGoldenVectors.
   Rng Split(uint64_t stream_id) const;

@@ -7,10 +7,8 @@
 ///     E14 churn_accuracy) produce byte-identical metrics through 1 and 8
 ///     worker threads — the engine determinism contract over the new
 ///     data plane;
-///  3. sharded epoch execution is invisible to results: the same sweeps are
-///     byte-identical for shards in {1, 2, 8} and 1 or 8 engine threads, and
-///     the E16 bed at n = 1000 pins the full network state (answers, phase
-///     counters, meters, clock) serial-vs-sharded;
+///  3. observability is invisible to results: sweeps and the E16 bed at
+///     n = 1000 are byte-identical with metrics and tracing on;
 ///  4. MINT's incremental churn repair is answer-equivalent to the full
 ///     creation-phase rebuild under lossless churn (both exact against the
 ///     survivor oracle) while touching far fewer rebuild messages.
@@ -162,118 +160,13 @@ TEST(GoldenEquivalenceTest, QuickSweepsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// ----------------------------------------------- sharded-wave equivalence
-
-/// Sharded epoch execution is a wall-clock knob, never a semantic one: the
-/// same sweeps must be byte-identical for every shard count and every
-/// runner thread count. E1 and E13 are lossless data planes, so this holds
-/// serial-vs-sharded exactly. (E14 churn_accuracy is deliberately absent:
-/// its degrade episodes draw real losses, and the sharded path draws them
-/// from per-node substreams — sharded runs agree with each other for any
-/// shard/thread count, which shard_test pins, but not with the serial
-/// single-stream path.)
-TEST(GoldenEquivalenceTest, QuickSweepsBitIdenticalAcrossShardCounts) {
-  runner::ScenarioRegistry registry;
-  bench::RegisterAllScenarios(registry);
-  for (const char* name : {"fig1_scenario", "churn_lifetime"}) {
-    SCOPED_TRACE(name);
-    const runner::Scenario* scenario = registry.Find(name);
-    ASSERT_NE(scenario, nullptr);
-    runner::ScenarioRun baseline =
-        runner::ExperimentEngine({.threads = 1, .quick = true, .shards = 1}).Run(*scenario);
-    EXPECT_TRUE(baseline.AllOk());
-    for (size_t shards : {size_t{2}, size_t{8}}) {
-      for (size_t threads : {size_t{1}, size_t{8}}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards) + " threads=" +
-                     std::to_string(threads));
-        runner::ScenarioRun sharded =
-            runner::ExperimentEngine({.threads = threads, .quick = true, .shards = shards})
-                .Run(*scenario);
-        ExpectIdenticalRuns(baseline, sharded);
-      }
-    }
-  }
-}
-
-/// E16's bed at n = 1000. The scenario's own metrics are wall-clock (not
-/// comparable across configurations), so this pins the full observable
-/// simulation state instead: every epoch's answer, the total and per-phase
-/// traffic counters, each node's energy ledger and send count, and the
-/// virtual clock.
-TEST(GoldenEquivalenceTest, ThroughputBedBitIdenticalAcrossShardCounts) {
-  constexpr size_t kNodes = 1000;
-  constexpr size_t kRooms = 32;
-  constexpr size_t kEpochs = 20;
-  constexpr uint64_t kSeed = 161;
-
-  struct BedState {
-    std::vector<std::string> answers;
-    sim::TrafficCounters total;
-    std::map<std::string, sim::TrafficCounters> by_phase;
-    std::vector<double> meter_joules;
-    std::vector<uint64_t> sent_by;
-    sim::TimeUs now = 0;
-  };
-  auto run_bed = [&](size_t shards, size_t threads) {
-    bench::Bed bed = bench::Bed::Grid(kNodes, kRooms, kSeed);
-    bed.EnableSharding(shards, threads);
-    auto gen = bed.RoomData(kSeed);
-    auto algo = bench::MakeSnapshotAlgo(bench::SnapshotAlgo::kMint, bed.net.get(), gen.get(),
-                                        bench::RoomAvgSpec(3));
-    BedState state;
-    for (size_t e = 0; e < kEpochs; ++e) {
-      state.answers.push_back(algo->RunEpoch(static_cast<sim::Epoch>(e)).ToString());
-    }
-    state.total = bed.net->total();
-    state.by_phase = bed.net->by_phase();
-    for (sim::NodeId id = 0; id < kNodes; ++id) {
-      state.meter_joules.push_back(bed.net->meter(id).total_joules());
-      state.sent_by.push_back(bed.net->MessagesSentBy(id));
-    }
-    state.now = bed.net->events().now();
-    return state;
-  };
-  auto expect_same_counters = [](const sim::TrafficCounters& a, const sim::TrafficCounters& b) {
-    EXPECT_EQ(a.messages, b.messages);
-    EXPECT_EQ(a.frames, b.frames);
-    EXPECT_EQ(a.payload_bytes, b.payload_bytes);
-    EXPECT_EQ(a.onair_bytes, b.onair_bytes);
-    // Bit-exact, not approximate: the sharded merge replays sends in the
-    // serial wave order, so even FP accumulation order matches.
-    EXPECT_EQ(a.tx_energy_j, b.tx_energy_j);
-    EXPECT_EQ(a.rx_energy_j, b.rx_energy_j);
-  };
-
-  BedState serial = run_bed(1, 1);
-  for (size_t shards : {size_t{2}, size_t{8}}) {
-    for (size_t threads : {size_t{1}, size_t{8}}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) + " threads=" + std::to_string(threads));
-      BedState sharded = run_bed(shards, threads);
-      EXPECT_EQ(serial.answers, sharded.answers);
-      expect_same_counters(serial.total, sharded.total);
-      ASSERT_EQ(serial.by_phase.size(), sharded.by_phase.size());
-      for (const auto& [phase, counters] : serial.by_phase) {
-        SCOPED_TRACE(phase);
-        auto it = sharded.by_phase.find(phase);
-        ASSERT_NE(it, sharded.by_phase.end());
-        expect_same_counters(counters, it->second);
-      }
-      EXPECT_EQ(serial.meter_joules, sharded.meter_joules);
-      EXPECT_EQ(serial.sent_by, sharded.sent_by);
-      EXPECT_EQ(serial.now, sharded.now);
-    }
-  }
-}
-
 // ------------------------------------------------ observability equivalence
 
 /// The zero-perturbation contract of src/obs: with the metrics registry AND
 /// the span tracer fully enabled, every result is bit-identical to an
-/// unobserved run. Covers the instrumented serial path (E1 fig1_scenario,
-/// E13 churn_lifetime through ChurnEngine spans/counters) and the sharded
-/// RunLanes path (the E16 bed at n = 1000 with 2 lanes over 2 worker
-/// threads, which exercises the lane wall-time histogram, the imbalance
-/// gauge, and the TaskPool idle/claim instrumentation).
+/// unobserved run. Covers the instrumented sweeps (E1 fig1_scenario, E13
+/// churn_lifetime through ChurnEngine spans/counters) and the E16 bed at
+/// n = 1000, whose MINT waves record one span per wave.
 TEST(GoldenEquivalenceTest, ResultsBitIdenticalWithObservabilityEnabled) {
   struct ObsFlagGuard {
     bool metrics = obs::MetricsOn();
@@ -302,13 +195,12 @@ TEST(GoldenEquivalenceTest, ResultsBitIdenticalWithObservabilityEnabled) {
     ExpectIdenticalRuns(dark, observed);
   }
 
-  // Sharded bed: answers, per-phase counters, per-node meters, the virtual
-  // clock — all byte-identical while the lane instrumentation records.
+  // E16 bed: answers, traffic counters, per-node send counts, the virtual
+  // clock — all byte-identical while the wave spans record.
   auto run_bed = [](bool observe) {
     obs::SetMetricsEnabled(observe);
     obs::SetTracingEnabled(observe);
     bench::Bed bed = bench::Bed::Grid(1000, 32, 161);
-    bed.EnableSharding(/*shards=*/2, /*threads=*/2);
     auto gen = bed.RoomData(161);
     auto algo = bench::MakeSnapshotAlgo(bench::SnapshotAlgo::kMint, bed.net.get(), gen.get(),
                                         bench::RoomAvgSpec(3));
@@ -325,17 +217,16 @@ TEST(GoldenEquivalenceTest, ResultsBitIdenticalWithObservabilityEnabled) {
     return answers;
   };
   std::vector<std::string> dark_bed = run_bed(false);
-  uint64_t spans_before = obs::GlobalTracer().total_recorded();
+  obs::GlobalTracer().Clear();
   std::vector<std::string> observed_bed = run_bed(true);
   EXPECT_EQ(dark_bed, observed_bed);
   // And the observed run actually observed something — the equivalence is
   // not vacuous because instrumentation silently stayed off.
-  EXPECT_GT(obs::GlobalTracer().total_recorded(), spans_before);
-  bool saw_lane_metric = false;
-  for (const auto& h : obs::Registry().Snapshot().histograms) {
-    if (h.name == "shard.lane_wall_us" && h.dist.count > 0) saw_lane_metric = true;
+  bool saw_wave_span = false;
+  for (const obs::TraceSpan& span : obs::GlobalTracer().Spans()) {
+    if (obs::GlobalTracer().Name(span.name_id) == "mint.update") saw_wave_span = true;
   }
-  EXPECT_TRUE(saw_lane_metric);
+  EXPECT_TRUE(saw_wave_span);
 }
 
 // ------------------------------------------- incremental vs full churn repair
@@ -539,17 +430,15 @@ TEST(GoldenEquivalenceTest, PhaseCountersMatchPreInterningDigests) {
 
 /// The continuous historic operator's golden pin: the O(delta) incremental
 /// window maintenance answers bit-identically to the O(W*n) from-scratch
-/// re-collection, and the delta path itself is byte-identical (answers AND
-/// traffic counters) across shard/thread counts. Suppression off is
-/// bit-inert — the eps knob is never consulted while the toggle is down.
-TEST(GoldenEquivalenceTest, HistoricDeltaMatchesScratchAcrossShardCounts) {
+/// re-collection. Suppression off is bit-inert — the eps knob is never
+/// consulted while the toggle is down.
+TEST(GoldenEquivalenceTest, HistoricDeltaMatchesScratch) {
   constexpr size_t kNodes = 200;
   constexpr size_t kRooms = 16;
   constexpr size_t kEpochs = 40;
   constexpr uint64_t kSeed = 171;
-  auto run = [&](bool incremental, double eps, size_t shards, size_t threads) {
+  auto run = [&](bool incremental, double eps) {
     bench::Bed bed = bench::Bed::Grid(kNodes, kRooms, kSeed);
-    bed.EnableSharding(shards, threads);
     auto gen = bed.RoomData(kSeed);
     core::HistoricStreamOptions hopt;
     hopt.k = 3;
@@ -564,27 +453,21 @@ TEST(GoldenEquivalenceTest, HistoricDeltaMatchesScratchAcrossShardCounts) {
     }
     // Traffic digest rides behind the answers: the first kEpochs entries
     // compare delta-vs-scratch (answers only — cost differs by design), the
-    // whole vector compares shard/thread variants byte-for-byte.
+    // whole vector compares eps variants byte-for-byte.
     out.push_back(std::to_string(bed.net->total().messages));
     out.push_back(std::to_string(bed.net->total().payload_bytes));
     out.push_back(std::to_string(bed.net->events().now()));
     return out;
   };
 
-  std::vector<std::string> delta = run(/*incremental=*/true, 0.5, 1, 1);
-  std::vector<std::string> scratch = run(/*incremental=*/false, 0.5, 1, 1);
+  std::vector<std::string> delta = run(/*incremental=*/true, 0.5);
+  std::vector<std::string> scratch = run(/*incremental=*/false, 0.5);
   for (size_t e = 0; e < kEpochs; ++e) {
     SCOPED_TRACE("epoch " + std::to_string(e));
     EXPECT_EQ(delta[e], scratch[e]);
   }
-  for (size_t shards : {size_t{2}, size_t{8}}) {
-    for (size_t threads : {size_t{1}, size_t{8}}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) + " threads=" + std::to_string(threads));
-      EXPECT_EQ(run(/*incremental=*/true, 0.5, shards, threads), delta);
-    }
-  }
   // eps is inert while the suppression toggle is down — byte-identical run.
-  EXPECT_EQ(run(/*incremental=*/true, 99.0, 1, 1), delta);
+  EXPECT_EQ(run(/*incremental=*/true, 99.0), delta);
 }
 
 TEST(GoldenEquivalenceTest, IncrementalRepairStaysExactAndCheaper) {

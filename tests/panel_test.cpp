@@ -125,7 +125,7 @@ TEST(PanelGoldenTest, SystemPanelMetricsPane) {
   obs::MetricsSnapshot snap;
   snap.counters.push_back({"coord.epochs", "", 16});
   snap.counters.push_back({"fanout.deliveries", "q=1", 42});
-  snap.gauges.push_back({"shard.lane_imbalance", "", 1.25});
+  snap.gauges.push_back({"test.level", "", 1.25});
   obs::HistogramSample h;
   h.name = "coord.step_us";
   h.dist.count = 3;
@@ -148,7 +148,7 @@ TEST(PanelGoldenTest, SystemPanelMetricsPane) {
             "  --- runtime metrics ---\n"
             "  counter  coord.epochs = 16\n"
             "  counter  fanout.deliveries{q=1} = 42\n"
-            "  gauge    shard.lane_imbalance = 1.250\n"
+            "  gauge    test.level = 1.250\n"
             "  histo    coord.step_us n=3 mean=250.0 p50=180.0 p95=390.0 p99=398.0\n");
 
   // An empty snapshot removes the pane again (latest-wins contract).

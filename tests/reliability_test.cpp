@@ -2,7 +2,7 @@
 /// compounded episodes, the adaptive retry/backoff unicast core (EWMA
 /// estimator, retry budgets, backoff charged as idle listening), epoch
 /// deadlines with graceful degradation, completeness accounting
-/// (TopKResult::completeness conservation across shard/thread counts), and
+/// (TopKResult::completeness conservation on a lossless bed), and
 /// the fault side's blackout / burst-loss episodes.
 #include <gtest/gtest.h>
 
@@ -63,7 +63,7 @@ TEST(LinkLossTest, EpisodeLossNearOneCompoundsWithinBounds) {
 // ------------------------------------------------------ adaptive retries
 
 /// Everything observable about a finished reliability run, for exact
-/// comparison across shard/thread configurations.
+/// comparison across configurations.
 struct RelSummary {
   std::vector<std::string> answers;
   std::vector<double> completeness;
@@ -211,48 +211,20 @@ TEST(ReliabilityTest, GenerousDeadlineIsBitInert) {
   EXPECT_TRUE(run(0) == run(deep + 7));
 }
 
-// --------------------------------------- completeness conservation (shards)
+// -------------------------------------------------- completeness conservation
 
-RelSummary RunShardedTag(double loss, size_t shards, size_t threads) {
+TEST(ReliabilityTest, LosslessCompletenessConserved) {
   sim::NetworkOptions opt;
-  opt.loss_prob = loss;
   opt.reliability.enabled = true;
   opt.reliability.max_retries = 4;
   bench::Bed bed = bench::Bed::Grid(150, 10, 77, opt);
-  bed.EnableSharding(shards, threads);
-  return RunTag(bed, 12);
-}
-
-TEST(ReliabilityTest, LosslessCompletenessConservedAcrossShardCounts) {
-  RelSummary serial = RunShardedTag(0.0, 1, 1);
+  RelSummary serial = RunTag(bed, 12);
   for (double c : serial.completeness) EXPECT_EQ(c, 1.0);
   // Every sensor contributed: the completeness denominator conserves.
   sim::NetworkOptions probe_opt;
   bench::Bed probe = bench::Bed::Grid(150, 10, 77, probe_opt);
   for (uint32_t c : serial.contributors) {
     EXPECT_EQ(c, probe.net->AliveAttachedSensors());
-  }
-  for (size_t shards : {size_t{2}, size_t{8}}) {
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) + " threads=" + std::to_string(threads));
-      EXPECT_TRUE(serial == RunShardedTag(0.0, shards, threads));
-    }
-  }
-}
-
-TEST(ReliabilityTest, LossyRunsInvariantAcrossShardAndThreadCounts) {
-  // Under loss the sharded path draws from per-node substreams (not the
-  // serial global stream), so sharded is compared against sharded: the
-  // answer, completeness and retry ledgers must not depend on the lane
-  // layout or the thread count.
-  RelSummary base = RunShardedTag(0.2, 2, 1);
-  EXPECT_GT(base.retries, 0u);
-  for (size_t shards : {size_t{2}, size_t{8}}) {
-    for (size_t threads : {size_t{1}, size_t{8}}) {
-      if (shards == 2 && threads == 1) continue;
-      SCOPED_TRACE("shards=" + std::to_string(shards) + " threads=" + std::to_string(threads));
-      EXPECT_TRUE(base == RunShardedTag(0.2, shards, threads));
-    }
   }
 }
 

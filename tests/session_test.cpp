@@ -306,32 +306,5 @@ TEST(SessionTest, LifecycleErrorsAreClean) {
   ASSERT_TRUE(coordinator.Close().ok());
 }
 
-TEST(SessionTest, ShardedSessionMatchesSerialBitExactly) {
-  // Same contract the data plane pins everywhere else (shard_test,
-  // golden_equivalence_test): lossless beds are bit-identical to serial for
-  // any shard count; lossy beds draw per-node substreams, so they are
-  // invariant across shard/thread counts (compared among sharded configs).
-  auto run_with = [](size_t shards, double loss) {
-    QueryCoordinator::Options opt;
-    opt.epochs = 10;
-    opt.seed = 33;
-    opt.loss_prob = loss;
-    opt.max_retries = 1;
-    opt.enable_churn = true;
-    opt.churn.crash_prob = 0.01;
-    opt.churn.mean_downtime = 6;
-    opt.shards = shards;
-    opt.shard_threads = 2;
-    QueryCoordinator coordinator(Scenario::ConferenceFloor(6, 3, 5), opt);
-    EXPECT_TRUE(coordinator.Admit(kSnapshotSql).ok());
-    EXPECT_TRUE(coordinator.Admit(kGroupedSelectSql).ok());
-    auto report = coordinator.Run();
-    EXPECT_TRUE(report.ok());
-    return ReportDigest(report.value());
-  };
-  EXPECT_EQ(run_with(1, 0.0), run_with(3, 0.0));
-  EXPECT_EQ(run_with(2, 0.05), run_with(4, 0.05));
-}
-
 }  // namespace
 }  // namespace kspot::system

@@ -293,6 +293,27 @@ TEST(NetworkTest, RetriesImproveDelivery) {
   EXPECT_GE(retry_ok, 38);  // 1 - 0.5^6 per attempt
 }
 
+TEST(NetworkCopyTest, CopiesEvolveIndependently) {
+  auto bed = kspot::testing::TestBed::Grid(49, 8, 7);
+  Network copy = *bed.net;
+  EXPECT_EQ(copy.total().messages, bed.net->total().messages);
+
+  // Traffic on the original is invisible to the copy, and vice versa.
+  NodeId leaf = bed.tree.wave_order().front();
+  ASSERT_NE(leaf, kSinkId);
+  uint64_t before = copy.total().messages;
+  bed.net->SetPhase("copy.test");
+  bed.net->UnicastToParent(leaf, 10);
+  EXPECT_EQ(copy.total().messages, before);
+  EXPECT_GT(bed.net->total().messages, before);
+
+  copy.SetPhase("copy.test");
+  copy.UnicastToParent(leaf, 10);
+  copy.UnicastToParent(leaf, 10);
+  EXPECT_EQ(copy.total().messages, before + 2);
+  EXPECT_EQ(copy.MessagesSentBy(leaf), bed.net->MessagesSentBy(leaf) + 1);
+}
+
 TEST(NetworkTest, BroadcastReachesAllChildrenWhenLossless) {
   auto bed = kspot::testing::TestBed::Grid(16, 4, 37);
   auto delivered = bed.net->BroadcastToChildren(kSinkId, 12);

@@ -1,17 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "util/bloom_filter.hpp"
-#include "util/csv_writer.hpp"
 #include "util/fixed_point.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/status.hpp"
 #include "util/string_util.hpp"
 #include "util/table_printer.hpp"
+#include "util/task_pool.hpp"
 
 namespace kspot::util {
 namespace {
@@ -104,10 +108,10 @@ TEST(RngTest, SplitStreamsAreIndependentAndDeterministic) {
   EXPECT_LT(same, 2);
 }
 
-// Pins the exact Split substream outputs. Per-node loss substreams are what
-// keep the sharded epoch waves bit-identical across shard/thread counts, so
+// Pins the exact Split substream outputs. FaultPlan's per-node fault
+// processes and ChurnEngine's per-epoch repair streams are Split children, so
 // a silent change to the Split mixing function would invalidate every pinned
-// sharded golden digest — this test makes such a change loud.
+// churn golden digest — this test makes such a change loud.
 TEST(RngTest, SplitGoldenVectors) {
   const uint64_t kExpected[4][8] = {
       {0xb344268a3ee87fbbULL, 0x9ad19b3ad4179cbcULL, 0xdb5068320b93fe90ULL, 0xfe5b252d327f601fULL,
@@ -381,19 +385,48 @@ TEST(TablePrinterTest, AlignsColumns) {
   EXPECT_NE(s.find("---"), std::string::npos);
 }
 
-TEST(CsvWriterTest, EscapesAndWrites) {
-  std::string path = ::testing::TempDir() + "/kspot_csv_test.csv";
-  {
-    CsvWriter csv(path, {"a", "b"});
-    ASSERT_TRUE(csv.ok());
-    csv.AddRow(std::vector<std::string>{"x,y", "plain"});
+// ----------------------------------------------------------------- TaskPool
+
+TEST(TaskPoolTest, RunsEveryIndexExactlyOnce) {
+  TaskPool pool(4);
+  constexpr size_t kCount = 1000;
+  std::vector<std::atomic<int>> hits(kCount);
+  pool.ParallelFor(kCount, [&](size_t i) { hits[i].fetch_add(1); });
+  for (size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(TaskPoolTest, ZeroCountIsANoop) {
+  TaskPool pool(4);
+  pool.ParallelFor(0, [&](size_t) { FAIL() << "fn must not run for count 0"; });
+}
+
+TEST(TaskPoolTest, PoolOfOneRunsInlineOnCaller) {
+  TaskPool pool(1);
+  EXPECT_EQ(pool.thread_count(), 1u);
+  std::thread::id caller = std::this_thread::get_id();
+  pool.ParallelFor(16, [&](size_t) { EXPECT_EQ(std::this_thread::get_id(), caller); });
+}
+
+TEST(TaskPoolTest, ExceptionPropagatesToCaller) {
+  TaskPool pool(4);
+  EXPECT_THROW(pool.ParallelFor(64,
+                                [&](size_t i) {
+                                  if (i == 13) throw std::runtime_error("boom");
+                                }),
+               std::runtime_error);
+  // The pool survives a throwing job and serves the next one.
+  std::atomic<size_t> count{0};
+  pool.ParallelFor(64, [&](size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 64u);
+}
+
+TEST(TaskPoolTest, ReusableAcrossManyJobs) {
+  TaskPool pool(3);
+  for (int round = 0; round < 50; ++round) {
+    std::atomic<size_t> sum{0};
+    pool.ParallelFor(10, [&](size_t i) { sum.fetch_add(i); });
+    EXPECT_EQ(sum.load(), 45u);
   }
-  std::ifstream in(path);
-  std::string line1, line2;
-  std::getline(in, line1);
-  std::getline(in, line2);
-  EXPECT_EQ(line1, "a,b");
-  EXPECT_EQ(line2, "\"x,y\",plain");
 }
 
 }  // namespace
