@@ -1,6 +1,8 @@
 #include "agg/group_view.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 namespace kspot::agg {
 
@@ -39,6 +41,48 @@ void GroupView::Set(sim::GroupId group, const PartialAgg& partial) {
   } else {
     entries_.insert(it, Entry{group, partial});
   }
+}
+
+void GroupView::ApplyDelta(const std::vector<Entry>& changed,
+                           const std::vector<sim::GroupId>& removed,
+                           std::vector<Entry>* scratch) {
+  if (changed.empty() && removed.empty()) return;
+  sim::GroupId first = changed.empty()   ? removed.front()
+                       : removed.empty() ? changed.front().first
+                                         : std::min(changed.front().first, removed.front());
+  auto a = std::lower_bound(entries_.begin(), entries_.end(), first, EntryBefore);
+  const auto keep = static_cast<size_t>(a - entries_.begin());
+  auto c = changed.begin();
+  auto r = removed.begin();
+  scratch->clear();
+  bool have_prev = false;
+  sim::GroupId prev = 0;
+  // Walks the delta keys in merged order. The walk yields each list in its
+  // own order, so strictly ascending keys prove both lists sorted and
+  // disjoint (a shared group shows up twice in a row).
+  while (c != changed.end() || r != removed.end()) {
+    bool from_changed = r == removed.end() || (c != changed.end() && c->first < *r);
+    sim::GroupId key = from_changed ? c->first : *r;
+    if (have_prev && key <= prev) {
+      std::fprintf(stderr,
+                   "GroupView::ApplyDelta: delta groups must ascend strictly and changed/removed "
+                   "must be disjoint (group %d after %d)\n",
+                   static_cast<int>(key), static_cast<int>(prev));
+      std::abort();
+    }
+    have_prev = true;
+    prev = key;
+    while (a != entries_.end() && a->first < key) scratch->push_back(*a++);
+    if (a != entries_.end() && a->first == key) ++a;  // overwritten or removed
+    if (from_changed) {
+      scratch->push_back(*c++);
+    } else {
+      ++r;
+    }
+  }
+  scratch->insert(scratch->end(), a, entries_.end());
+  entries_.resize(keep);
+  entries_.insert(entries_.end(), scratch->begin(), scratch->end());
 }
 
 void GroupView::MergeView(const GroupView& other) {
@@ -136,10 +180,9 @@ void GroupView::PruneToLocalTopK(AggKind kind, size_t k) {
   keep_groups.reserve(keep.size());
   for (const RankedItem& item : keep) keep_groups.push_back(item.group);
   std::sort(keep_groups.begin(), keep_groups.end());
-  auto removed = std::remove_if(entries_.begin(), entries_.end(), [&](const Entry& entry) {
+  EraseIf([&](const Entry& entry) {
     return !std::binary_search(keep_groups.begin(), keep_groups.end(), entry.first);
   });
-  entries_.erase(removed, entries_.end());
 }
 
 namespace codec {

@@ -50,9 +50,33 @@ class GroupView {
   /// the first child of every converge-cast merge.
   void MergeView(GroupView&& other);
 
-  /// Overwrites (or inserts) the partial cached for `group` — the
-  /// materialized-view maintenance primitive MINT's delta application uses.
+  /// Overwrites (or inserts) the partial cached for `group`.
   void Set(sim::GroupId group, const PartialAgg& partial);
+
+  /// Applies one update delta to this cached view in a single linear merge —
+  /// the materialized-view maintenance primitive of MINT's update phase.
+  /// Entries of `changed` overwrite (or insert) their group; groups in
+  /// `removed` are dropped (absent ones are ignored). Both lists must ascend
+  /// strictly by group id and be disjoint; a violation aborts with a message
+  /// (checked inside the same pass). Entries before the first delta key stay
+  /// in place; the rest is merged into `scratch` (reused across calls) and
+  /// copied back, so this view keeps its own capacity.
+  void ApplyDelta(const std::vector<Entry>& changed, const std::vector<sim::GroupId>& removed,
+                  std::vector<Entry>* scratch);
+
+  /// Removes every entry for which `pred(entry)` holds, in one pass. `pred`
+  /// sees the entries once each, in ascending group order, so it may walk a
+  /// second sorted table alongside.
+  template <typename Pred>
+  void EraseIf(Pred pred) {
+    auto out = entries_.begin();
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      if (pred(*it)) continue;
+      if (out != it) *out = std::move(*it);
+      ++out;
+    }
+    entries_.erase(out, entries_.end());
+  }
 
   /// Windowed-incremental maintenance: retracts the `evicted` group's
   /// contribution (no-op when absent) and overwrites `inserted` with `added`

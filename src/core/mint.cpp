@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
+#include "obs/trace.hpp"
 #include "util/fixed_point.hpp"
 
 namespace kspot::core {
@@ -25,10 +27,46 @@ const sim::PhaseId kPhaseCreate = sim::Network::InternPhase("mint.create");
 const sim::PhaseId kPhaseUpdate = sim::Network::InternPhase("mint.update");
 const sim::PhaseId kPhaseBeacon = sim::Network::InternPhase("mint.beacon");
 const sim::PhaseId kPhaseRepair = sim::Network::InternPhase("mint.repair");
+// Wall-clock span around the post-churn cardinality recount.
+const uint32_t kRecountSpan = obs::GlobalTracer().InternName("mint.recount");
 
 bool SamePartial(const agg::PartialAgg& a, const agg::PartialAgg& b) {
   return a.sum_fx == b.sum_fx && a.count == b.count && a.min_fx == b.min_fx &&
          a.max_fx == b.max_fx;
+}
+
+using CountTable = std::vector<std::pair<sim::GroupId, uint32_t>>;
+
+/// Folds `from` (ascending by group; `count_of` maps an entry to its count)
+/// into `counts` in one sorted merge; `combine` joins the two counts of a
+/// group present in both.
+template <typename Entries, typename CountOf, typename Combine>
+void MergeCounts(const Entries& from, CountOf count_of, Combine combine, CountTable* counts,
+                 CountTable* scratch) {
+  auto b = std::begin(from);
+  const auto b_end = std::end(from);
+  if (b == b_end) return;
+  if (counts->empty()) {
+    for (; b != b_end; ++b) counts->emplace_back(b->first, count_of(*b));
+    return;
+  }
+  scratch->clear();
+  auto a = counts->begin();
+  while (a != counts->end() && b != b_end) {
+    if (a->first < b->first) {
+      scratch->push_back(*a++);
+    } else if (b->first < a->first) {
+      scratch->emplace_back(b->first, count_of(*b));
+      ++b;
+    } else {
+      scratch->emplace_back(a->first, combine(a->second, count_of(*b)));
+      ++a;
+      ++b;
+    }
+  }
+  scratch->insert(scratch->end(), a, counts->end());
+  for (; b != b_end; ++b) scratch->emplace_back(b->first, count_of(*b));
+  counts->assign(scratch->begin(), scratch->end());
 }
 
 }  // namespace
@@ -39,7 +77,7 @@ MintViews::MintViews(sim::Network* net, data::DataGenerator* gen, QuerySpec spec
 MintViews::MintViews(sim::Network* net, data::DataGenerator* gen, QuerySpec spec, Options options)
     : EpochAlgorithm(net, gen, spec), options_(options) {
   size_t n = net->topology().num_nodes();
-  subtree_count_.resize(n);
+  if (spec_.grouping == Grouping::kRoom) subtree_count_.resize(n);
   tau_at_.assign(n, 0.0);
   tau_valid_at_.assign(n, 0);
   tau_version_at_.assign(n, 0);
@@ -49,8 +87,9 @@ MintViews::MintViews(sim::Network* net, data::DataGenerator* gen, QuerySpec spec
 
 uint32_t MintViews::TotalCount(sim::GroupId g) const {
   if (spec_.grouping == Grouping::kNode) return 1;
-  auto it = total_count_.find(g);
-  return it == total_count_.end() ? 0 : it->second;
+  auto before = [](const auto& entry, sim::GroupId group) { return entry.first < group; };
+  auto it = std::lower_bound(total_count_.begin(), total_count_.end(), g, before);
+  return it != total_count_.end() && it->first == g ? it->second : 0;
 }
 
 agg::GroupView MintViews::FullWaveRebuildingState(sim::Epoch epoch, sim::PhaseId phase) {
@@ -65,10 +104,11 @@ agg::GroupView MintViews::FullWaveRebuildingState(sim::Epoch epoch, sim::PhaseId
     }
     // Record subtree cardinalities; max-merge so a transient loss in one
     // wave can only under-count until the next full wave repairs it.
-    auto& counts = subtree_count_[node];
-    for (const auto& [g, partial] : view.entries()) {
-      uint32_t& c = counts[g];
-      c = std::max(c, partial.count);
+    if (spec_.grouping == Grouping::kRoom) {
+      MergeCounts(
+          view.entries(), [](const agg::GroupView::Entry& e) { return e.second.count; },
+          [](uint32_t a, uint32_t b) { return std::max(a, b); }, &subtree_count_[node],
+          &count_scratch_);
     }
     // Reset the view-maintenance caches: the parent now holds this full view.
     last_sent_[node] = view;
@@ -179,26 +219,26 @@ double MintViews::UpperBound(sim::GroupId g, const agg::PartialAgg& partial,
 }
 
 void MintViews::PruneView(sim::NodeId node, agg::GroupView& view) const {
-  std::vector<sim::GroupId> to_erase;
-  bool have_tau = tau_valid_at_[node] != 0;
+  // The completeness test needs c_g, kept only under room grouping (under
+  // node grouping it cannot fail; see the class comment).
+  bool closure = options_.closure_pruning && spec_.agg != agg::AggKind::kMax &&
+                 spec_.grouping == Grouping::kRoom;
+  bool gamma = options_.gamma_suppression && tau_valid_at_[node] != 0;
+  if (!closure && !gamma) return;
   double tau = tau_at_[node];
-  const auto& counts = subtree_count_[node];
-  for (const auto& [g, partial] : view.entries()) {
-    uint32_t expected = 0;
-    auto it = counts.find(g);
-    if (it != counts.end()) expected = it->second;
-    bool complete = partial.count >= expected;
-    if (!complete && options_.closure_pruning && spec_.agg != agg::AggKind::kMax) {
+  const CountTable* counts = closure ? &subtree_count_[node] : nullptr;
+  size_t c = 0;  // cursor into `counts`, which ascends like the view
+  view.EraseIf([&](const agg::GroupView::Entry& entry) {
+    const auto& [g, partial] = entry;
+    if (closure) {
+      while (c < counts->size() && (*counts)[c].first < g) ++c;
+      uint32_t expected = c < counts->size() && (*counts)[c].first == g ? (*counts)[c].second : 0;
       // A descendant pruned this group: it is provably outside the top-k,
       // so forwarding the remaining partial would be wasted bytes.
-      to_erase.push_back(g);
-      continue;
+      if (partial.count < expected) return true;
     }
-    if (options_.gamma_suppression && have_tau) {
-      if (UpperBound(g, partial, partial.count) < tau - kTauEps) to_erase.push_back(g);
-    }
-  }
-  for (sim::GroupId g : to_erase) view.Erase(g);
+    return gamma && UpperBound(g, partial, partial.count) < tau - kTauEps;
+  });
 }
 
 agg::GroupView& MintViews::RunUpdateWave(sim::Epoch epoch) {
@@ -207,10 +247,8 @@ agg::GroupView& MintViews::RunUpdateWave(sim::Epoch epoch) {
   gen_->PrepareEpoch(epoch);  // Value() is a pure read below
   auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox) -> std::optional<Msg> {
     // Apply the children's deltas to their cached views.
-    for (Msg& delta : inbox) {
-      agg::GroupView& cache = child_view_[delta.from];
-      for (auto& [g, partial] : delta.changed) cache.Set(g, partial);
-      for (sim::GroupId g : delta.removed) cache.Erase(g);
+    for (const Msg& delta : inbox) {
+      child_view_[delta.from].ApplyDelta(delta.changed, delta.removed, &delta_scratch_);
     }
     // Rebuild this node's view from the cached child views + own reading,
     // into scratch reused across nodes and epochs.
@@ -316,8 +354,10 @@ TopKResult MintViews::EvaluateAtSink(sim::Epoch epoch, const agg::GroupView& sin
 TopKResult MintViews::RunCreation(sim::Epoch epoch) {
   agg::GroupView full = FullWaveRebuildingState(epoch, kPhaseCreate);
   total_count_.clear();
-  for (const auto& [g, partial] : full.entries()) total_count_[g] = partial.count;
-  total_groups_ = total_count_.size();
+  if (spec_.grouping == Grouping::kRoom) {
+    for (const auto& [g, partial] : full.entries()) total_count_.emplace_back(g, partial.count);
+  }
+  total_groups_ = full.size();
 
   TopKResult result;
   result.epoch = epoch;
@@ -354,24 +394,34 @@ void MintViews::OnTopologyChanged() {
 
 void MintViews::RecountCardinalities() {
   const sim::RoutingTree& tree = net_->tree();
-  size_t n = net_->topology().num_nodes();
-  total_count_.clear();
-  for (sim::NodeId id = 1; id < n; ++id) {
-    if (net_->NodeAlive(id) && tree.attached(id)) ++total_count_[GroupOf(id)];
+  if (spec_.grouping == Grouping::kNode) {
+    // One group per alive attached sensor; no tables.
+    total_groups_ = 0;
+    for (sim::NodeId node : tree.post_order()) {
+      if (node != sim::kSinkId && net_->NodeAlive(node)) ++total_groups_;
+    }
+    return;
   }
-  total_groups_ = total_count_.size();
   // Subtree cardinalities, accumulated leaves-first. Equals what a lossless
   // creation wave would record; the churn layer's join handshakes and the
   // report/retraction messages charged by the incremental repair are how the
-  // counts travel in protocol terms.
+  // counts travel in protocol terms. post_order() holds exactly the attached
+  // nodes, so the sink's table is n_g over the alive attached sensors.
   for (auto& counts : subtree_count_) counts.clear();
+  auto count_of = [](const std::pair<sim::GroupId, uint32_t>& e) { return e.second; };
+  auto add = [](uint32_t a, uint32_t b) { return a + b; };
   for (sim::NodeId node : tree.post_order()) {
-    auto& counts = subtree_count_[node];
+    CountTable& counts = subtree_count_[node];
     for (sim::NodeId child : tree.children(node)) {
-      for (const auto& [g, c] : subtree_count_[child]) counts[g] += c;
+      MergeCounts(subtree_count_[child], count_of, add, &counts, &count_scratch_);
     }
-    if (node != sim::kSinkId && net_->NodeAlive(node)) ++counts[GroupOf(node)];
+    if (node != sim::kSinkId && net_->NodeAlive(node)) {
+      const std::pair<sim::GroupId, uint32_t> own[] = {{GroupOf(node), 1}};
+      MergeCounts(own, count_of, add, &counts, &count_scratch_);
+    }
   }
+  total_count_ = subtree_count_[sim::kSinkId];
+  total_groups_ = total_count_.size();
 }
 
 void MintViews::OnTopologyChanged(const sim::TopologyDelta& delta) {
@@ -394,7 +444,6 @@ void MintViews::OnTopologyChanged(const sim::TopologyDelta& delta) {
     (void)old_parent;
     last_sent_[node].clear();
     child_view_[node].clear();
-    subtree_count_[node].clear();
     tau_valid_at_[node] = 0;
   }
   // 2) Re-attached subtree roots: the new parent caches nothing for them, so
@@ -433,7 +482,10 @@ void MintViews::OnTopologyChanged(const sim::TopologyDelta& delta) {
   //    any converge-cast, so each tree edge on the union of affected paths
   //    carries exactly one message per repair event. Control traffic rides
   //    link-layer ARQ like the join handshakes (DeliverControl).
-  RecountCardinalities();
+  {
+    obs::ScopedSpan recount_span(kRecountSpan);
+    RecountCardinalities();
+  }
   std::vector<uint8_t> on_path(tree.num_nodes(), 0);
   auto mark_path = [&](sim::NodeId start) {
     for (sim::NodeId cur = start; cur != sim::kSinkId; cur = tree.parent(cur)) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -40,6 +39,13 @@ namespace kspot::core {
 ///    exactness, rebuilds the caches and reseeds tau. tau itself is
 ///    re-disseminated only when it moved materially (always when it
 ///    decreased, which is what stale thresholds cannot tolerate).
+///
+/// **Cardinality storage.** n_g and every node's c_g live in sorted
+/// (group, count) vectors, so the pruning walk, the creation wave's max-merge
+/// and the post-churn recount are linear merges with no hashing. Under node
+/// grouping no per-node table is kept at all: there c_g = n_g = 1 and every
+/// view entry carries at least one reading, so the completeness test cannot
+/// fail; only the group total (total_groups_) is tracked.
 ///
 /// Under message loss the algorithm degrades to best-effort (view caches can
 /// go stale) and the benchmarks report recall instead of exactness.
@@ -130,10 +136,18 @@ class MintViews : public EpochAlgorithm {
   int incremental_repair_count_ = 0;
   size_t total_groups_ = 0;
 
+  /// (group, count) pairs ascending by group id.
+  using CountTable = std::vector<std::pair<sim::GroupId, uint32_t>>;
+
   /// Global group cardinalities n_g (disseminated in the creation phase).
-  std::unordered_map<sim::GroupId, uint32_t> total_count_;
-  /// Per node: subtree cardinalities c_g (recorded during full waves).
-  std::vector<std::unordered_map<sim::GroupId, uint32_t>> subtree_count_;
+  /// Empty under node grouping, where n_g == 1.
+  CountTable total_count_;
+  /// Per node: subtree cardinalities c_g (recorded during full waves). Room
+  /// grouping only; empty under node grouping.
+  std::vector<CountTable> subtree_count_;
+  /// Merge scratch for the count tables and for ApplyDelta.
+  CountTable count_scratch_;
+  std::vector<agg::GroupView::Entry> delta_scratch_;
   /// Per node: the threshold currently installed (beacons can be lost).
   std::vector<double> tau_at_;
   std::vector<uint8_t> tau_valid_at_;
@@ -182,7 +196,8 @@ class MintViews : public EpochAlgorithm {
   /// Evaluates the sink view; on under-run triggers repair. Fills `result`.
   TopKResult EvaluateAtSink(sim::Epoch epoch, const agg::GroupView& sink_view);
   /// Re-derives n_g and every node's subtree cardinalities from the current
-  /// tree and the surviving population (incremental churn repair).
+  /// tree and the surviving population (incremental churn repair): one
+  /// leaves-first pass summing each child's table into its parent's.
   void RecountCardinalities();
 
   /// n_g lookup (1 under node grouping).

@@ -170,6 +170,35 @@ TEST(GroupViewTest, SetOverwritesWhereMergeAccumulates) {
   EXPECT_TRUE(v.Contains(9));
 }
 
+TEST(GroupViewTest, ApplyDeltaOverwritesInsertsAndRemoves) {
+  GroupView v;
+  for (sim::GroupId g : {2, 4, 6}) v.AddReading(g, 10.0);
+  std::vector<GroupView::Entry> scratch;
+  v.ApplyDelta({{1, PartialAgg::FromValue(1.0)}, {4, PartialAgg::FromValue(4.0)},
+                {9, PartialAgg::FromValue(9.0)}},
+               {3, 6}, &scratch);  // 3 is absent: ignored
+  ASSERT_EQ(v.size(), 4u);
+  std::vector<sim::GroupId> groups;
+  for (const auto& [g, p] : v.entries()) groups.push_back(g);
+  EXPECT_EQ(groups, (std::vector<sim::GroupId>{1, 2, 4, 9}));
+  EXPECT_DOUBLE_EQ(v.Get(4).Final(AggKind::kSum), 4.0);
+  EXPECT_DOUBLE_EQ(v.Get(2).Final(AggKind::kSum), 10.0);
+  v.ApplyDelta({}, {}, &scratch);  // empty delta: no-op
+  EXPECT_EQ(v.size(), 4u);
+}
+
+TEST(GroupViewDeathTest, ApplyDeltaAbortsOnUnsortedOrOverlappingDelta) {
+  GroupView v;
+  for (sim::GroupId g : {2, 4, 6}) v.AddReading(g, 10.0);
+  std::vector<GroupView::Entry> scratch;
+  PartialAgg p = PartialAgg::FromValue(1.0);
+  EXPECT_DEATH(v.ApplyDelta({{5, p}, {3, p}}, {}, &scratch), "must ascend strictly");
+  EXPECT_DEATH(v.ApplyDelta({{3, p}, {3, p}}, {}, &scratch), "must ascend strictly");
+  EXPECT_DEATH(v.ApplyDelta({}, {6, 2}, &scratch), "must ascend strictly");
+  EXPECT_DEATH(v.ApplyDelta({{1, p}, {4, p}}, {4}, &scratch), "disjoint");
+  EXPECT_DEATH(v.ApplyDelta({{7, p}}, {1, 7}, &scratch), "disjoint");
+}
+
 TEST(GroupViewTest, FindReturnsNullWhenAbsent) {
   GroupView v;
   v.AddReading(2, 1.0);

@@ -1,8 +1,9 @@
 /// Golden-equivalence coverage for the flat-vector GroupView data plane:
 ///
 ///  1. the flat representation is bit-identical to an ordered-map reference
-///     model under randomized operation sequences (the seed representation
-///     was std::map; the ordering contract must never drift);
+///     model under randomized operation sequences, delta applies and
+///     predicate erases included (the seed representation was std::map; the
+///     ordering contract must never drift);
 ///  2. the real experiment sweeps (E1 fig1_scenario, E13 churn_lifetime,
 ///     E14 churn_accuracy) produce byte-identical metrics through 1 and 8
 ///     worker threads — the engine determinism contract over the new
@@ -11,9 +12,13 @@
 ///     n = 1000 are byte-identical with metrics and tracing on;
 ///  4. MINT's incremental churn repair is answer-equivalent to the full
 ///     creation-phase rebuild under lossless churn (both exact against the
-///     survivor oracle) while touching far fewer rebuild messages.
+///     survivor oracle) while touching far fewer rebuild messages;
+///  5. MINT's view maintenance (flat cardinality tables, one-pass delta
+///     apply and prune) reproduces digests recorded from the hash-map
+///     implementation it replaced.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <memory>
 #include <vector>
@@ -55,6 +60,12 @@ class MapViewModel {
   void MergePartial(sim::GroupId g, const PartialAgg& p) { entries_[g].Merge(p); }
   void Set(sim::GroupId g, const PartialAgg& p) { entries_[g] = p; }
   void Erase(sim::GroupId g) { entries_.erase(g); }
+  /// The per-entry delta apply GroupView::ApplyDelta replaced.
+  void ApplyDelta(const std::vector<GroupView::Entry>& changed,
+                  const std::vector<sim::GroupId>& removed) {
+    for (const auto& [g, p] : changed) Set(g, p);
+    for (sim::GroupId g : removed) Erase(g);
+  }
   std::vector<agg::RankedItem> Ranked(AggKind kind) const {
     std::vector<agg::RankedItem> out;
     for (const auto& [g, p] : entries_) out.push_back({g, p.Final(kind)});
@@ -72,14 +83,50 @@ bool SamePartial(const PartialAgg& a, const PartialAgg& b) {
          a.max_fx == b.max_fx;
 }
 
+PartialAgg RandomPartial(util::Rng& rng) {
+  return PartialAgg::FromValue(util::fixed_point::Quantize(rng.NextDouble(0, 100)));
+}
+
+/// Entries agree in content AND order (both ascend by group id).
+void ExpectSameEntries(const GroupView& flat, const MapViewModel& reference) {
+  ASSERT_EQ(flat.size(), reference.entries().size());
+  auto it = reference.entries().begin();
+  for (const auto& [g, p] : flat.entries()) {
+    ASSERT_EQ(g, it->first);
+    ASSERT_TRUE(SamePartial(p, it->second));
+    ++it;
+  }
+}
+
+/// A random delta over groups [0, universe): each group lands in `changed`,
+/// in `removed` (present or absent in the view alike) or in neither, so both
+/// lists ascend strictly and are disjoint. Sometimes empty.
+void RandomDelta(util::Rng& rng, sim::GroupId universe, std::vector<GroupView::Entry>* changed,
+                 std::vector<sim::GroupId>* removed) {
+  changed->clear();
+  removed->clear();
+  uint64_t density = rng.NextBounded(4);  // 0 = empty delta
+  for (sim::GroupId g = 0; g < universe; ++g) {
+    if (rng.NextBounded(4) >= density) continue;
+    if (rng.NextBounded(2) == 0) {
+      changed->emplace_back(g, RandomPartial(rng));
+    } else {
+      removed->push_back(g);
+    }
+  }
+}
+
 TEST(GoldenEquivalenceTest, FlatViewMatchesMapModelUnderRandomOps) {
   util::Rng rng(4242);
   for (int trial = 0; trial < 50; ++trial) {
     GroupView flat;
     MapViewModel reference;
+    std::vector<GroupView::Entry> changed;
+    std::vector<sim::GroupId> removed;
+    std::vector<GroupView::Entry> scratch;
     for (int op = 0; op < 300; ++op) {
       auto g = static_cast<sim::GroupId>(rng.NextBounded(24));
-      switch (rng.NextBounded(4)) {
+      switch (rng.NextBounded(6)) {
         case 0: {
           double v = util::fixed_point::Quantize(rng.NextDouble(0, 100));
           flat.AddReading(g, v);
@@ -87,31 +134,68 @@ TEST(GoldenEquivalenceTest, FlatViewMatchesMapModelUnderRandomOps) {
           break;
         }
         case 1: {
-          PartialAgg p = PartialAgg::FromValue(util::fixed_point::Quantize(rng.NextDouble(0, 100)));
+          PartialAgg p = RandomPartial(rng);
           flat.MergePartial(g, p);
           reference.MergePartial(g, p);
           break;
         }
         case 2: {
-          PartialAgg p = PartialAgg::FromValue(util::fixed_point::Quantize(rng.NextDouble(0, 100)));
+          PartialAgg p = RandomPartial(rng);
           flat.Set(g, p);
           reference.Set(g, p);
           break;
         }
-        default:
+        case 3:
           flat.Erase(g);
           reference.Erase(g);
           break;
+        case 4:
+          RandomDelta(rng, 26, &changed, &removed);
+          flat.ApplyDelta(changed, removed, &scratch);
+          reference.ApplyDelta(changed, removed);
+          break;
+        default: {
+          // Erase a random group subset; the predicate must see every entry
+          // once, in ascending group order.
+          uint64_t mask = rng.NextU64();
+          std::vector<sim::GroupId> seen;
+          flat.EraseIf([&](const GroupView::Entry& entry) {
+            seen.push_back(entry.first);
+            return (mask >> entry.first) & 1;
+          });
+          std::vector<sim::GroupId> want_seen;
+          for (const auto& [group, p] : reference.entries()) want_seen.push_back(group);
+          for (sim::GroupId group : want_seen) {
+            if ((mask >> group) & 1) reference.Erase(group);
+          }
+          ASSERT_EQ(seen, want_seen);
+          break;
+        }
       }
+      ASSERT_NO_FATAL_FAILURE(ExpectSameEntries(flat, reference));
     }
-    // Entries agree in content AND order (both ascend by group id).
-    ASSERT_EQ(flat.size(), reference.entries().size());
-    auto it = reference.entries().begin();
-    for (const auto& [g, p] : flat.entries()) {
-      ASSERT_EQ(g, it->first);
-      ASSERT_TRUE(SamePartial(p, it->second));
-      ++it;
+    // Inserts before, between and after every existing entry in one delta
+    // (the view holds only even groups), while removing every other entry.
+    GroupView even;
+    MapViewModel even_reference;
+    for (const auto& [group, p] : flat.entries()) {
+      even.Set(2 * group + 2, p);
+      even_reference.Set(2 * group + 2, p);
     }
+    changed.clear();
+    removed.clear();
+    bool drop = false;
+    for (const auto& [group, p] : even.entries()) {
+      changed.emplace_back(group - 1, RandomPartial(rng));
+      if (drop) removed.push_back(group);
+      drop = !drop;
+    }
+    sim::GroupId after = even.empty() ? 0 : even.entries().back().first + 1;
+    changed.emplace_back(after, RandomPartial(rng));
+    even.ApplyDelta(changed, removed, &scratch);
+    even_reference.ApplyDelta(changed, removed);
+    ASSERT_NO_FATAL_FAILURE(ExpectSameEntries(even, even_reference));
+    ASSERT_NO_FATAL_FAILURE(ExpectSameEntries(flat, reference));
     // Rankings are bit-identical for every aggregate kind.
     for (AggKind kind : {AggKind::kAvg, AggKind::kSum, AggKind::kMin, AggKind::kMax,
                          AggKind::kCount}) {
@@ -190,9 +274,18 @@ TEST(GoldenEquivalenceTest, ResultsBitIdenticalWithObservabilityEnabled) {
     EXPECT_TRUE(dark.AllOk());
     obs::SetMetricsEnabled(true);
     obs::SetTracingEnabled(true);
+    obs::GlobalTracer().Clear();
     runner::ScenarioRun observed =
         runner::ExperimentEngine({.threads = 1, .quick = true}).Run(*scenario);
     ExpectIdenticalRuns(dark, observed);
+    if (std::string(name) == "churn_lifetime") {
+      // MINT's incremental churn repair times its cardinality recount.
+      bool saw_recount_span = false;
+      for (const obs::TraceSpan& span : obs::GlobalTracer().Spans()) {
+        if (obs::GlobalTracer().Name(span.name_id) == "mint.recount") saw_recount_span = true;
+      }
+      EXPECT_TRUE(saw_recount_span);
+    }
   }
 
   // E16 bed: answers, traffic counters, per-node send counts, the virtual
@@ -423,6 +516,110 @@ TEST(GoldenEquivalenceTest, PhaseCountersMatchPreInterningDigests) {
     tja.Run();
     EXPECT_EQ(PhaseDigest(*bed.net), 0x76d5fbdb6a9aa589ULL);
     ExpectPhaseAccountingConsistent(*bed.net);
+  }
+}
+
+// --------------------------------------------------- MINT view-maintenance pins
+//
+// Digests recorded from the hash-map cardinality tables and the per-entry
+// delta apply that MINT's view maintenance used before it moved to sorted
+// flat tables and one-pass merges. Each digest folds every epoch's answer
+// (groups, value bits, contributors, completeness, degraded) and the final
+// PhaseDigest, so any drift in pruning, deltas, repairs or wire bytes shows.
+
+enum class MintBed { kLossyChurn, kNoIncrementalRepair, kNoDeltaUpdates, kLossless };
+
+uint64_t MintPinDigest(MintBed kind, core::Grouping grouping, AggKind agg) {
+  constexpr uint64_t kSeed = 29;
+  constexpr sim::Epoch kEpochs = 80;
+  sim::NetworkOptions opt;
+  if (kind != MintBed::kLossless) {
+    opt.loss_prob = 0.05;
+    opt.max_retries = 2;
+  }
+  DigestBed bed = MakeDigestBed(144, 12, kSeed, opt);
+  auto gen = RoomGen(bed.topology, kSeed);
+  core::QuerySpec spec = DigestSpec(grouping == core::Grouping::kRoom ? 3 : 5, grouping);
+  spec.agg = agg;
+  core::MintViews::Options options;
+  options.incremental_repair = kind != MintBed::kNoIncrementalRepair;
+  options.delta_updates = kind != MintBed::kNoDeltaUpdates;
+  core::MintViews mint(bed.net.get(), gen.get(), spec, options);
+
+  fault::FaultPlan plan;
+  if (kind != MintBed::kLossless) {
+    fault::FaultPlanOptions fopt;
+    fopt.horizon = kEpochs;
+    fopt.crash_prob = 0.01;
+    fopt.mean_downtime = 6;
+    plan = fault::FaultPlan::Generate(bed.topology, fopt, kSeed ^ 0xC4A5);
+  }
+  fault::ChurnEngine churn(bed.net.get(), &bed.tree, std::move(plan));
+
+  uint64_t h = 1469598103934665603ULL;
+  auto mix = [&](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (sim::Epoch e = 0; e < kEpochs; ++e) {
+    fault::ChurnReport report = churn.BeginEpoch(e);
+    if (report.topology_changed) mint.OnTopologyChanged(report.delta);
+    core::TopKResult result = mint.RunEpoch(e);
+    mix(result.items.size());
+    for (const agg::RankedItem& item : result.items) {
+      mix(item.group);
+      mix(std::bit_cast<uint64_t>(item.value));
+    }
+    mix(result.contributors);
+    mix(std::bit_cast<uint64_t>(result.completeness));
+    mix(result.degraded ? 1 : 0);
+  }
+  mix(PhaseDigest(*bed.net));
+  return h;
+}
+
+TEST(GoldenEquivalenceTest, MintViewMaintenanceMatchesRecordedDigests) {
+  struct Pin {
+    MintBed bed;
+    core::Grouping grouping;
+    AggKind agg;
+    uint64_t digest;
+  };
+  using core::Grouping;
+  const Pin pins[] = {
+      {MintBed::kLossyChurn, Grouping::kRoom, AggKind::kAvg, 0xd8e23c1245acfbd2ULL},
+      {MintBed::kLossyChurn, Grouping::kRoom, AggKind::kMax, 0x44cef098dd6814d6ULL},
+      {MintBed::kLossyChurn, Grouping::kRoom, AggKind::kMin, 0x3095b493b07788c9ULL},
+      {MintBed::kLossyChurn, Grouping::kNode, AggKind::kAvg, 0xaaaa854a755bf278ULL},
+      {MintBed::kLossyChurn, Grouping::kNode, AggKind::kMax, 0x1088fdc652c54923ULL},
+      {MintBed::kLossyChurn, Grouping::kNode, AggKind::kMin, 0xd5f44a240234f90cULL},
+      {MintBed::kNoIncrementalRepair, Grouping::kRoom, AggKind::kAvg, 0xd22c8baf0c7fa738ULL},
+      {MintBed::kNoIncrementalRepair, Grouping::kRoom, AggKind::kMax, 0x0e92c31f2008d648ULL},
+      {MintBed::kNoIncrementalRepair, Grouping::kRoom, AggKind::kMin, 0x8cd45a0d5906605aULL},
+      {MintBed::kNoIncrementalRepair, Grouping::kNode, AggKind::kAvg, 0x0efff814ab13a06cULL},
+      {MintBed::kNoIncrementalRepair, Grouping::kNode, AggKind::kMax, 0xacc4ad432d21e879ULL},
+      {MintBed::kNoIncrementalRepair, Grouping::kNode, AggKind::kMin, 0xcf774d150c18f68eULL},
+      {MintBed::kNoDeltaUpdates, Grouping::kRoom, AggKind::kAvg, 0x1d2d14a6f71c03c8ULL},
+      {MintBed::kNoDeltaUpdates, Grouping::kRoom, AggKind::kMax, 0x462c119f0a8a08acULL},
+      {MintBed::kNoDeltaUpdates, Grouping::kRoom, AggKind::kMin, 0x7b1ee7144efaaaa0ULL},
+      {MintBed::kNoDeltaUpdates, Grouping::kNode, AggKind::kAvg, 0x96e16e23f5ce97a4ULL},
+      {MintBed::kNoDeltaUpdates, Grouping::kNode, AggKind::kMax, 0xdc2b486195e06794ULL},
+      {MintBed::kNoDeltaUpdates, Grouping::kNode, AggKind::kMin, 0xbb08f4f39b362401ULL},
+      {MintBed::kLossless, Grouping::kRoom, AggKind::kAvg, 0x5816e25b24c0a480ULL},
+      {MintBed::kLossless, Grouping::kRoom, AggKind::kMax, 0x981df15754a8f009ULL},
+      {MintBed::kLossless, Grouping::kRoom, AggKind::kMin, 0x8dcd06cfc9761b01ULL},
+      {MintBed::kLossless, Grouping::kNode, AggKind::kAvg, 0x58925decfb2784b4ULL},
+      {MintBed::kLossless, Grouping::kNode, AggKind::kMax, 0x1a8244080457f416ULL},
+      {MintBed::kLossless, Grouping::kNode, AggKind::kMin, 0x9714670ea1d1cb8dULL},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE("bed " + std::to_string(static_cast<int>(pin.bed)) + " grouping " +
+                 std::to_string(static_cast<int>(pin.grouping)) + " agg " +
+                 std::to_string(static_cast<int>(pin.agg)));
+    uint64_t got = MintPinDigest(pin.bed, pin.grouping, pin.agg);
+    EXPECT_EQ(got, pin.digest) << std::hex << "0x" << got;
   }
 }
 
