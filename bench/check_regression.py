@@ -16,6 +16,11 @@ Only the gated metric can fail the build, but every numeric metric the two
 runs share is printed per sweep row (baseline -> current, ratio) on pass as
 well as fail, so CI logs carry the whole perf trajectory.
 
+With --servebench-result it instead checks the result line (the last stdout
+line) of a servebench/run.py run: the run must be correct, no call may have
+failed, and answer recall must be exactly 1.0. Recall is a simulation output,
+not wall-clock, so this gate needs no baseline.
+
 The baselines are machine-dependent: refresh them (run the scenario with
 --quick --threads 1 and copy the JSON) whenever CI hardware changes, and
 always alongside intentional perf-trade commits.
@@ -25,6 +30,8 @@ Usage:
   python3 bench/check_regression.py --metric coord_qps \
       --baseline bench/baseline/BENCH_E17_server_throughput.json \
       --current bench-json-e17/BENCH_server_throughput.json
+  python3 servebench/run.py --workload floor --seed 1 --seconds 5 > floor.txt
+  python3 bench/check_regression.py --servebench-result floor.txt
 """
 
 import argparse
@@ -70,6 +77,51 @@ def load_points(path, metric):
     return points, all_metrics
 
 
+def load_servebench_result(path):
+    """Returns the JSON object on the last non-empty line of a servebench
+    run's stdout."""
+    try:
+        with open(path) as fh:
+            lines = [line for line in fh.read().splitlines() if line.strip()]
+    except OSError as exc:
+        raise BenchFileError(f"cannot read servebench output {path}: {exc.strerror or exc}") from exc
+    if not lines:
+        raise BenchFileError(f"servebench output {path} is empty (did the run fail?)")
+    try:
+        doc = json.loads(lines[-1])
+    except json.JSONDecodeError as exc:
+        raise BenchFileError(f"last line of {path} is not a JSON result: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise BenchFileError(f"last line of {path} is not a JSON object")
+    return doc
+
+
+def check_servebench(path):
+    """Gate on a servebench result line: correct, no failed calls, recall
+    exactly 1.0. Returns the exit code."""
+    try:
+        doc = load_servebench_result(path)
+    except BenchFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    recall = doc.get("metrics", {}).get("recall", {}).get("value")
+    if recall is None:
+        print(f"error: {path}: result line has no metrics.recall", file=sys.stderr)
+        return 2
+    failures = []
+    if doc.get("correct") is not True:
+        failures.append(f"correct is {doc.get('correct')!r}, want true")
+    if doc.get("failed") != 0:
+        failures.append(f"{doc.get('failed')} failed call(s), want 0")
+    if recall != 1.0:
+        failures.append(f"recall {recall}, want 1.0")
+    print(f"servebench: correct {doc.get('correct')}, failed {doc.get('failed')}, "
+          f"recall {recall}")
+    for failure in failures:
+        print(f"servebench gate FAILED: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
 def print_metric_deltas(base_metrics, cur_metrics, gated_metric):
     """One indented line per non-gated metric both runs share: the perf
     trajectory CI logs show on pass as well as fail."""
@@ -104,6 +156,20 @@ def self_test():
             capture_output=True, text=True,
         )
 
+    def run_servebench(result_path):
+        return subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--servebench-result", result_path],
+            capture_output=True, text=True,
+        )
+
+    def servebench_output(tmp, name, correct, failed, recall):
+        path = os.path.join(tmp, name)
+        result = {"correct": correct, "attempted": 10, "failed": failed,
+                  "metrics": {"recall": {"value": recall, "unit": "ratio"}}}
+        with open(path, "w") as fh:
+            fh.write("metric table\n" + json.dumps(result) + "\n")
+        return path
+
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
         good_path = os.path.join(tmp, "good.json")
@@ -119,6 +185,16 @@ def self_test():
             ("garbage baseline", run(garbage_path, good_path), 2),
             ("missing current", run(good_path, missing_path), 2),
             ("identical runs", run(good_path, good_path), 0),
+            ("servebench missing output", run_servebench(missing_path), 2),
+            ("servebench garbage output", run_servebench(garbage_path), 2),
+            ("servebench low recall",
+             run_servebench(servebench_output(tmp, "low.txt", True, 0, 0.82)), 1),
+            ("servebench failed calls",
+             run_servebench(servebench_output(tmp, "failed.txt", True, 3, 1.0)), 1),
+            ("servebench incorrect",
+             run_servebench(servebench_output(tmp, "wrong.txt", False, 0, 1.0)), 1),
+            ("servebench clean run",
+             run_servebench(servebench_output(tmp, "clean.txt", True, 0, 1)), 0),
         ]
         for name, proc, want in cases:
             if proc.returncode != want:
@@ -132,7 +208,8 @@ def self_test():
         for failure in failures:
             print(f"self-test FAILED: {failure}", file=sys.stderr)
         return 1
-    print("self-test ok: error paths exit 2 with one-line errors, no traceback")
+    print("self-test ok: error paths exit 2 with one-line errors, no traceback; "
+          "servebench gate passes only correct, failure-free, full-recall runs")
     return 0
 
 
@@ -152,6 +229,11 @@ def main():
         help="maximum allowed fractional drop of the gated metric (default 0.25)",
     )
     parser.add_argument(
+        "--servebench-result",
+        default=None,
+        help="check a servebench/run.py stdout capture instead of a bench JSON",
+    )
+    parser.add_argument(
         "--self-test",
         action="store_true",
         help="exercise the error paths (missing/garbage baseline) and exit",
@@ -160,8 +242,10 @@ def main():
 
     if args.self_test:
         return self_test()
+    if args.servebench_result is not None:
+        return check_servebench(args.servebench_result)
     if args.current is None:
-        parser.error("--current is required (unless --self-test)")
+        parser.error("--current is required (unless --self-test or --servebench-result)")
 
     try:
         baseline, baseline_metrics = load_points(args.baseline, args.metric)

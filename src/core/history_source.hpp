@@ -65,8 +65,9 @@ class HistorySource {
 };
 
 /// Materializes a window by sampling a data generator over
-/// epochs [first_epoch, first_epoch + window). Used by benchmarks; the
-/// examples use the storage-backed history store instead.
+/// epochs [first_epoch, first_epoch + window): position i holds epoch
+/// first_epoch + i. The serving path's one source of pre-history — one-shot
+/// historic queries and the server's TAG-H baseline rank these windows.
 class GeneratorHistory : public HistorySource {
  public:
   GeneratorHistory(data::DataGenerator* gen, size_t num_nodes, sim::Epoch first_epoch,

@@ -15,7 +15,6 @@
 #include "fault/churn_engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "storage/history_store.hpp"
 
 namespace kspot::system {
 
@@ -40,6 +39,9 @@ struct OperatorPlan {
   OpKind kind = OpKind::kSnapshot;
   core::QuerySpec spec;                  ///< kSnapshot/kTagFullView/kHorizontal.
   size_t window = 0;                     ///< kHorizontal/kVertical.
+  /// One-shot kVertical: the epoch window position 0 stands for. Two audits
+  /// admitted at different epochs rank different windows, so never share.
+  sim::Epoch first = 0;
   core::HistoricOptions historic;        ///< kVertical.
   bool has_where = false;                ///< kSelect.
   query::Predicate where;                ///< kSelect.
@@ -104,8 +106,9 @@ std::string CompatKey(const OperatorPlan& plan) {
                     plan.window);
       break;
     case OpKind::kVertical:
-      std::snprintf(buf, sizeof buf, "tja|k=%d|agg=%d|w=%zu", plan.historic.k,
-                    static_cast<int>(plan.historic.agg), plan.window);
+      std::snprintf(buf, sizeof buf, "tja|k=%d|agg=%d|w=%zu|first=%llu", plan.historic.k,
+                    static_cast<int>(plan.historic.agg), plan.window,
+                    static_cast<unsigned long long>(plan.first));
       break;
   }
   return buf;
@@ -289,6 +292,13 @@ util::Status QueryCoordinator::BindToSession(size_t admitted_index) {
   Session& session = *session_;
   const Admitted& entry = admitted_[admitted_index];
   OperatorPlan plan = PlanFor(entry.parsed, entry.query_class, deployment_->scenario);
+  if (plan.kind == OpKind::kVertical && !options_.historic.continuous && session.epoch > 0) {
+    // The one-shot window rule. A query bound before the first step ranks
+    // the pre-history [0, W); one admitted at epoch a > 0 ranks the readings
+    // that already exist, [max(0, a - W), a) — shorter than W when a < W.
+    plan.first = session.epoch - std::min(session.epoch, static_cast<sim::Epoch>(plan.window));
+    plan.window = static_cast<size_t>(session.epoch - plan.first);
+  }
   std::string key = CompatKey(plan);
   if (!options_.share_operators) key += "#" + std::to_string(entry.id);
 
@@ -354,24 +364,12 @@ util::Status QueryCoordinator::BindToSession(size_t admitted_index) {
         group.algorithm = group.algo->name();
         break;
       }
-      // One-shot historic: runs over already-buffered windows on the same
-      // network — its traffic drains the same batteries the continuous
-      // queries live off. Mid-session admits run theirs at admission.
+      // One-shot historic: ranks the plan's window, replayed from a fresh
+      // generator, on the same network — its traffic drains the same
+      // batteries the continuous queries live off. Mid-session admits run
+      // theirs at admission.
       auto gen = MakeGenerator(options_.seed);
-      std::vector<storage::HistoryStore> stores;
-      stores.reserve(n);
-      const data::ModalityInfo& info = data::GetModalityInfo(deployment_->scenario.modality);
-      for (sim::NodeId id = 0; id < n; ++id) {
-        stores.emplace_back(plan.window, /*archive_to_flash=*/false, info.min_value,
-                            info.max_value);
-      }
-      for (size_t t = 0; t < plan.window; ++t) {
-        for (sim::NodeId id = 1; id < n; ++id) {
-          stores[id].Append(static_cast<sim::Epoch>(t),
-                            gen->Value(id, static_cast<sim::Epoch>(t)));
-        }
-      }
-      storage::StoreHistorySource source(&stores);
+      core::GeneratorHistory source(gen.get(), n, plan.first, plan.window);
       core::Tja tja(&session.net, &source, plan.historic);
       sim::TrafficCounters before = session.net.total();
       group.historic = tja.Run();

@@ -178,7 +178,8 @@ class QueryCoordinator {
   /// While a session is open, the query joins the running deployment at the
   /// next epoch: it piggybacks on an existing compatible group's operator
   /// (observing results from its join epoch on) or gets a fresh operator;
-  /// vertical historic queries run their one-shot TJA immediately.
+  /// vertical historic queries run their one-shot TJA immediately, over the
+  /// W epochs before the admit epoch (fewer while fewer have run).
   util::StatusOr<QueryId> Admit(const std::string& sql);
   util::StatusOr<QueryId> Admit(const std::string& sql, const AdmitOptions& admit);
 

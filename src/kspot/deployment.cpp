@@ -15,11 +15,6 @@ Deployment::Deployment(Scenario scenario_in, uint64_t seed)
   } else {
     tree = sim::RoutingTree::BuildClusterAware(topology, tree_rng);
   }
-  const data::ModalityInfo& info = data::GetModalityInfo(scenario.modality);
-  clients.reserve(topology.num_nodes());
-  for (sim::NodeId id = 0; id < topology.num_nodes(); ++id) {
-    clients.emplace_back(id, kDefaultWindow, info);
-  }
 }
 
 std::unique_ptr<data::DataGenerator> Deployment::DefaultGenerator(uint64_t seed) const {

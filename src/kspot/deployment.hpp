@@ -7,7 +7,6 @@
 #include "core/query_spec.hpp"
 #include "data/generators.hpp"
 #include "fault/fault_plan.hpp"
-#include "kspot/node_runtime.hpp"
 #include "kspot/scenario_config.hpp"
 #include "query/ast.hpp"
 #include "sim/network.hpp"
@@ -63,8 +62,8 @@ struct DeploymentConfig {
   /// Fault & churn injection over the routing tree: a FaultPlan drawn from
   /// `churn` and the run's seed, one repair per epoch, every operator
   /// notified. `churn.horizon` 0 = the whole run. (KSpotServer applies churn
-  /// to continuous snapshot queries only; historic one-shot queries run over
-  /// already-buffered windows and ignore it.)
+  /// to continuous snapshot queries only; a one-shot historic query ranks
+  /// its window before any epoch runs and ignores it.)
   bool enable_churn = false;
   fault::FaultPlanOptions churn;
   /// Data generator factory; defaults to the deployment's room-correlated
@@ -88,8 +87,8 @@ struct DeploymentConfig {
 };
 
 /// One deployed sensor network as the base station administers it: the
-/// scenario, the simulator topology built from it, the routing tree grown
-/// over the deployment, and the per-node client runtimes.
+/// scenario, the simulator topology built from it, and the routing tree
+/// grown over the deployment.
 ///
 /// This is the long-lived state every query server shares. KSpotServer owns
 /// one and runs a single query at a time against it; QueryCoordinator owns
@@ -98,15 +97,13 @@ struct DeploymentConfig {
 /// mutate the tree (churn) repair their own copies and the deployment
 /// remains the per-run starting point.
 struct Deployment {
-  /// Window depth the clients buffer, and the default window of historic
-  /// queries that name none — one constant so a windowless historic query
-  /// can never read deeper than the clients buffer.
+  /// The window of historic queries that name none (no `WITH HISTORY W`).
+  /// Queries that do name one may ask for any depth.
   static constexpr size_t kDefaultWindow = 32;
 
   Scenario scenario;
   sim::Topology topology;
   sim::RoutingTree tree;
-  std::vector<NodeRuntime> clients;
 
   /// Builds the deployment for `scenario`. The routing tree derives from
   /// `seed` exactly as the server always built it: the Figure-1 scenario

@@ -60,12 +60,6 @@ util::StatusOr<RunOutcome> KSpotServer::ExecuteStreaming(const std::string& sql,
   if (!parsed.ok()) return parsed.status();
   util::Status valid = query::Validate(parsed.value());
   if (!valid.ok()) return valid;
-  // Mirror the client-side route: install on every node runtime (the nesC
-  // client parses the disseminated query too).
-  for (auto& client : deployment_.clients) {
-    util::Status s = client.InstallQuery(sql);
-    if (!s.ok()) return s;
-  }
   return Dispatch(sql, parsed.value(), cb);
 }
 
@@ -209,22 +203,10 @@ RunOutcome KSpotServer::RunHistoricVertical(const std::string& sql,
   outcome.panel.RecordKspotEpoch(outcome.cost);
 
   if (options_.run_baseline) {
-    // Centralized baseline over the identical stored windows: rebuild the
-    // stores the session buffered (same seed, same wave) and ship them whole.
+    // Centralized baseline over the identical window the session ranked
+    // (same seed, same wave), shipped whole.
     auto gen = MakeGenerator(options_.seed);
-    std::vector<storage::HistoryStore> stores;
-    stores.reserve(deployment_.topology.num_nodes());
-    const data::ModalityInfo& info = data::GetModalityInfo(deployment_.scenario.modality);
-    for (sim::NodeId id = 0; id < deployment_.topology.num_nodes(); ++id) {
-      stores.emplace_back(window, /*archive_to_flash=*/false, info.min_value, info.max_value);
-    }
-    for (size_t t = 0; t < window; ++t) {
-      for (sim::NodeId id = 1; id < deployment_.topology.num_nodes(); ++id) {
-        stores[id].Append(static_cast<sim::Epoch>(t),
-                          gen->Value(id, static_cast<sim::Epoch>(t)));
-      }
-    }
-    storage::StoreHistorySource source(&stores);
+    core::GeneratorHistory source(gen.get(), deployment_.topology.num_nodes(), 0, window);
     core::HistoricOptions opts;
     opts.k = std::max(1, parsed.top_k);
     const query::SelectItem* agg_item = parsed.FirstAggregate();

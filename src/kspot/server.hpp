@@ -12,7 +12,6 @@
 #include "data/generators.hpp"
 #include "fault/fault_plan.hpp"
 #include "kspot/deployment.hpp"
-#include "kspot/node_runtime.hpp"
 #include "kspot/scenario_config.hpp"
 #include "kspot/system_panel.hpp"
 #include "query/parser.hpp"
@@ -47,14 +46,14 @@ class KSpotServer {
   /// Execution knobs: the deployment-wide set shared with QueryCoordinator
   /// (see DeploymentConfig — epochs, seed, radio, battery, churn)
   /// plus the server's own baseline toggle. Churn applies to continuous
-  /// snapshot/grouped queries only; historic one-shot queries run over
-  /// already-buffered windows and ignore it.
+  /// snapshot/grouped queries only; a one-shot historic query ranks its
+  /// pre-history window [0, W) before any epoch runs and ignores it.
   struct Options : DeploymentConfig {
     /// Run a shadow TAG baseline over identical data for the System Panel.
     bool run_baseline = true;
   };
 
-  /// Builds the server (and client runtimes) for a scenario.
+  /// Builds the server and its deployment for a scenario.
   KSpotServer(Scenario scenario, Options options);
 
   /// Executes one query end to end. Expected failures (syntax/semantic
@@ -76,8 +75,6 @@ class KSpotServer {
   const Scenario& scenario() const { return deployment_.scenario; }
   /// The routing tree built over the deployment.
   const sim::RoutingTree& tree() const { return deployment_.tree; }
-  /// Per-node client runtimes.
-  const std::vector<NodeRuntime>& clients() const { return deployment_.clients; }
   /// The long-lived deployment state (shared shape with QueryCoordinator).
   const Deployment& deployment() const { return deployment_; }
 

@@ -57,8 +57,7 @@ struct ParsedQuery {
   }
 
   /// Renders the query back to canonical SQL text. Parsing the result yields
-  /// an equivalent ParsedQuery (round-trip property, enforced by tests);
-  /// used by the server when re-disseminating queries to the clients.
+  /// an equivalent ParsedQuery (round-trip property, enforced by tests).
   std::string ToSql() const;
 };
 

@@ -10,10 +10,15 @@
 ///  4. through the QueryCoordinator, historic queries become session
 ///     citizens: stepped per epoch, CompatKey-shared, fanned out with
 ///     completeness stamped — while the default config keeps the one-shot
-///     TJA path byte-identical.
+///     TJA path byte-identical;
+///  5. a one-shot vertical query ranks the window it names: [0, W) when bound
+///     before the first step, the W epochs before its admit epoch otherwise
+///     (fewer when fewer exist), checked against a brute-force ranking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -22,6 +27,7 @@
 #include "kspot/coordinator.hpp"
 #include "kspot/fanout.hpp"
 #include "kspot/scenario_config.hpp"
+#include "util/fixed_point.hpp"
 
 namespace kspot {
 namespace {
@@ -259,6 +265,94 @@ TEST(HistoricSessionTest, ResultsFanOutWithCompletenessStamped) {
   EXPECT_EQ(stats.value().deliveries, 5u);
   EXPECT_EQ(stats.value().completeness, 1.0);
   ASSERT_TRUE(coordinator.Close().ok());
+}
+
+// ------------------------------------------------- one-shot audit windows
+
+constexpr uint64_t kAuditSeed = 99;
+
+/// Runs one default-config session with a continuous snapshot query and one
+/// vertical audit (kVerticalSql, W = 16) admitted at each of `admits`
+/// (ascending; 0 = before Open, later epochs mid-session, every audit live
+/// until Close). Returns each audit's ranked items, in the order of `admits`.
+std::vector<std::vector<agg::RankedItem>> AuditsAdmittedAt(const std::vector<sim::Epoch>& admits,
+                                                           sim::Epoch epochs) {
+  system::QueryCoordinator::Options opt;
+  opt.epochs = epochs;
+  opt.seed = kAuditSeed;
+  system::QueryCoordinator coordinator(system::Scenario::ConferenceFloor(4, 3, 5), opt);
+  EXPECT_TRUE(std::is_sorted(admits.begin(), admits.end()));
+  EXPECT_TRUE(
+      coordinator.Admit("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid").ok());
+  for (sim::Epoch a : admits) {
+    if (a == 0) EXPECT_TRUE(coordinator.Admit(kVerticalSql).ok());
+  }
+  EXPECT_TRUE(coordinator.Open().ok());
+  for (sim::Epoch e = 0; e < epochs; ++e) {
+    for (sim::Epoch a : admits) {
+      if (a == e && a > 0) EXPECT_TRUE(coordinator.Admit(kVerticalSql).ok());
+    }
+    EXPECT_TRUE(coordinator.StepEpoch().ok());
+  }
+  auto report = coordinator.Close();
+  EXPECT_TRUE(report.ok());
+  // Outcomes come in admission order: the snapshot query, then the audits.
+  const auto& outcomes = report.value().outcomes;
+  EXPECT_EQ(outcomes.size(), admits.size() + 1);
+  std::vector<std::vector<agg::RankedItem>> out;
+  for (size_t i = 1; i < outcomes.size(); ++i) out.push_back(outcomes[i].historic.items);
+  return out;
+}
+
+/// Brute-force top-k of epochs [first, end) by the AVG reading over every
+/// sensor, best first, earlier epochs winning ties. Group i stands for epoch
+/// first + i. Sums run in the aggregates' fixed point so ties are exact.
+std::vector<agg::RankedItem> OracleTopK(sim::Epoch first, sim::Epoch end, size_t k) {
+  system::Deployment deployment(system::Scenario::ConferenceFloor(4, 3, 5), kAuditSeed);
+  auto gen = deployment.DefaultGenerator(kAuditSeed);
+  size_t n = deployment.topology.num_nodes();
+  std::vector<int64_t> sum_fx(end - first, 0);
+  for (sim::Epoch e = first; e < end; ++e) {
+    for (sim::NodeId id = 1; id < n; ++id) {
+      sum_fx[e - first] += util::fixed_point::Encode(gen->Value(id, e));
+    }
+  }
+  std::vector<size_t> order(sum_fx.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return sum_fx[a] > sum_fx[b]; });
+  std::vector<agg::RankedItem> out;
+  for (size_t i = 0; i < std::min(k, order.size()); ++i) {
+    double avg = static_cast<double>(sum_fx[order[i]]) / util::fixed_point::kScale /
+                 static_cast<double>(n - 1);
+    out.push_back(agg::RankedItem{static_cast<sim::GroupId>(order[i]), avg});
+  }
+  return out;
+}
+
+TEST(HistoricAuditWindowTest, MidSessionAdmitRanksTheLastWEpochs) {
+  auto items = AuditsAdmittedAt({20}, 24);
+  ASSERT_EQ(items.size(), 1u);
+  EXPECT_EQ(items[0], OracleTopK(4, 20, 3));
+}
+
+TEST(HistoricAuditWindowTest, EarlyAdmitRanksOnlyReadingsThatExist) {
+  auto items = AuditsAdmittedAt({6}, 12);
+  ASSERT_EQ(items.size(), 1u);
+  EXPECT_EQ(items[0], OracleTopK(0, 6, 3));
+}
+
+TEST(HistoricAuditWindowTest, OpenTimeBindRanksPreHistory) {
+  auto items = AuditsAdmittedAt({0}, 4);
+  ASSERT_EQ(items.size(), 1u);
+  EXPECT_EQ(items[0], OracleTopK(0, 16, 3));
+}
+
+TEST(HistoricAuditWindowTest, LiveAuditsAtDifferentEpochsDoNotShare) {
+  auto items = AuditsAdmittedAt({20, 25}, 28);
+  ASSERT_EQ(items.size(), 2u);
+  EXPECT_EQ(items[0], OracleTopK(4, 20, 3));
+  EXPECT_EQ(items[1], OracleTopK(9, 25, 3));
 }
 
 }  // namespace

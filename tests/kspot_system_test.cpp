@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "kspot/display_panel.hpp"
-#include "kspot/node_runtime.hpp"
 #include "kspot/scenario_config.hpp"
 #include "kspot/server.hpp"
 #include "kspot/system_panel.hpp"
@@ -56,32 +55,6 @@ TEST(ScenarioTest, ConferenceFloorShape) {
   EXPECT_EQ(s.ClusterName(0), "Auditorium");
   sim::Topology t = s.BuildTopology();
   EXPECT_EQ(t.NodesInRoom(0).size(), 4u);
-}
-
-// -------------------------------------------------------------- NodeRuntime
-
-TEST(NodeRuntimeTest, InstallsAndClassifiesQueries) {
-  NodeRuntime node(3, 16, data::GetModalityInfo(data::Modality::kSound));
-  EXPECT_FALSE(node.has_query());
-  auto s = node.InstallQuery("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid");
-  ASSERT_TRUE(s.ok()) << s.message();
-  EXPECT_TRUE(node.has_query());
-  EXPECT_EQ(node.query_class(), query::QueryClass::kSnapshotTopK);
-  EXPECT_EQ(node.query().top_k, 2);
-}
-
-TEST(NodeRuntimeTest, RejectsBadQueries) {
-  NodeRuntime node(3, 16, data::GetModalityInfo(data::Modality::kSound));
-  EXPECT_FALSE(node.InstallQuery("SELECT warp FROM sensors").ok());
-  EXPECT_FALSE(node.has_query());
-}
-
-TEST(NodeRuntimeTest, SamplesFeedHistory) {
-  NodeRuntime node(3, 4, data::GetModalityInfo(data::Modality::kSound));
-  for (sim::Epoch e = 0; e < 6; ++e) node.Sample(e, 10.0 * e);
-  std::vector<double> window;
-  node.history().Window().ForEach([&](size_t, double v) { window.push_back(v); });
-  EXPECT_EQ(window, (std::vector<double>{20, 30, 40, 50}));
 }
 
 // -------------------------------------------------------------------- Panels
