@@ -1,4 +1,5 @@
-/// E20 — continuous historic serving at production scale.
+/// E20 — continuous historic windows (core::HistoricStream) at production
+/// scale.
 ///
 /// The delta path exists to make the historic (vertical) operator's
 /// per-epoch cost O(delta) instead of O(W*n): every node appends one
@@ -15,7 +16,7 @@
 ///
 /// CI runs this quick with --threads 1 and bench/check_regression.py gates
 /// epochs_per_sec against bench/baseline/BENCH_E20_historic_throughput.json;
-/// a separate CI assert pins delta >= 5x scratch at W >= 64.
+/// `check_regression.py --e20-gate` pins delta >= 5x scratch at W >= 64.
 #include <chrono>
 #include <string>
 

@@ -21,6 +21,12 @@ line) of a servebench/run.py run: the run must be correct, no call may have
 failed, and answer recall must be exactly 1.0. Recall is a simulation output,
 not wall-clock, so this gate needs no baseline.
 
+With --e20-gate it instead checks the acceptance floor of one E20
+historic_throughput run: at every W >= 64 sweep point (at least two of them)
+the delta path runs >= 5x the epochs/sec of the from-scratch path, and the
+suppression row is present, saves traffic, and keeps its observed
+reconstruction error within the configured bound.
+
 The baselines are machine-dependent: refresh them (run the scenario with
 --quick --threads 1 and copy the JSON) whenever CI hardware changes, and
 always alongside intentional perf-trade commits.
@@ -32,6 +38,7 @@ Usage:
       --current bench-json-e17/BENCH_server_throughput.json
   python3 servebench/run.py --workload floor --seed 1 --seconds 5 > floor.txt
   python3 bench/check_regression.py --servebench-result floor.txt
+  python3 bench/check_regression.py --e20-gate bench-json-e20/BENCH_historic_throughput.json
 """
 
 import argparse
@@ -44,9 +51,8 @@ class BenchFileError(Exception):
     """A bench JSON file that cannot be read or parsed (one-line message)."""
 
 
-def load_points(path, metric):
-    """Returns ({(param tuple): gated metric value},
-    {(param tuple): {name: value}}) for every ok trial."""
+def load_bench_doc(path):
+    """Returns the parsed JSON object of a bench file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -60,6 +66,13 @@ def load_points(path, metric):
         raise BenchFileError(f"bench file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise BenchFileError(f"bench file {path} is not a JSON object")
+    return doc
+
+
+def load_points(path, metric):
+    """Returns ({(param tuple): gated metric value},
+    {(param tuple): {name: value}}) for every ok trial."""
+    doc = load_bench_doc(path)
     points = {}
     all_metrics = {}
     for trial in doc.get("trials", []):
@@ -122,6 +135,65 @@ def check_servebench(path):
     return 1 if failures else 0
 
 
+E20_MIN_SPEEDUP = 5.0
+E20_MIN_WINDOW = 64
+E20_MIN_PAIRS = 2
+
+
+def check_e20(path):
+    """Gate on an E20 historic_throughput bench JSON: delta >= 5x scratch at
+    every W >= 64 point (at least two), and a suppression row that saves
+    traffic within its error bound. Returns the exit code."""
+    try:
+        doc = load_bench_doc(path)
+    except BenchFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    delta, scratch = {}, {}
+    suppress = None
+    for trial in doc.get("trials", []):
+        params, metrics = dict(trial.get("params", {})), dict(trial.get("metrics", {}))
+        key = (params.get("n"), params.get("w"))
+        algorithm = trial.get("algorithm")
+        if algorithm == "HIST-delta" and params.get("flash") == "off":
+            delta[key] = metrics.get("epochs_per_sec")
+        elif algorithm == "HIST-scratch" and params.get("flash") == "off":
+            scratch[key] = metrics.get("epochs_per_sec")
+        elif algorithm == "HIST-delta+suppress":
+            suppress = metrics
+    failures = []
+    pairs = 0
+    for key, scratch_rate in scratch.items():
+        if int(key[1]) < E20_MIN_WINDOW:
+            continue
+        if not delta.get(key) or not scratch_rate:
+            failures.append(f"n={key[0]} W={key[1]}: no delta/scratch epochs_per_sec pair")
+            continue
+        pairs += 1
+        speedup = delta[key] / scratch_rate
+        print(f"n={key[0]} W={key[1]}: delta {speedup:.1f}x over from-scratch")
+        if speedup < E20_MIN_SPEEDUP:
+            failures.append(f"n={key[0]} W={key[1]}: delta only {speedup:.1f}x over "
+                            f"scratch (< {E20_MIN_SPEEDUP:g}x)")
+    # A sweep rename must fail loudly, not turn the gate into a no-op.
+    if pairs < E20_MIN_PAIRS:
+        failures.append(f"expected >= {E20_MIN_PAIRS} W>={E20_MIN_WINDOW} delta/scratch "
+                        f"pairs, saw {pairs}")
+    if suppress is None:
+        failures.append("suppression sweep row missing")
+    else:
+        reduction = suppress.get("traffic_reduction", 0.0)
+        err, bound = suppress.get("recon_err_max"), suppress.get("recon_err_bound")
+        if not reduction > 0.0:
+            failures.append("suppression saved no traffic")
+        if err is None or bound is None or not err <= bound:
+            failures.append(f"reconstruction error {err} exceeds eps {bound}")
+        print(f"suppression: {100 * reduction:.0f}% fewer bytes, max error {err} <= {bound}")
+    for failure in failures:
+        print(f"E20 gate FAILED: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
 def print_metric_deltas(base_metrics, cur_metrics, gated_metric):
     """One indented line per non-gated metric both runs share: the perf
     trajectory CI logs show on pass as well as fail."""
@@ -162,6 +234,30 @@ def self_test():
             capture_output=True, text=True,
         )
 
+    def run_e20(path):
+        return subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--e20-gate", path],
+            capture_output=True, text=True,
+        )
+
+    def e20_output(tmp, name, speedup=8.0, windows=(64, 128), suppress=True,
+                   reduction=0.7, recon_err=2.0):
+        trials = []
+        for w in (16,) + tuple(windows):
+            for algorithm, rate in (("HIST-delta", 100.0 * speedup), ("HIST-scratch", 100.0)):
+                trials.append({"algorithm": algorithm,
+                               "params": {"n": "200", "w": str(w), "flash": "off"},
+                               "metrics": {"epochs_per_sec": rate}})
+        if suppress:
+            trials.append({"algorithm": "HIST-delta+suppress",
+                           "params": {"n": "200", "w": "64", "eps": "2"},
+                           "metrics": {"traffic_reduction": reduction,
+                                       "recon_err_max": recon_err, "recon_err_bound": 2}})
+        path = os.path.join(tmp, name)
+        with open(path, "w") as fh:
+            json.dump({"trials": trials}, fh)
+        return path
+
     def servebench_output(tmp, name, correct, failed, recall):
         path = os.path.join(tmp, name)
         result = {"correct": correct, "attempted": 10, "failed": failed,
@@ -195,6 +291,18 @@ def self_test():
              run_servebench(servebench_output(tmp, "wrong.txt", False, 0, 1.0)), 1),
             ("servebench clean run",
              run_servebench(servebench_output(tmp, "clean.txt", True, 0, 1)), 0),
+            ("e20 missing output", run_e20(missing_path), 2),
+            ("e20 garbage output", run_e20(garbage_path), 2),
+            ("e20 clean run", run_e20(e20_output(tmp, "e20_clean.json")), 0),
+            ("e20 delta under 5x", run_e20(e20_output(tmp, "e20_slow.json", speedup=4.9)), 1),
+            ("e20 one W>=64 pair",
+             run_e20(e20_output(tmp, "e20_one_pair.json", windows=(64,))), 1),
+            ("e20 suppression row missing",
+             run_e20(e20_output(tmp, "e20_no_suppress.json", suppress=False)), 1),
+            ("e20 suppression saves nothing",
+             run_e20(e20_output(tmp, "e20_no_saving.json", reduction=0.0)), 1),
+            ("e20 error over bound",
+             run_e20(e20_output(tmp, "e20_over_bound.json", recon_err=2.5)), 1),
         ]
         for name, proc, want in cases:
             if proc.returncode != want:
@@ -209,7 +317,8 @@ def self_test():
             print(f"self-test FAILED: {failure}", file=sys.stderr)
         return 1
     print("self-test ok: error paths exit 2 with one-line errors, no traceback; "
-          "servebench gate passes only correct, failure-free, full-recall runs")
+          "servebench gate passes only correct, failure-free, full-recall runs; "
+          "E20 gate passes only >= 5x delta pairs with a bounded, saving suppression row")
     return 0
 
 
@@ -234,6 +343,11 @@ def main():
         help="check a servebench/run.py stdout capture instead of a bench JSON",
     )
     parser.add_argument(
+        "--e20-gate",
+        default=None,
+        help="check the E20 historic_throughput acceptance floor of a bench JSON",
+    )
+    parser.add_argument(
         "--self-test",
         action="store_true",
         help="exercise the error paths (missing/garbage baseline) and exit",
@@ -244,8 +358,11 @@ def main():
         return self_test()
     if args.servebench_result is not None:
         return check_servebench(args.servebench_result)
+    if args.e20_gate is not None:
+        return check_e20(args.e20_gate)
     if args.current is None:
-        parser.error("--current is required (unless --self-test or --servebench-result)")
+        parser.error("--current is required (unless --self-test, --servebench-result "
+                     "or --e20-gate)")
 
     try:
         baseline, baseline_metrics = load_points(args.baseline, args.metric)

@@ -42,9 +42,9 @@ struct HistoricStreamOptions {
 /// HistoryStore, and one converge-cast updates the sink's materialized
 /// window view — carrying just the new epoch's partial in delta mode
 /// (GroupView::ApplyWindowDelta retracts the evicted epoch), or every
-/// buffered epoch in scratch mode. This is what lets the session coordinator
-/// advance admitted historic queries with StepEpoch like any snapshot
-/// operator instead of re-running a one-shot join per query.
+/// buffered epoch in scratch mode. E20 and the golden suite drive it
+/// directly; the session coordinator ranks a vertical query with one TJA over
+/// its window at bind time instead.
 class HistoricStream : public EpochAlgorithm {
  public:
   HistoricStream(sim::Network* net, data::DataGenerator* gen, HistoricStreamOptions options);

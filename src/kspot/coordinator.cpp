@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "agg/aggregate.hpp"
-#include "core/historic_stream.hpp"
 #include "core/history_source.hpp"
 #include "core/mint.hpp"
 #include "core/tag.hpp"
@@ -39,7 +38,7 @@ struct OperatorPlan {
   OpKind kind = OpKind::kSnapshot;
   core::QuerySpec spec;                  ///< kSnapshot/kTagFullView/kHorizontal.
   size_t window = 0;                     ///< kHorizontal/kVertical.
-  /// One-shot kVertical: the epoch window position 0 stands for. Two audits
+  /// kVertical: the epoch window position 0 stands for. Two audits
   /// admitted at different epochs rank different windows, so never share.
   sim::Epoch first = 0;
   core::HistoricOptions historic;        ///< kVertical.
@@ -292,7 +291,7 @@ util::Status QueryCoordinator::BindToSession(size_t admitted_index) {
   Session& session = *session_;
   const Admitted& entry = admitted_[admitted_index];
   OperatorPlan plan = PlanFor(entry.parsed, entry.query_class, deployment_->scenario);
-  if (plan.kind == OpKind::kVertical && !options_.historic.continuous && session.epoch > 0) {
+  if (plan.kind == OpKind::kVertical && session.epoch > 0) {
     // The one-shot window rule. A query bound before the first step ranks
     // the pre-history [0, W); one admitted at epoch a > 0 ranks the readings
     // that already exist, [max(0, a - W), a) — shorter than W when a < W.
@@ -300,7 +299,6 @@ util::Status QueryCoordinator::BindToSession(size_t admitted_index) {
     plan.window = static_cast<size_t>(session.epoch - plan.first);
   }
   std::string key = CompatKey(plan);
-  if (!options_.share_operators) key += "#" + std::to_string(entry.id);
 
   Session::Served served;
   served.admitted_index = admitted_index;
@@ -346,24 +344,6 @@ util::Status QueryCoordinator::BindToSession(size_t admitted_index) {
       group.algorithm = "MINT+history";
       break;
     case OpKind::kVertical: {
-      if (options_.historic.continuous) {
-        // Continuous historic: a first-class session citizen. The operator
-        // buffers each epoch's reading into per-node stores and StepEpoch
-        // advances the sink's window view like any snapshot operator.
-        core::HistoricStreamOptions hopt;
-        hopt.k = plan.historic.k;
-        hopt.agg = plan.historic.agg;
-        hopt.window = plan.window;
-        hopt.incremental = options_.historic.incremental;
-        hopt.archive_to_flash = options_.historic.archive_to_flash;
-        hopt.flash_accounting = options_.historic.flash_accounting;
-        hopt.suppression = options_.historic.suppression;
-        hopt.suppression_eps = options_.historic.suppression_eps;
-        group.algo = std::make_unique<core::HistoricStream>(&session.net,
-                                                            session.shared_gen.get(), hopt);
-        group.algorithm = group.algo->name();
-        break;
-      }
       // One-shot historic: ranks the plan's window, replayed from a fresh
       // generator, on the same network — its traffic drains the same
       // batteries the continuous queries live off. Mid-session admits run
@@ -451,11 +431,6 @@ util::StatusOr<EpochUpdate> QueryCoordinator::StepEpoch() {
     delta = churn_report.delta;
   }
 
-  // Execution order: priority-desc over the live epoch-driven groups, ties
-  // in creation (= admission) order — all-default priorities reproduce the
-  // batch ordering bit-exactly.
-  std::vector<size_t> order;
-  std::vector<int> group_priority(session.groups.size(), 0);
   std::vector<char> group_eligible(session.groups.size(), 0);
   {
     static const uint32_t kPlanSpan = obs::GlobalTracer().InternName("coord.plan");
@@ -463,32 +438,21 @@ util::StatusOr<EpochUpdate> QueryCoordinator::StepEpoch() {
     for (const Session::Served& served : session.served) {
       if (served.leave != kNoEpoch) continue;
       const AdmitOptions& admit = admitted_[served.admitted_index].admit;
-      size_t gi = served.group;
-      group_priority[gi] = std::max(group_priority[gi], admit.priority);
       if (epoch >= served.join &&
           (epoch - served.join) % static_cast<sim::Epoch>(admit.period) == 0) {
-        group_eligible[gi] = 1;
+        group_eligible[served.group] = 1;
       }
     }
-    for (size_t gi = 0; gi < session.groups.size(); ++gi) {
-      // Epoch-driven groups carry an algorithm or a select pipeline.
-      // One-shot vertical (TJA) groups carry neither — they already ran at
-      // bind time — while continuous-historic vertical groups step here
-      // like any snapshot operator.
-      const OpGroup& group = session.groups[gi];
-      if (group.alive && (group.algo != nullptr || group.select != nullptr)) {
-        order.push_back(gi);
-      }
-    }
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return group_priority[a] > group_priority[b];
-    });
   }
 
   static const uint32_t kWavesSpan = obs::GlobalTracer().InternName("coord.waves");
   const uint64_t waves_start = obs::TracingOn() ? obs::NowMicros() : 0;
-  for (size_t gi : order) {
+  // Execution order: the live epoch-driven groups in creation order, which
+  // is admission order. Epoch-driven groups carry an algorithm or a select
+  // pipeline; vertical (TJA) groups carry neither: they ran at bind time.
+  for (size_t gi = 0; gi < session.groups.size(); ++gi) {
     OpGroup& group = session.groups[gi];
+    if (!group.alive || (group.algo == nullptr && group.select == nullptr)) continue;
     GroupUpdate gu;
     gu.group_id = gi;
     gu.algorithm = group.algorithm;
@@ -555,21 +519,6 @@ util::StatusOr<EpochUpdate> QueryCoordinator::StepEpoch() {
       backoff.Add(update.epoch_cost.backoff_us);
       for (const GroupUpdate& gu : update.groups) {
         if (gu.ran && gu.result) completeness.Observe(gu.result->completeness);
-      }
-    }
-    if (obs::MetricsOn() &&
-        (update.epoch_cost.flash_reads != 0 || update.epoch_cost.flash_writes != 0)) {
-      static obs::Counter& flash_reads = obs::Registry().counter("net.flash_reads");
-      static obs::Counter& flash_writes = obs::Registry().counter("net.flash_writes");
-      static obs::Counter& flash_bytes = obs::Registry().counter("net.flash_bytes");
-      flash_reads.Add(update.epoch_cost.flash_reads);
-      flash_writes.Add(update.epoch_cost.flash_writes);
-      flash_bytes.Add(update.epoch_cost.flash_bytes);
-    }
-    if (options_.historic.continuous && obs::MetricsOn()) {
-      static obs::Counter& historic_steps = obs::Registry().counter("historic.steps");
-      for (const GroupUpdate& gu : update.groups) {
-        if (gu.ran && gu.algorithm.rfind("HIST-", 0) == 0) historic_steps.Add(1);
       }
     }
   }

@@ -21,19 +21,14 @@ namespace kspot::system {
 /// Handle of an admitted query.
 using QueryId = uint32_t;
 
-/// Per-query admission controls for session mode.
+/// Per-query admission controls for session mode. Within an epoch, groups
+/// always step in operator creation order (admission order).
 struct AdmitOptions {
   /// Rate limit: the query asks to run every `period`-th epoch, counted from
   /// its join epoch. A share group steps in an epoch when ANY member is
   /// eligible, so a period only throttles the group once every member's
   /// period skips the epoch. 1 (the default) = every epoch.
   int period = 1;
-  /// Execution priority: within an epoch, groups step in descending
-  /// max-member-priority order (ties keep operator creation order, which is
-  /// admission order). Under loss the shared per-node RNG substreams are
-  /// consumed in execution order, so changing priorities may change realized
-  /// losses; the all-default ordering is the batch Run() ordering.
-  int priority = 0;
 };
 
 /// What one admitted query produced after a coordinator run.
@@ -110,8 +105,8 @@ struct EpochUpdate {
   /// epoch: some group's answer is structurally partial (its TopKResult
   /// carries the per-result completeness). Always false with the layer off.
   bool degraded = false;
-  /// One entry per live operator group, in this epoch's execution order
-  /// (priority-desc, then creation order).
+  /// One entry per live epoch-driven operator group, in execution order:
+  /// ascending group_id (creation order).
   std::vector<GroupUpdate> groups;
 };
 
@@ -144,16 +139,12 @@ struct EpochUpdate {
 ///   queries to existing share groups (or spins up their operator
 ///   mid-deployment, without perturbing anyone else's results), Cancel()
 ///   withdraws a member and releases the operator when its share group
-///   empties. Per-query AdmitOptions add rate limits (run every k-th epoch)
-///   and priorities. Each StepEpoch returns the per-group materialized
-///   results for fan-out (kspot/fanout.hpp).
+///   empties. Per-query AdmitOptions add rate limits (run every k-th epoch).
+///   Each StepEpoch returns the per-group materialized results for fan-out
+///   (kspot/fanout.hpp).
 class QueryCoordinator {
  public:
   struct Options : DeploymentConfig {
-    /// Allow compatible queries to share one operator. Off = every query
-    /// drives its own operator on the shared network (for measuring what the
-    /// piggybacking saves).
-    bool share_operators = true;
     /// Salt XORed into the seed of the shared plane's network RNG.
     /// KSpotServer::Execute delegates every query class to a single-query
     /// session and passes its historical per-class salt (0x77 snapshot/TAG,
@@ -215,7 +206,7 @@ class QueryCoordinator {
   size_t active_operators() const;
 
   /// Advances the shared data plane one epoch: churn/repair once for
-  /// everyone, then every eligible operator group in priority order.
+  /// everyone, then every eligible operator group in creation order.
   /// Returns the per-group materialized results for fan-out.
   util::StatusOr<EpochUpdate> StepEpoch();
 

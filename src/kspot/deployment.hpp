@@ -15,33 +15,6 @@
 
 namespace kspot::system {
 
-/// The continuous-historic serving path. Everything here defaults off /
-/// inert: with `continuous` false, vertical historic queries keep their
-/// one-shot bind-time execution and none of the other knobs is consulted,
-/// so default-configured runs stay byte-identical to a build without the
-/// path (golden-pinned).
-struct HistoricPathConfig {
-  /// Serve vertical historic queries as continuous session citizens: the
-  /// operator buffers each epoch's reading into per-node HistoryStores and
-  /// StepEpoch advances the sink's window view every epoch like any
-  /// snapshot operator (results fan out with completeness stamped).
-  bool continuous = false;
-  /// Maintain the sink's window view incrementally (O(delta) per epoch)
-  /// instead of re-collecting whole windows (O(W*n)). Bit-identical answers
-  /// either way; scratch exists as the measurable strawman.
-  bool incremental = true;
-  /// Archive readings evicted from the SRAM window to simulated flash.
-  bool archive_to_flash = false;
-  /// Charge flash I/O into the energy ledger and traffic counters.
-  bool flash_accounting = false;
-  /// Cluster-neighbor predictive suppression: a sensor stays silent when
-  /// its reading is within `suppression_eps` of the last value it reported;
-  /// the room head re-injects the predictor, bounding reconstruction error
-  /// by `suppression_eps`.
-  bool suppression = false;
-  double suppression_eps = 0.5;
-};
-
 /// The deployment-wide execution knobs every serving API shares — ONE struct
 /// so a knob added for one server cannot silently miss the other.
 /// KSpotServer::Options and QueryCoordinator::Options both derive from this;
@@ -81,9 +54,6 @@ struct DeploymentConfig {
   /// deadlines, completeness accounting). Off by default and then bit-inert:
   /// disabled runs are byte-identical to a build without the layer.
   sim::ReliabilityOptions reliability;
-  /// Continuous-historic serving (incremental window maintenance, flash
-  /// accounting, predictive suppression). Off by default and then bit-inert.
-  HistoricPathConfig historic;
 };
 
 /// One deployed sensor network as the base station administers it: the

@@ -24,6 +24,12 @@ PhaseRegistry& Registry() {
   return *registry;
 }
 
+/// EWMA smoothing factor of the adaptive ARQ's per-link loss estimator.
+constexpr double kEwmaAlpha = 0.25;
+/// First-retry backoff; doubles per further retry up to kBackoffCapUs.
+constexpr uint64_t kBackoffBaseUs = 500;
+constexpr uint64_t kBackoffCapUs = 8000;
+
 }  // namespace
 
 PhaseId Network::InternPhase(std::string_view name) {
@@ -139,7 +145,7 @@ void Network::MarkEpochDegraded(uint32_t truncated) {
 uint32_t Network::ApplyWaveDepthBudget(int depth_cap) {
   uint32_t cut = 0;
   for (NodeId node : tree_->wave_order()) {
-    if (tree_->depth(node) > static_cast<size_t>(depth_cap) && NodeAlive(node)) ++cut;
+    if (tree_->depth(node) > depth_cap && NodeAlive(node)) ++cut;
   }
   if (cut > 0) MarkEpochDegraded(cut);
   return cut;
@@ -197,9 +203,8 @@ bool Network::ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot,
         --state_.retry_budget_left[sender];
       }
       uint64_t backoff = attempt - 1 >= 30
-                             ? rel.backoff_cap_us
-                             : std::min(rel.backoff_cap_us, rel.backoff_base_us
-                                                                << (attempt - 1));
+                             ? kBackoffCapUs
+                             : std::min(kBackoffCapUs, kBackoffBaseUs << (attempt - 1));
       // The radio idles in receive mode while it waits out the backoff, so
       // the wait is charged at the rx draw (idle-listen energy).
       double idle_j = options_.energy.RxEnergy(1e-6 * static_cast<double>(backoff));
@@ -213,7 +218,7 @@ bool Network::ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot,
     for (size_t f = 0; f < frames && !lost; ++f) {
       lost = rng_.NextBernoulli(link_loss);
     }
-    est.ewma = rel.ewma_alpha * (lost ? 1.0 : 0.0) + (1.0 - rel.ewma_alpha) * est.ewma;
+    est.ewma = kEwmaAlpha * (lost ? 1.0 : 0.0) + (1.0 - kEwmaAlpha) * est.ewma;
     if (!lost && NodeAlive(receiver)) {
       double rx_j = options_.energy.RxEnergy(options_.radio.AirtimeSeconds(payload_bytes));
       state_.meters[receiver].AddRx(rx_j);

@@ -37,16 +37,11 @@ struct ReliabilityOptions {
   /// Retransmissions one node may spend per epoch; 0 = unlimited. Refilled
   /// by Network::BeginReliabilityEpoch.
   uint32_t retry_budget = 64;
-  /// EWMA smoothing factor of the per-link loss estimator.
-  double ewma_alpha = 0.25;
   /// Target residual per-message loss: attempts A are chosen as the smallest
   /// count with ewma^A <= residual_target (capped by max_retries). The
   /// estimate is floored at the loss model's own message-level loss, so the
   /// EWMA only ever adapts the policy *upward* from the modeled link.
   double residual_target = 0.05;
-  /// First-retry backoff; doubles per further retry up to backoff_cap_us.
-  uint64_t backoff_base_us = 500;
-  uint64_t backoff_cap_us = 8000;
   /// Epoch deadline as a slot-depth budget: nodes deeper than this many
   /// slots are cut from waves (the epoch degrades gracefully instead of
   /// overrunning). 0 = no deadline.

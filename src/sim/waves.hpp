@@ -63,7 +63,7 @@ class UpWave {
     for (NodeId node : tree.wave_order()) {
       // Epoch deadline: nodes beyond the slot budget are cut from the wave
       // (their subtree data never reaches the sink; the epoch is degraded).
-      if (depth_cap > 0 && tree.depth(node) > depth_cap) {
+      if (depth_cap > 0 && static_cast<size_t>(tree.depth(node)) > depth_cap) {
         ws.inbox[node].clear();
         continue;
       }

@@ -88,7 +88,9 @@ void ExpectMatchesSurvivorOracle(uint64_t seed, bool full_contributors) {
     // actually contributed, bounded by (TAG: equal to) the survivors.
     EXPECT_GT(got.contributors, 0u) << "epoch " << e;
     EXPECT_LE(got.contributors, want.contributors) << "epoch " << e;
-    if (full_contributors) EXPECT_EQ(got.contributors, want.contributors) << "epoch " << e;
+    if (full_contributors) {
+      EXPECT_EQ(got.contributors, want.contributors) << "epoch " << e;
+    }
   }
 }
 

@@ -166,19 +166,6 @@ TEST(CoordinatorTest, IdenticalSnapshotQueriesShareOneOperator) {
   }
 }
 
-TEST(CoordinatorTest, ShareDisabledDrivesOneOperatorPerQuery) {
-  QueryCoordinator::Options opt = SmallRun(8);
-  opt.share_operators = false;
-  QueryCoordinator coordinator(Scenario::ConferenceFloor(4, 3, 5), opt);
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(coordinator.Admit(kSnapshotSql).ok());
-  auto report = coordinator.Run();
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.value().operators, 4u);
-  for (const QueryOutcome& outcome : report.value().outcomes) {
-    EXPECT_EQ(outcome.share_group_size, 1u);
-  }
-}
-
 TEST(CoordinatorTest, MixedClassesAllServedOnOneDeployment) {
   QueryCoordinator coordinator(Scenario::ConferenceFloor(6, 3, 5), SmallRun(12));
   ASSERT_TRUE(coordinator.Admit(kSnapshotSql).ok());

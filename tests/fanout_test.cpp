@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "kspot/coordinator.hpp"
@@ -12,6 +14,10 @@ namespace {
 constexpr const char* kSnapshotSql =
     "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid";
 constexpr const char* kSelectSql = "SELECT nodeid, sound FROM sensors WHERE sound > 40";
+/// Served by TAG, whose answer counts every reachable sensor as a
+/// contributor (MINT's pruned views count fewer even when nothing is lost).
+constexpr const char* kGroupedSelectSql =
+    "SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid";
 
 TEST(FanOutTest, EverySubscriberOfAGroupObservesTheIdenticalResult) {
   QueryCoordinator coordinator(Scenario::ConferenceFloor(6, 3, 5),
@@ -133,6 +139,42 @@ TEST(FanOutTest, MidRunJoinerDeliversFromItsJoinEpoch) {
   EXPECT_EQ(hub.Stats(late).value().deliveries, 5u);
   // Both ride the same group, so both views converge to the same object.
   EXPECT_EQ(hub.Latest(early).get(), hub.Latest(late).get());
+}
+
+TEST(FanOutTest, CompletenessStatMirrorsTheServedResult) {
+  // Steps a lone grouped select for five epochs and returns its subscriber's
+  // completeness stat next to the completeness of the result it is served.
+  auto run = [](const QueryCoordinator::Options& opt) {
+    QueryCoordinator coordinator(Scenario::ConferenceFloor(6, 3, 5), opt);
+    auto query = coordinator.Admit(kGroupedSelectSql);
+    EXPECT_TRUE(query.ok());
+    FanOutHub hub(&coordinator);
+    SubscriberId sub = hub.Subscribe(query.value()).value();
+    EXPECT_TRUE(coordinator.Open().ok());
+    for (size_t e = 0; e < 5; ++e) {
+      auto update = coordinator.StepEpoch();
+      EXPECT_TRUE(update.ok());
+      EXPECT_EQ(hub.Publish(update.value()), 1u);
+    }
+    EXPECT_TRUE(coordinator.Close().ok());
+    std::shared_ptr<const core::TopKResult> latest = hub.Latest(sub);
+    EXPECT_NE(latest, nullptr);
+    return std::make_pair(hub.Stats(sub).value().completeness,
+                          latest ? latest->completeness : -1.0);
+  };
+
+  auto lossless = run(QueryCoordinator::Options{});
+  EXPECT_EQ(lossless.first, 1.0);
+  EXPECT_EQ(lossless.second, 1.0);
+
+  // An epoch deadline of one slot cuts every node below depth 1 from the
+  // waves, so the served answer is structurally partial.
+  QueryCoordinator::Options deadline;
+  deadline.reliability.enabled = true;
+  deadline.reliability.wave_depth_budget = 1;
+  auto partial = run(deadline);
+  EXPECT_EQ(partial.first, partial.second);
+  EXPECT_LT(partial.first, 1.0);
 }
 
 TEST(FanOutTest, UnsubscribeStopsDeliveriesAndCancelStopsTheFeed) {

@@ -89,7 +89,9 @@ void ExpectTreeInvariants(const sim::RoutingTree& tree, const sim::Topology& top
   // pre_order lists parents before children; post_order the reverse.
   std::set<NodeId> seen;
   for (NodeId v : tree.pre_order()) {
-    if (v != kSinkId) EXPECT_TRUE(seen.count(tree.parent(v))) << v;
+    if (v != kSinkId) {
+      EXPECT_TRUE(seen.count(tree.parent(v))) << v;
+    }
     seen.insert(v);
   }
   EXPECT_EQ(tree.post_order().size(), tree.pre_order().size());

@@ -1,5 +1,5 @@
-/// Continuous historic serving (core::HistoricStream + the coordinator's
-/// continuous-vertical path):
+/// Historic query processing (core::HistoricStream and the coordinator's
+/// one-shot vertical path):
 ///
 ///  1. the O(delta) incremental window maintenance is bit-identical to
 ///     re-collecting every window from scratch, every epoch, every agg kind;
@@ -7,17 +7,14 @@
 ///     actually cuts radio traffic; off, it is bit-inert;
 ///  3. flash archiving/accounting charges the energy ledger without
 ///     perturbing a single answer bit;
-///  4. through the QueryCoordinator, historic queries become session
-///     citizens: stepped per epoch, CompatKey-shared, fanned out with
-///     completeness stamped — while the default config keeps the one-shot
-///     TJA path byte-identical;
+///  4. through the QueryCoordinator, a vertical query runs one TJA over its
+///     buffered window at bind time;
 ///  5. a one-shot vertical query ranks the window it names: [0, W) when bound
 ///     before the first step, the W epochs before its admit epoch otherwise
 ///     (fewer when fewer exist), checked against a brute-force ranking.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -25,7 +22,6 @@
 #include "bench_util.hpp"
 #include "core/historic_stream.hpp"
 #include "kspot/coordinator.hpp"
-#include "kspot/fanout.hpp"
 #include "kspot/scenario_config.hpp"
 #include "util/fixed_point.hpp"
 
@@ -34,19 +30,6 @@ namespace {
 
 constexpr const char* kVerticalSql =
     "SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 16";
-
-std::string Digest(const std::vector<core::TopKResult>& per_epoch) {
-  char buf[64];
-  std::string out;
-  for (const auto& r : per_epoch) {
-    for (const auto& item : r.items) {
-      std::snprintf(buf, sizeof buf, "%d:%.17g;", item.group, item.value);
-      out += buf;
-    }
-    out += '|';
-  }
-  return out;
-}
 
 struct StreamRun {
   std::vector<core::TopKResult> per_epoch;
@@ -183,51 +166,6 @@ TEST(HistoricStreamTest, FlashAccountingChargesLedgerWithoutPerturbingAnswers) {
 
 // ------------------------------------------------------- coordinator serving
 
-system::QueryCoordinator::Options ContinuousRun(size_t epochs = 12, uint64_t seed = 99) {
-  system::QueryCoordinator::Options opt;
-  opt.epochs = epochs;
-  opt.seed = seed;
-  opt.historic.continuous = true;
-  return opt;
-}
-
-TEST(HistoricSessionTest, ContinuousHistoricStepsLikeAnyOperator) {
-  system::QueryCoordinator coordinator(system::Scenario::ConferenceFloor(4, 3, 5),
-                                       ContinuousRun());
-  auto a = coordinator.Admit(kVerticalSql);
-  auto b = coordinator.Admit(kVerticalSql);  // identical: must share the operator
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  auto report = coordinator.Run();
-  ASSERT_TRUE(report.ok());
-  ASSERT_EQ(report.value().outcomes.size(), 2u);
-  for (const auto& outcome : report.value().outcomes) {
-    EXPECT_EQ(outcome.algorithm, "HIST-delta");
-    EXPECT_EQ(outcome.share_group_size, 2u);
-    ASSERT_EQ(outcome.per_epoch.size(), 12u);
-    for (const auto& r : outcome.per_epoch) {
-      EXPECT_FALSE(r.items.empty());
-      EXPECT_EQ(r.completeness, 1.0);
-    }
-    EXPECT_TRUE(outcome.historic.items.empty());  // no one-shot result
-  }
-  EXPECT_EQ(Digest(report.value().outcomes[0].per_epoch),
-            Digest(report.value().outcomes[1].per_epoch));
-}
-
-TEST(HistoricSessionTest, ContinuousDeltaMatchesScratchThroughSession) {
-  auto run = [](bool incremental) {
-    auto opt = ContinuousRun(20, 42);
-    opt.historic.incremental = incremental;
-    system::QueryCoordinator coordinator(system::Scenario::ConferenceFloor(4, 3, 5), opt);
-    EXPECT_TRUE(coordinator.Admit(kVerticalSql).ok());
-    auto report = coordinator.Run();
-    EXPECT_TRUE(report.ok());
-    return Digest(report.value().outcomes[0].per_epoch);
-  };
-  EXPECT_EQ(run(true), run(false));
-}
-
 TEST(HistoricSessionTest, DefaultConfigKeepsOneShotTja) {
   system::QueryCoordinator::Options opt;
   opt.epochs = 8;
@@ -241,30 +179,6 @@ TEST(HistoricSessionTest, DefaultConfigKeepsOneShotTja) {
   EXPECT_EQ(outcome.algorithm.rfind("TJA", 0), 0u);  // one-shot, as seeded
   EXPECT_TRUE(outcome.per_epoch.empty());
   EXPECT_FALSE(outcome.historic.items.empty());
-}
-
-TEST(HistoricSessionTest, ResultsFanOutWithCompletenessStamped) {
-  system::QueryCoordinator coordinator(system::Scenario::ConferenceFloor(4, 3, 5),
-                                       ContinuousRun());
-  auto id = coordinator.Admit(kVerticalSql);
-  ASSERT_TRUE(id.ok());
-  system::FanOutHub hub(&coordinator);
-  auto sub = hub.Subscribe(id.value());
-  ASSERT_TRUE(sub.ok());
-  ASSERT_TRUE(coordinator.Open().ok());
-  for (int e = 0; e < 5; ++e) {
-    auto update = coordinator.StepEpoch();
-    ASSERT_TRUE(update.ok());
-    EXPECT_GT(hub.Publish(update.value()), 0u);
-  }
-  auto latest = hub.Latest(sub.value());
-  ASSERT_NE(latest, nullptr);
-  EXPECT_FALSE(latest->items.empty());
-  auto stats = hub.Stats(sub.value());
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.value().deliveries, 5u);
-  EXPECT_EQ(stats.value().completeness, 1.0);
-  ASSERT_TRUE(coordinator.Close().ok());
 }
 
 // ------------------------------------------------- one-shot audit windows
@@ -285,12 +199,16 @@ std::vector<std::vector<agg::RankedItem>> AuditsAdmittedAt(const std::vector<sim
   EXPECT_TRUE(
       coordinator.Admit("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid").ok());
   for (sim::Epoch a : admits) {
-    if (a == 0) EXPECT_TRUE(coordinator.Admit(kVerticalSql).ok());
+    if (a == 0) {
+      EXPECT_TRUE(coordinator.Admit(kVerticalSql).ok());
+    }
   }
   EXPECT_TRUE(coordinator.Open().ok());
   for (sim::Epoch e = 0; e < epochs; ++e) {
     for (sim::Epoch a : admits) {
-      if (a == e && a > 0) EXPECT_TRUE(coordinator.Admit(kVerticalSql).ok());
+      if (a == e && a > 0) {
+        EXPECT_TRUE(coordinator.Admit(kVerticalSql).ok());
+      }
     }
     EXPECT_TRUE(coordinator.StepEpoch().ok());
   }

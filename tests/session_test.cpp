@@ -13,8 +13,6 @@ namespace {
 constexpr const char* kSnapshotSql =
     "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid";
 constexpr const char* kSelectSql = "SELECT nodeid, sound FROM sensors WHERE sound > 40";
-constexpr const char* kGroupedSelectSql =
-    "SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid";
 constexpr const char* kVerticalSql =
     "SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 24";
 
@@ -93,6 +91,13 @@ TEST(SessionTest, OpenStepCloseMatchesBatchRunBitExactly) {
     auto update = session.StepEpoch();
     ASSERT_TRUE(update.ok());
     EXPECT_EQ(update.value().epoch, e);
+    // Groups step in creation order: snapshot (0), then select (1); the
+    // vertical query's TJA ran at bind time and never steps.
+    const std::vector<GroupUpdate>& groups = update.value().groups;
+    ASSERT_EQ(groups.size(), 2u);
+    for (size_t g = 1; g < groups.size(); ++g) {
+      EXPECT_LT(groups[g - 1].group_id, groups[g].group_id);
+    }
   }
   EXPECT_EQ(session.session_epoch(), 12u);
   auto session_report = session.Close();
@@ -272,22 +277,6 @@ TEST(SessionTest, GroupStepsWheneverAnyMemberIsEligible) {
   for (const QueryOutcome& outcome : report.value().outcomes) {
     EXPECT_EQ(outcome.per_epoch.size(), 6u);
   }
-}
-
-TEST(SessionTest, PriorityOrdersExecutionWithinAnEpoch) {
-  QueryCoordinator coordinator(Scenario::ConferenceFloor(6, 3, 5),
-                               QueryCoordinator::Options{});
-  ASSERT_TRUE(coordinator.Admit(kSnapshotSql).ok());  // group 0, priority 0
-  AdmitOptions urgent;
-  urgent.priority = 5;
-  ASSERT_TRUE(coordinator.Admit(kGroupedSelectSql, urgent).ok());  // group 1
-  ASSERT_TRUE(coordinator.Open().ok());
-  auto update = coordinator.StepEpoch();
-  ASSERT_TRUE(update.ok());
-  ASSERT_EQ(update.value().groups.size(), 2u);
-  EXPECT_EQ(update.value().groups[0].group_id, 1u);  // priority 5 first
-  EXPECT_EQ(update.value().groups[1].group_id, 0u);
-  ASSERT_TRUE(coordinator.Close().ok());
 }
 
 TEST(SessionTest, LifecycleErrorsAreClean) {
