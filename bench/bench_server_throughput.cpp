@@ -146,11 +146,9 @@ void RegisterServerThroughput(runner::ScenarioRegistry& registry) {
       "coord_qps/seq_qps are wall-clock; run with --threads 1 when comparing\n"
       "numbers. speedup = coord_qps / seq_qps; operators counts distinct\n"
       "operator instances after snapshot piggybacking.\n"
-      "Caveat for mix=mixed churn=on: KSpotServer::Execute applies churn only\n"
-      "to snapshot queries (SELECT/TJA legs run on a pristine tree), while\n"
-      "the coordinator's shared tree churns for every query class — the\n"
-      "sequential leg is today's serving model, not an identical fault\n"
-      "process. The snapshot rows compare identical processes.\n"
+      "Each Execute is a single-query coordinator session, so both legs run\n"
+      "the same fault process for every query class (a one-shot TJA audit\n"
+      "ranks its window before any churn epoch on either leg).\n"
       "bench/check_regression.py gates CI on this scenario's coord_qps.";
   s.make_trials = [](const runner::SweepOptions& opt) {
     std::vector<runner::Trial> trials;

@@ -21,6 +21,14 @@ line) of a servebench/run.py run: the run must be correct, no call may have
 failed, and answer recall must be exactly 1.0. Recall is a simulation output,
 not wall-clock, so this gate needs no baseline.
 
+With --e17-gate it instead checks the acceptance floor of one E17
+server_throughput run: the {queries 16, mix snapshot, churn off} sweep point
+must exist and serve >= 1.5x the queries/sec of sequential Execute.
+
+With --e18-gate it instead checks the acceptance floor of one E18
+fanout_throughput run: exactly three U=1e6 sweep points, each delivering
+>= 1e5 subscriber results per second.
+
 With --e20-gate it instead checks the acceptance floor of one E20
 historic_throughput run: at every W >= 64 sweep point (at least two of them)
 the delta path runs >= 5x the epochs/sec of the from-scratch path, and the
@@ -38,6 +46,8 @@ Usage:
       --current bench-json-e17/BENCH_server_throughput.json
   python3 servebench/run.py --workload floor --seed 1 --seconds 5 > floor.txt
   python3 bench/check_regression.py --servebench-result floor.txt
+  python3 bench/check_regression.py --e17-gate bench-json-e17/BENCH_server_throughput.json
+  python3 bench/check_regression.py --e18-gate bench-json-e18/BENCH_fanout_throughput.json
   python3 bench/check_regression.py --e20-gate bench-json-e20/BENCH_historic_throughput.json
 """
 
@@ -135,6 +145,80 @@ def check_servebench(path):
     return 1 if failures else 0
 
 
+def load_trials(path):
+    """Returns [(params dict, metrics dict)] for every trial of a bench file."""
+    doc = load_bench_doc(path)
+    return [(dict(t.get("params", {})), dict(t.get("metrics", {})))
+            for t in doc.get("trials", [])]
+
+
+E17_POINT = {"queries": "16", "mix": "snapshot", "churn": "off"}
+E17_MIN_SPEEDUP = 1.5
+
+
+def check_e17(path):
+    """Gate on an E17 server_throughput bench JSON: 16 concurrent snapshot
+    queries without churn serve >= 1.5x the queries/sec of sequential
+    Execute. Returns the exit code."""
+    try:
+        trials = load_trials(path)
+    except BenchFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    failures = []
+    matched = False
+    for params, metrics in trials:
+        if params != E17_POINT:
+            continue
+        matched = True
+        speedup = metrics.get("speedup")
+        if speedup is None or not speedup >= E17_MIN_SPEEDUP:
+            failures.append(f"16 concurrent snapshot queries: speedup {speedup} "
+                            f"< {E17_MIN_SPEEDUP:g}x")
+        else:
+            print(f"16 concurrent snapshot queries: {speedup:.2f}x over sequential Execute")
+    # A sweep rename must fail loudly, not turn the gate into a no-op.
+    if not matched:
+        failures.append("E17 sweep point {queries:16, mix:snapshot, churn:off} missing")
+    for failure in failures:
+        print(f"E17 gate FAILED: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+E18_SUBSCRIBERS = "1000000"
+E18_POINTS = 3
+E18_MIN_RATE = 1e5
+
+
+def check_e18(path):
+    """Gate on an E18 fanout_throughput bench JSON: exactly three U=1e6
+    sweep points, each >= 1e5 deliveries/sec. Returns the exit code."""
+    try:
+        trials = load_trials(path)
+    except BenchFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    failures = []
+    matched = 0
+    for params, metrics in trials:
+        if params.get("subscribers") != E18_SUBSCRIBERS:
+            continue
+        matched += 1
+        rate = metrics.get("deliveries_per_sec")
+        if rate is None or not rate >= E18_MIN_RATE:
+            failures.append(f"U=1e6 Q={params.get('queries')}: {rate} deliveries/sec "
+                            f"< {E18_MIN_RATE:g}")
+        else:
+            print(f"U=1e6 Q={params.get('queries')}: {rate:.0f} deliveries/sec, "
+                  f"{metrics.get('operators', 0):.0f} operators")
+    # A sweep rename must fail loudly, not turn the gate into a no-op.
+    if matched != E18_POINTS:
+        failures.append(f"expected {E18_POINTS} U=1e6 sweep points, saw {matched}")
+    for failure in failures:
+        print(f"E18 gate FAILED: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
 E20_MIN_SPEEDUP = 5.0
 E20_MIN_WINDOW = 64
 E20_MIN_PAIRS = 2
@@ -228,17 +312,44 @@ def self_test():
             capture_output=True, text=True,
         )
 
-    def run_servebench(result_path):
+    def run_mode(flag, path):
         return subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--servebench-result", result_path],
+            [sys.executable, os.path.abspath(__file__), flag, path],
             capture_output=True, text=True,
         )
 
+    def run_servebench(result_path):
+        return run_mode("--servebench-result", result_path)
+
+    def run_e17(path):
+        return run_mode("--e17-gate", path)
+
+    def run_e18(path):
+        return run_mode("--e18-gate", path)
+
     def run_e20(path):
-        return subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--e20-gate", path],
-            capture_output=True, text=True,
-        )
+        return run_mode("--e20-gate", path)
+
+    def write_trials(tmp, name, trials):
+        path = os.path.join(tmp, name)
+        with open(path, "w") as fh:
+            json.dump({"trials": trials}, fh)
+        return path
+
+    def e17_output(tmp, name, speedup=3.0, point=True):
+        trials = [{"params": {"queries": "4", "mix": "snapshot", "churn": "off"},
+                   "metrics": {"speedup": 1.0}}]
+        if point:
+            trials.append({"params": dict(E17_POINT), "metrics": {"speedup": speedup}})
+        return write_trials(tmp, name, trials)
+
+    def e18_output(tmp, name, rate=5e7, points=3):
+        trials = [{"params": {"subscribers": "1000", "queries": "4"},
+                   "metrics": {"deliveries_per_sec": 10.0, "operators": 1}}]
+        for q in (4, 16, 64)[:points]:
+            trials.append({"params": {"subscribers": E18_SUBSCRIBERS, "queries": str(q)},
+                           "metrics": {"deliveries_per_sec": rate, "operators": 1}})
+        return write_trials(tmp, name, trials)
 
     def e20_output(tmp, name, speedup=8.0, windows=(64, 128), suppress=True,
                    reduction=0.7, recon_err=2.0):
@@ -253,10 +364,7 @@ def self_test():
                            "params": {"n": "200", "w": "64", "eps": "2"},
                            "metrics": {"traffic_reduction": reduction,
                                        "recon_err_max": recon_err, "recon_err_bound": 2}})
-        path = os.path.join(tmp, name)
-        with open(path, "w") as fh:
-            json.dump({"trials": trials}, fh)
-        return path
+        return write_trials(tmp, name, trials)
 
     def servebench_output(tmp, name, correct, failed, recall):
         path = os.path.join(tmp, name)
@@ -291,6 +399,19 @@ def self_test():
              run_servebench(servebench_output(tmp, "wrong.txt", False, 0, 1.0)), 1),
             ("servebench clean run",
              run_servebench(servebench_output(tmp, "clean.txt", True, 0, 1)), 0),
+            ("e17 missing output", run_e17(missing_path), 2),
+            ("e17 garbage output", run_e17(garbage_path), 2),
+            ("e17 clean run", run_e17(e17_output(tmp, "e17_clean.json")), 0),
+            ("e17 speedup under 1.5x",
+             run_e17(e17_output(tmp, "e17_slow.json", speedup=1.49)), 1),
+            ("e17 sweep point missing",
+             run_e17(e17_output(tmp, "e17_no_point.json", point=False)), 1),
+            ("e18 missing output", run_e18(missing_path), 2),
+            ("e18 garbage output", run_e18(garbage_path), 2),
+            ("e18 clean run", run_e18(e18_output(tmp, "e18_clean.json")), 0),
+            ("e18 rate under 1e5", run_e18(e18_output(tmp, "e18_slow.json", rate=9.9e4)), 1),
+            ("e18 two U=1e6 points",
+             run_e18(e18_output(tmp, "e18_two_points.json", points=2)), 1),
             ("e20 missing output", run_e20(missing_path), 2),
             ("e20 garbage output", run_e20(garbage_path), 2),
             ("e20 clean run", run_e20(e20_output(tmp, "e20_clean.json")), 0),
@@ -318,6 +439,8 @@ def self_test():
         return 1
     print("self-test ok: error paths exit 2 with one-line errors, no traceback; "
           "servebench gate passes only correct, failure-free, full-recall runs; "
+          "E17 gate passes only a present >= 1.5x speedup point; "
+          "E18 gate passes only three U=1e6 points at >= 1e5 deliveries/sec; "
           "E20 gate passes only >= 5x delta pairs with a bounded, saving suppression row")
     return 0
 
@@ -343,6 +466,16 @@ def main():
         help="check a servebench/run.py stdout capture instead of a bench JSON",
     )
     parser.add_argument(
+        "--e17-gate",
+        default=None,
+        help="check the E17 server_throughput acceptance floor of a bench JSON",
+    )
+    parser.add_argument(
+        "--e18-gate",
+        default=None,
+        help="check the E18 fanout_throughput acceptance floor of a bench JSON",
+    )
+    parser.add_argument(
         "--e20-gate",
         default=None,
         help="check the E20 historic_throughput acceptance floor of a bench JSON",
@@ -358,11 +491,15 @@ def main():
         return self_test()
     if args.servebench_result is not None:
         return check_servebench(args.servebench_result)
+    if args.e17_gate is not None:
+        return check_e17(args.e17_gate)
+    if args.e18_gate is not None:
+        return check_e18(args.e18_gate)
     if args.e20_gate is not None:
         return check_e20(args.e20_gate)
     if args.current is None:
-        parser.error("--current is required (unless --self-test, --servebench-result "
-                     "or --e20-gate)")
+        parser.error("--current is required (unless --self-test, --servebench-result, "
+                     "--e17-gate, --e18-gate or --e20-gate)")
 
     try:
         baseline, baseline_metrics = load_points(args.baseline, args.metric)

@@ -38,9 +38,9 @@ const char* FaultEventKindName(FaultEvent::Kind kind);
 /// station).
 struct FaultPlanOptions {
   /// Epochs the plan covers; no event is scheduled at or past the horizon.
-  /// 0 = unset: drivers resolve it to their run length (KSpotServer snaps it
-  /// to `epochs`); FaultPlan::Generate with a zero horizon yields an empty
-  /// plan.
+  /// 0 = unset: drivers resolve it to their run length
+  /// (system::SessionFaultPlan resolves it to `epochs`); FaultPlan::Generate
+  /// with a zero horizon yields an empty plan.
   sim::Epoch horizon = 0;
   /// Probability an up node crashes in an epoch.
   double crash_prob = 0.0;

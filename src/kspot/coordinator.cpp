@@ -50,8 +50,7 @@ OperatorPlan PlanFor(const query::ParsedQuery& parsed, query::QueryClass cls,
                      const Scenario& scenario) {
   OperatorPlan plan;
   plan.spec = SpecFromQuery(parsed, scenario);
-  plan.window =
-      parsed.history > 0 ? static_cast<size_t>(parsed.history) : Deployment::kDefaultWindow;
+  plan.window = static_cast<size_t>(parsed.history);
   switch (cls) {
     case query::QueryClass::kBasicSelect:
       if (parsed.FirstAggregate() != nullptr && !parsed.group_by.empty()) {
@@ -182,10 +181,10 @@ struct QueryCoordinator::Session {
 
   sim::Epoch epoch = 0;  ///< Next epoch StepEpoch() executes.
 
-  Session(const Deployment& deployment, const sim::NetworkOptions& net_options,
-          uint64_t net_seed)
+  Session(const Deployment& deployment, const DeploymentConfig& config)
       : tree(deployment.tree),
-        net(&deployment.topology, &tree, net_options, util::Rng(net_seed)) {}
+        net(SessionNetwork(deployment, &tree, config)),
+        shared_gen(SessionGenerator(deployment, config)) {}
 };
 
 QueryCoordinator::QueryCoordinator(Scenario scenario, Options options)
@@ -199,13 +198,6 @@ QueryCoordinator::QueryCoordinator(const Deployment* deployment, Options options
 QueryCoordinator::~QueryCoordinator() = default;
 QueryCoordinator::QueryCoordinator(QueryCoordinator&&) noexcept = default;
 QueryCoordinator& QueryCoordinator::operator=(QueryCoordinator&&) noexcept = default;
-
-std::unique_ptr<data::DataGenerator> QueryCoordinator::MakeGenerator(uint64_t seed) const {
-  if (options_.make_generator) return options_.make_generator(deployment_->scenario, seed);
-  return deployment_->DefaultGenerator(seed);
-}
-
-sim::NetworkOptions QueryCoordinator::NetOptions() const { return RadioOptionsFrom(options_); }
 
 util::StatusOr<QueryId> QueryCoordinator::Admit(const std::string& sql) {
   return Admit(sql, AdmitOptions{});
@@ -336,7 +328,7 @@ util::Status QueryCoordinator::BindToSession(size_t admitted_index) {
       group.algorithm = group.algo->name();
       break;
     case OpKind::kHorizontal:
-      group.own_inner = MakeGenerator(options_.seed);
+      group.own_inner = SessionGenerator(*deployment_, options_);
       group.window_gen = std::make_unique<data::WindowAggregateGenerator>(
           group.own_inner.get(), n, plan.window, plan.spec.agg);
       group.algo =
@@ -348,7 +340,7 @@ util::Status QueryCoordinator::BindToSession(size_t admitted_index) {
       // generator, on the same network — its traffic drains the same
       // batteries the continuous queries live off. Mid-session admits run
       // theirs at admission.
-      auto gen = MakeGenerator(options_.seed);
+      auto gen = SessionGenerator(*deployment_, options_);
       core::GeneratorHistory source(gen.get(), n, plan.first, plan.window);
       core::Tja tja(&session.net, &source, plan.historic);
       sim::TrafficCounters before = session.net.total();
@@ -379,21 +371,11 @@ util::Status QueryCoordinator::Open() {
   // ------------------------------------------------------- shared data plane
   // One tree copy per session (churn repairs it in place; the deployment
   // stays pristine), one network, one generator: the per-epoch data wave
-  // every epoch-driven operator reads. Seed derivations match KSpotServer's
-  // snapshot path exactly, so a lone snapshot query reproduces Execute().
-  session_ =
-      std::make_unique<Session>(*deployment_, NetOptions(), options_.seed ^ options_.net_salt);
-  session_->shared_gen = MakeGenerator(options_.seed);
-
+  // every epoch-driven operator reads.
+  session_ = std::make_unique<Session>(*deployment_, options_);
   if (options_.enable_churn) {
-    fault::FaultPlanOptions churn_opt = options_.churn;
-    if (churn_opt.horizon == 0 || churn_opt.horizon > options_.epochs) {
-      churn_opt.horizon = static_cast<sim::Epoch>(options_.epochs);
-    }
-    fault::FaultPlan plan =
-        fault::FaultPlan::Generate(deployment_->topology, churn_opt, options_.seed ^ 0xFA11);
-    session_->churn =
-        std::make_unique<fault::ChurnEngine>(&session_->net, &session_->tree, std::move(plan));
+    session_->churn = std::make_unique<fault::ChurnEngine>(
+        &session_->net, &session_->tree, SessionFaultPlan(*deployment_, options_));
   }
 
   // Bind every admitted query: group planning in admission order, exactly

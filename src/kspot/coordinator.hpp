@@ -124,14 +124,16 @@ struct EpochUpdate {
 /// paying full collection traffic. That sharing is where the multi-tenant
 /// energy story comes from; E17 (`server_throughput`) measures it.
 ///
+/// This is the only place a query executes: KSpotServer::Execute is one
+/// admitted query in a session of its own, so its answers and bill equal a
+/// lone admitted query's for every class (pinned by coordinator_test).
+///
 /// Two driving modes:
 ///
 /// - **Batch**: Admit queries, call Run(). A run is a pure function of the
-///   admitted set and Options::seed: Run() may be called repeatedly and
-///   always reproduces the same report, and a single admitted snapshot query
-///   reproduces KSpotServer::Execute bit-exactly (pinned by
-///   coordinator_test). Run() is now a thin loop over the session surface
-///   below and stays bit-identical to the historical batch implementation.
+///   admitted set and Options: Run() may be called repeatedly and always
+///   reproduces the same report. Run() is a thin loop over the session
+///   surface below.
 ///
 /// - **Session**: Open() builds the shared data plane once, StepEpoch()
 ///   advances it one epoch at a time, Close() tears it down and returns the
@@ -144,21 +146,13 @@ struct EpochUpdate {
 ///   (kspot/fanout.hpp).
 class QueryCoordinator {
  public:
-  struct Options : DeploymentConfig {
-    /// Salt XORed into the seed of the shared plane's network RNG.
-    /// KSpotServer::Execute delegates every query class to a single-query
-    /// session and passes its historical per-class salt (0x77 snapshot/TAG,
-    /// 0x33 ungrouped select, 0x99 vertical historic, 0x55 horizontal) so
-    /// the delegation reproduces the pre-session server bit-exactly. The
-    /// multi-query default is the snapshot salt.
-    uint64_t net_salt = 0x77;
-  };
+  using Options = DeploymentConfig;
 
   /// Builds the long-lived deployment for `scenario`.
   QueryCoordinator(Scenario scenario, Options options);
   /// Serves an externally owned deployment (must outlive the coordinator)
-  /// instead of building one — how KSpotServer delegates Execute without
-  /// rebuilding topology and tree per query.
+  /// instead of building one — how KSpotServer::Execute runs each query
+  /// without rebuilding topology and tree.
   QueryCoordinator(const Deployment* deployment, Options options);
   ~QueryCoordinator();
   QueryCoordinator(QueryCoordinator&&) noexcept;
@@ -239,8 +233,6 @@ class QueryCoordinator {
   QueryId next_id_ = 1;
   std::unique_ptr<Session> session_;
 
-  std::unique_ptr<data::DataGenerator> MakeGenerator(uint64_t seed) const;
-  sim::NetworkOptions NetOptions() const;
   util::Status BindToSession(size_t admitted_index);
 };
 

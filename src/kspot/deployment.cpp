@@ -45,4 +45,28 @@ core::QuerySpec SpecFromQuery(const query::ParsedQuery& parsed, const Scenario& 
   return spec;
 }
 
+std::unique_ptr<data::DataGenerator> SessionGenerator(const Deployment& deployment,
+                                                      const DeploymentConfig& config) {
+  if (config.make_generator) return config.make_generator(deployment.scenario, config.seed);
+  return deployment.DefaultGenerator(config.seed);
+}
+
+sim::Network SessionNetwork(const Deployment& deployment, const sim::RoutingTree* tree,
+                            const DeploymentConfig& config) {
+  sim::NetworkOptions opts;
+  opts.loss_prob = config.loss_prob;
+  opts.max_retries = config.max_retries;
+  opts.battery_j = config.battery_j;
+  opts.reliability = config.reliability;
+  return sim::Network(&deployment.topology, tree, opts, util::Rng(config.seed ^ 0x77));
+}
+
+fault::FaultPlan SessionFaultPlan(const Deployment& deployment, const DeploymentConfig& config) {
+  fault::FaultPlanOptions opts = config.churn;
+  if (opts.horizon == 0 || opts.horizon > config.epochs) {
+    opts.horizon = static_cast<sim::Epoch>(config.epochs);
+  }
+  return fault::FaultPlan::Generate(deployment.topology, opts, config.seed ^ 0xFA11);
+}
+
 }  // namespace kspot::system

@@ -16,9 +16,9 @@
 namespace kspot::system {
 
 /// The deployment-wide execution knobs every serving API shares — ONE struct
-/// so a knob added for one server cannot silently miss the other.
-/// KSpotServer::Options and QueryCoordinator::Options both derive from this;
-/// KSpotServer::Execute delegates to a single-query coordinator session, so
+/// so a knob cannot reach one server but miss the other.
+/// QueryCoordinator::Options is this struct and KSpotServer::Options derives
+/// from it; KSpotServer::Execute runs a single-query coordinator session, so
 /// these knobs reach the data plane through a single execution path.
 struct DeploymentConfig {
   /// Epochs to drive continuous queries for.
@@ -34,9 +34,9 @@ struct DeploymentConfig {
   double battery_j = 0.0;
   /// Fault & churn injection over the routing tree: a FaultPlan drawn from
   /// `churn` and the run's seed, one repair per epoch, every operator
-  /// notified. `churn.horizon` 0 = the whole run. (KSpotServer applies churn
-  /// to continuous snapshot queries only; a one-shot historic query ranks
-  /// its window before any epoch runs and ignores it.)
+  /// notified. `churn.horizon` 0 = the whole run. Every class a session steps
+  /// churns; a one-shot vertical historic query ranks its window at bind
+  /// time, before any churn epoch runs.
   bool enable_churn = false;
   fault::FaultPlanOptions churn;
   /// Data generator factory; defaults to the deployment's room-correlated
@@ -61,16 +61,12 @@ struct DeploymentConfig {
 /// grown over the deployment.
 ///
 /// This is the long-lived state every query server shares. KSpotServer owns
-/// one and runs a single query at a time against it; QueryCoordinator owns
-/// one and drives many concurrent queries over the same tree, batteries and
-/// per-epoch data wave. The topology and tree here stay pristine — runs that
-/// mutate the tree (churn) repair their own copies and the deployment
-/// remains the per-run starting point.
+/// one and serves each query through a single-query QueryCoordinator over
+/// it; a QueryCoordinator drives many concurrent queries over the same tree,
+/// batteries and per-epoch data wave. The topology and tree here stay
+/// pristine — runs that mutate the tree (churn) repair their own copies and
+/// the deployment remains the per-run starting point.
 struct Deployment {
-  /// The window of historic queries that name none (no `WITH HISTORY W`).
-  /// Queries that do name one may ask for any depth.
-  static constexpr size_t kDefaultWindow = 32;
-
   Scenario scenario;
   sim::Topology topology;
   sim::RoutingTree tree;
@@ -95,17 +91,24 @@ struct Deployment {
 /// report every group, modeled as K = all.
 core::QuerySpec SpecFromQuery(const query::ParsedQuery& parsed, const Scenario& scenario);
 
-/// Maps the shared DeploymentConfig radio knobs onto the simulator's
-/// NetworkOptions — ONE mapping, so a knob added to the serving options
-/// cannot reach one server's network but not the other's (the
-/// coordinator==Execute bit-exactness depends on identical NetworkOptions).
-inline sim::NetworkOptions RadioOptionsFrom(const DeploymentConfig& options) {
-  sim::NetworkOptions opts;
-  opts.loss_prob = options.loss_prob;
-  opts.max_retries = options.max_retries;
-  opts.battery_j = options.battery_j;
-  opts.reliability = options.reliability;
-  return opts;
-}
+// How a run derives its streams from DeploymentConfig::seed, in one place.
+// A coordinator session's shared data plane and the System Panel's TAG
+// shadow both use these, so the shadow reads the same data wave, draws its
+// losses from an identically seeded RNG and suffers the same fault process.
+
+/// The run's data source: `config.make_generator`, or the deployment's
+/// default walk, seeded with `config.seed`.
+std::unique_ptr<data::DataGenerator> SessionGenerator(const Deployment& deployment,
+                                                      const DeploymentConfig& config);
+
+/// A network over `tree` (a run's own copy when churn repairs it) with the
+/// config's radio knobs and its loss RNG seeded `config.seed ^ 0x77`.
+sim::Network SessionNetwork(const Deployment& deployment, const sim::RoutingTree* tree,
+                            const DeploymentConfig& config);
+
+/// The run's fault plan, drawn from `config.churn` and `config.seed ^ 0xFA11`.
+/// A horizon of 0 (auto) or past `config.epochs` resolves to `config.epochs`:
+/// later events could never fire.
+fault::FaultPlan SessionFaultPlan(const Deployment& deployment, const DeploymentConfig& config);
 
 }  // namespace kspot::system

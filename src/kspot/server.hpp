@@ -1,53 +1,37 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "core/cost_report.hpp"
 #include "core/result.hpp"
-#include "core/select.hpp"
-#include "core/tja.hpp"
-#include "data/generators.hpp"
-#include "fault/fault_plan.hpp"
+#include "kspot/coordinator.hpp"
 #include "kspot/deployment.hpp"
 #include "kspot/scenario_config.hpp"
 #include "kspot/system_panel.hpp"
-#include "query/parser.hpp"
 #include "sim/network.hpp"
 #include "sim/routing_tree.hpp"
 
 namespace kspot::system {
 
-/// What one executed query produced: the per-epoch ranked answers (snapshot
-/// queries), the tuple rows (ungrouped basic selects) or the one-shot
-/// historic answer, plus cost accounting against the TAG baseline (what the
-/// System Panel projects).
-struct RunOutcome {
-  query::QueryClass query_class = query::QueryClass::kBasicSelect;
-  std::string algorithm;                     ///< "MINT", "TJA", "TAG", ...
-  std::vector<core::TopKResult> per_epoch;   ///< Snapshot answers per epoch.
-  std::vector<std::vector<core::SelectTuple>> rows_per_epoch;  ///< Ungrouped selects.
-  core::HistoricResult historic;             ///< Historic answer (vertical).
-  sim::TrafficCounters cost;                 ///< KSpot traffic for the run.
-  sim::TrafficCounters baseline_cost;        ///< TAG traffic over the same data.
-  SystemPanel panel;                         ///< Live savings counters.
+/// What one executed query produced — its coordinator outcome (answers,
+/// algorithm, class) — plus what the System Panel projects: the session's
+/// whole radio bill against the TAG baseline over the same data.
+struct RunOutcome : QueryOutcome {
+  sim::TrafficCounters cost;           ///< KSpot traffic for the run.
+  sim::TrafficCounters baseline_cost;  ///< TAG traffic over the same data.
+  SystemPanel panel;                   ///< Live savings counters.
 };
 
-/// The KSpot *server* (Section II): the base-station software. It hosts the
-/// Query Panel backend — accepting declarative SQL text, parsing and
-/// validating it, dispatching it to the right top-k operator (MINT for
-/// snapshot queries, local filtering or TJA for historic ones, plain TAG
-/// for basic selects) — and drives the deployed (simulated) network for a
-/// requested number of epochs while maintaining the System Panel.
+/// The KSpot *server* (Section II): the base-station software behind the
+/// Query Panel and the System Panel. It admits one declarative query at a
+/// time into a single-query QueryCoordinator session over its deployment
+/// (which parses, validates and runs the right top-k operator) and shadows
+/// it with the TAG baseline the System Panel reports savings against.
 class KSpotServer {
  public:
   /// Execution knobs: the deployment-wide set shared with QueryCoordinator
   /// (see DeploymentConfig — epochs, seed, radio, battery, churn)
-  /// plus the server's own baseline toggle. Churn applies to continuous
-  /// snapshot/grouped queries only; a one-shot historic query ranks its
-  /// pre-history window [0, W) before any epoch runs and ignores it.
+  /// plus the server's own baseline toggle.
   struct Options : DeploymentConfig {
     /// Run a shadow TAG baseline over identical data for the System Panel.
     bool run_baseline = true;
@@ -61,9 +45,9 @@ class KSpotServer {
   ///
   /// Execute never perturbs the deployment: every run derives its
   /// generator, network, trees and fault plan freshly from Options::seed, so
-  /// two sequential calls with the same SQL are bit-identical — the
-  /// precondition for QueryCoordinator reusing one server-side deployment
-  /// across many queries (pinned by kspot_system_test).
+  /// two sequential calls with the same SQL are bit-identical, and each
+  /// equals the same query admitted alone into a QueryCoordinator with these
+  /// options (pinned by coordinator_test).
   util::StatusOr<RunOutcome> Execute(const std::string& sql);
 
   /// Per-epoch callback for live display (Display Panel hooks in here).
@@ -81,22 +65,6 @@ class KSpotServer {
  private:
   Options options_;
   Deployment deployment_;
-
-  std::unique_ptr<data::DataGenerator> MakeGenerator(uint64_t seed) const;
-  sim::NetworkOptions NetOptions() const;
-
-  // Every class delegates the KSpot side to a single-query coordinator
-  // session over the shared deployment (one execution path); what stays
-  // server-side is the TAG shadow baseline and the System Panel.
-  util::StatusOr<RunOutcome> Dispatch(const std::string& sql, const query::ParsedQuery& parsed,
-                                      const EpochCallback& cb);
-  RunOutcome RunSnapshot(const std::string& sql, const query::ParsedQuery& parsed,
-                         const EpochCallback& cb);
-  RunOutcome RunBasicSelect(const std::string& sql, const query::ParsedQuery& parsed,
-                            const EpochCallback& cb);
-  RunOutcome RunHistoricVertical(const std::string& sql, const query::ParsedQuery& parsed);
-  RunOutcome RunHistoricHorizontal(const std::string& sql, const query::ParsedQuery& parsed,
-                                   const EpochCallback& cb);
 };
 
 }  // namespace kspot::system

@@ -242,39 +242,47 @@ void Network::ChargeTx(NodeId sender, size_t payload_bytes, TrafficCounters& cou
   counters.tx_energy_j += tx_j;
 }
 
+bool Network::FlatUnicast(NodeId sender, NodeId receiver, size_t payload_bytes,
+                          TrafficCounters& delta) {
+  // Per-frame loss: the message survives an attempt only if every fragment does.
+  size_t frames = options_.radio.FramesForPayload(payload_bytes);
+  double link_loss = LinkLossProb(sender, receiver);
+  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
+    if (!NodeAlive(sender)) return false;
+    ChargeTx(sender, payload_bytes, delta);
+    bool lost = false;
+    for (size_t f = 0; f < frames && !lost; ++f) {
+      lost = rng_.NextBernoulli(link_loss);
+    }
+    if (!lost && NodeAlive(receiver)) {
+      double rx_j = options_.energy.RxEnergy(options_.radio.AirtimeSeconds(payload_bytes));
+      state_.meters[receiver].AddRx(rx_j);
+      delta.rx_energy_j += rx_j;
+      return true;
+    }
+  }
+  return false;
+}
+
+bool Network::UnicastHop(NodeId sender, NodeId receiver, NodeId link_slot,
+                         size_t payload_bytes) {
+  TrafficCounters delta;
+  bool delivered = options_.reliability.enabled
+                       ? ReliableUnicast(sender, receiver, link_slot, payload_bytes, delta)
+                       : FlatUnicast(sender, receiver, payload_bytes, delta);
+  state_.total.Add(delta);
+  state_.by_phase[phase_id_].Add(delta);
+  // backoff_us is zero unless the reliability layer waited out retries.
+  clock_.AdvanceTo(clock_.now() + options_.radio.AirtimeMicros(payload_bytes) +
+                   delta.backoff_us);
+  return delivered;
+}
+
 bool Network::UnicastToParent(NodeId child, size_t payload_bytes) {
   NodeId parent = tree_->parent(child);
   if (parent == kNoNode) return false;
   if (!NodeAlive(child)) return false;
-  TrafficCounters delta;
-  bool delivered = false;
-  if (options_.reliability.enabled) {
-    delivered = ReliableUnicast(child, parent, child, payload_bytes, delta);
-  } else {
-    // Per-frame loss: the message survives an attempt only if every fragment does.
-    size_t frames = options_.radio.FramesForPayload(payload_bytes);
-    double link_loss = LinkLossProb(child, parent);
-    for (int attempt = 0; attempt <= options_.max_retries && !delivered; ++attempt) {
-      if (!NodeAlive(child)) break;
-      ChargeTx(child, payload_bytes, delta);
-      bool lost = false;
-      for (size_t f = 0; f < frames && !lost; ++f) {
-        lost = rng_.NextBernoulli(link_loss);
-      }
-      if (!lost && NodeAlive(parent)) {
-        double rx_j = options_.energy.RxEnergy(options_.radio.AirtimeSeconds(payload_bytes));
-        state_.meters[parent].AddRx(rx_j);
-        delta.rx_energy_j += rx_j;
-        delivered = true;
-      }
-    }
-  }
-  state_.total.Add(delta);
-  state_.by_phase[phase_id_].Add(delta);
-  // backoff_us is zero unless the reliability layer waited out retries.
-  events_.AdvanceTo(events_.now() + options_.radio.AirtimeMicros(payload_bytes) +
-                    delta.backoff_us);
-  return delivered;
+  return UnicastHop(child, parent, child, payload_bytes);
 }
 
 bool Network::UnicastUpPath(NodeId from, size_t payload_bytes) {
@@ -293,39 +301,14 @@ bool Network::UnicastDownPath(NodeId target, size_t payload_bytes) {
   // the same loss/retry discipline as the upward direction.
   std::vector<NodeId> path;
   for (NodeId cur = target; cur != kNoNode; cur = tree_->parent(cur)) path.push_back(cur);
-  // path = [target, ..., sink]; walk it top-down.
+  // path = [target, ..., sink]; walk it top-down. Down traffic shares the
+  // child-endpoint estimator slot with up traffic (the link is the same;
+  // LinkLossProb is symmetric).
   for (size_t i = path.size(); i-- > 1;) {
     NodeId sender = path[i];
     NodeId receiver = path[i - 1];
     if (!NodeAlive(sender)) return false;
-    TrafficCounters delta;
-    bool delivered = false;
-    if (options_.reliability.enabled) {
-      // Down traffic shares the child-endpoint estimator slot with up traffic
-      // (the link is the same; LinkLossProb is symmetric).
-      delivered = ReliableUnicast(sender, receiver, receiver, payload_bytes, delta);
-    } else {
-      size_t frames = options_.radio.FramesForPayload(payload_bytes);
-      double link_loss = LinkLossProb(sender, receiver);
-      for (int attempt = 0; attempt <= options_.max_retries && !delivered; ++attempt) {
-        ChargeTx(sender, payload_bytes, delta);
-        bool lost = false;
-        for (size_t f = 0; f < frames && !lost; ++f) {
-          lost = rng_.NextBernoulli(link_loss);
-        }
-        if (!lost && NodeAlive(receiver)) {
-          double rx_j = options_.energy.RxEnergy(options_.radio.AirtimeSeconds(payload_bytes));
-          state_.meters[receiver].AddRx(rx_j);
-          delta.rx_energy_j += rx_j;
-          delivered = true;
-        }
-      }
-    }
-    state_.total.Add(delta);
-    state_.by_phase[phase_id_].Add(delta);
-    events_.AdvanceTo(events_.now() + options_.radio.AirtimeMicros(payload_bytes) +
-                      delta.backoff_us);
-    if (!delivered) return false;
+    if (!UnicastHop(sender, receiver, receiver, payload_bytes)) return false;
   }
   return true;
 }
@@ -354,7 +337,7 @@ std::vector<NodeId> Network::BroadcastToChildren(NodeId node, size_t payload_byt
   }
   state_.total.Add(delta);
   state_.by_phase[phase_id_].Add(delta);
-  events_.AdvanceTo(events_.now() + options_.radio.AirtimeMicros(payload_bytes));
+  clock_.AdvanceTo(clock_.now() + options_.radio.AirtimeMicros(payload_bytes));
   return delivered;
 }
 
@@ -378,7 +361,7 @@ void Network::DeliverControl(NodeId from, NodeId to, size_t payload_bytes) {
   delta.rx_energy_j += rx_j;
   state_.total.Add(delta);
   state_.by_phase[phase_id_].Add(delta);
-  events_.AdvanceTo(events_.now() + options_.radio.AirtimeMicros(payload_bytes));
+  clock_.AdvanceTo(clock_.now() + options_.radio.AirtimeMicros(payload_bytes));
 }
 
 }  // namespace kspot::sim

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sim/energy_model.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/radio_model.hpp"
 #include "sim/routing_tree.hpp"
 #include "sim/shard_state.hpp"
@@ -16,6 +15,24 @@
 #include "util/rng.hpp"
 
 namespace kspot::sim {
+
+/// Simulated time of one network. Transmissions advance it monotonically;
+/// wave schedules that replay a per-slot frontier (sim::DownWave) also set
+/// it exactly, backwards included.
+class Clock {
+ public:
+  /// Current simulated time.
+  TimeUs now() const { return now_; }
+  /// Moves the clock to `t` if that is later; never moves it back.
+  void AdvanceTo(TimeUs t) {
+    if (t > now_) now_ = t;
+  }
+  /// Sets the clock to `t` exactly, backwards included.
+  void JumpTo(TimeUs t) { now_ = t; }
+
+ private:
+  TimeUs now_ = 0;
+};
 
 /// The end-to-end reliability & graceful-degradation layer (everything off
 /// by default — a default-constructed struct leaves the network bit-identical
@@ -173,8 +190,8 @@ class Network {
   void ChargeStorageIo(NodeId node, uint64_t reads, uint64_t writes, uint64_t bytes,
                        double energy_j);
 
-  /// The event queue that sequences transmissions.
-  EventQueue& events() { return events_; }
+  /// The simulated clock transmissions advance.
+  Clock& events() { return clock_; }
   /// Topology under simulation.
   const Topology& topology() const { return *topology_; }
   /// Routing tree under simulation.
@@ -219,7 +236,7 @@ class Network {
   const RoutingTree* tree_;
   NetworkOptions options_;
   util::Rng rng_;
-  EventQueue events_;
+  Clock clock_;
   /// Every mutable per-epoch ledger, owned as one value (see ShardState).
   ShardState state_;
   PhaseId phase_id_ = 0;
@@ -235,6 +252,13 @@ class Network {
   /// LinkEstimator slot).
   bool ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot, size_t payload_bytes,
                        TrafficCounters& delta);
+  /// Flat-ARQ unicast core (reliability off): up to max_retries + 1
+  /// attempts, each drawing per-frame losses; a sender that dies stops
+  /// before its next attempt.
+  bool FlatUnicast(NodeId sender, NodeId receiver, size_t payload_bytes, TrafficCounters& delta);
+  /// One hop `sender -> receiver` under the active ARQ policy, booked into
+  /// the totals, the current phase and the clock.
+  bool UnicastHop(NodeId sender, NodeId receiver, NodeId link_slot, size_t payload_bytes);
   /// Attempts the adaptive policy schedules for a link estimated at
   /// `ewma_loss`: the smallest A with ewma^A <= residual_target, in
   /// [1, reliability.max_retries + 1]. Deterministic.

@@ -122,7 +122,7 @@ class UpWave {
 /// — reception slot, then scheduling sequence — so the replay is bit-exact
 /// for arbitrary per-subtree message sizes (different broadcast airtimes
 /// legitimately reorder cousins): same BroadcastToChildren sequence (same
-/// loss-rng consumption), same clock trajectory (EventQueue::JumpTo
+/// loss-rng consumption), same clock trajectory (Clock::JumpTo
 /// reproduces the executing-event clock), without a std::function allocation
 /// and a Msg copy per delivered child.
 template <typename Msg>
@@ -140,7 +140,7 @@ class DownWave {
         obs::TracingOn() ? obs::GlobalTracer().NameIdForPhase(net.phase_id(), net.phase()) : 0);
     struct Pending {
       TimeUs at;      ///< The slot the reception event would have executed in.
-      uint64_t seq;   ///< Scheduling order (tie-break, like EventQueue).
+      uint64_t seq;   ///< Scheduling order (the tie-break).
       NodeId node;
       uint32_t msg;   ///< Index into msgs (siblings share the parent's forward).
     };

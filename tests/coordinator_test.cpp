@@ -94,46 +94,79 @@ TEST(CoordinatorTest, AdmitValidatesAndCancelWithdraws) {
   EXPECT_EQ(report.value().outcomes[0].id, b.value());
 }
 
-TEST(CoordinatorTest, SingleSnapshotQueryMatchesServerExecute) {
-  // The coordinator's shared data plane derives generator, network RNG and
-  // fault plan exactly as KSpotServer's snapshot path does, so one admitted
-  // snapshot query is bit-identical to Execute() — with and without churn.
-  for (bool with_churn : {false, true}) {
-    SCOPED_TRACE(with_churn ? "churn" : "clean");
-    KSpotServer::Options server_opt;
-    server_opt.epochs = 20;
-    server_opt.seed = 42;
-    server_opt.loss_prob = 0.05;
-    server_opt.max_retries = 1;
-    server_opt.enable_churn = with_churn;
-    server_opt.churn.crash_prob = 0.01;
-    server_opt.churn.mean_downtime = 5;
-    server_opt.run_baseline = false;
-    KSpotServer server(Scenario::ConferenceFloor(6, 3, 5), server_opt);
-    auto server_outcome = server.Execute(kSnapshotSql);
-    ASSERT_TRUE(server_outcome.ok());
+/// Everything a query answered: ranked epochs, tuple rows, historic items.
+std::string AnswerDigest(const QueryOutcome& outcome) {
+  char buf[64];
+  std::string out = outcome.algorithm + "/" + EpochDigest(outcome.per_epoch);
+  for (const auto& rows : outcome.rows_per_epoch) {
+    for (const auto& t : rows) {
+      std::snprintf(buf, sizeof buf, "%u=%.17g;", t.node, t.value);
+      out += buf;
+    }
+    out += '|';
+  }
+  for (const auto& item : outcome.historic.items) {
+    std::snprintf(buf, sizeof buf, "H%d:%.17g;", item.group, item.value);
+    out += buf;
+  }
+  return out;
+}
 
-    QueryCoordinator::Options opt = SmallRun(20, 42);
-    opt.loss_prob = 0.05;
-    opt.max_retries = 1;
-    opt.enable_churn = with_churn;
-    opt.churn.crash_prob = 0.01;
-    opt.churn.mean_downtime = 5;
-    QueryCoordinator coordinator(Scenario::ConferenceFloor(6, 3, 5), opt);
-    ASSERT_TRUE(coordinator.Admit(kSnapshotSql).ok());
-    auto report = coordinator.Run();
-    ASSERT_TRUE(report.ok());
-    ASSERT_EQ(report.value().outcomes.size(), 1u);
-    const QueryOutcome& outcome = report.value().outcomes[0];
-    EXPECT_EQ(outcome.algorithm, "MINT");
-    EXPECT_EQ(EpochDigest(outcome.per_epoch),
-              EpochDigest(server_outcome.value().per_epoch));
-    // The server's cost counter is its network's grand total (operator +
-    // tree-repair handshakes); the coordinator's equivalent is the shared
-    // plane's total.
-    EXPECT_EQ(report.value().total.messages, server_outcome.value().cost.messages);
-    EXPECT_EQ(report.value().total.payload_bytes,
-              server_outcome.value().cost.payload_bytes);
+TEST(CoordinatorTest, LoneQueryMatchesServerExecuteForEveryClass) {
+  // KSpotServer::Execute is a single-query coordinator session, so one
+  // admitted query of any class answers and costs exactly what Execute
+  // reports — lossy, with retries, with and without churn.
+  struct Shape {
+    const char* sql;
+    const char* algorithm;
+    bool continuous;
+  };
+  const Shape shapes[] = {
+      {kSnapshotSql, "MINT", true},
+      {kGroupedSelectSql, "TAG", true},
+      {kSelectSql, "SELECT", true},
+      {kHorizontalSql, "MINT+history", true},
+      {kVerticalSql, "TJA", false},
+  };
+  for (bool with_churn : {false, true}) {
+    for (const Shape& shape : shapes) {
+      SCOPED_TRACE(std::string(with_churn ? "churn: " : "clean: ") + shape.sql);
+      KSpotServer::Options server_opt;
+      server_opt.epochs = 20;
+      server_opt.seed = 42;
+      server_opt.loss_prob = 0.05;
+      server_opt.max_retries = 1;
+      server_opt.enable_churn = with_churn;
+      server_opt.churn.crash_prob = 0.01;
+      server_opt.churn.mean_downtime = 5;
+      server_opt.run_baseline = false;
+      KSpotServer server(Scenario::ConferenceFloor(6, 3, 5), server_opt);
+      auto server_outcome = server.Execute(shape.sql);
+      ASSERT_TRUE(server_outcome.ok());
+
+      QueryCoordinator::Options opt = SmallRun(20, 42);
+      opt.loss_prob = 0.05;
+      opt.max_retries = 1;
+      opt.enable_churn = with_churn;
+      opt.churn.crash_prob = 0.01;
+      opt.churn.mean_downtime = 5;
+      QueryCoordinator coordinator(Scenario::ConferenceFloor(6, 3, 5), opt);
+      ASSERT_TRUE(coordinator.Admit(shape.sql).ok());
+      auto report = coordinator.Run();
+      ASSERT_TRUE(report.ok());
+      ASSERT_EQ(report.value().outcomes.size(), 1u);
+      const QueryOutcome& outcome = report.value().outcomes[0];
+      EXPECT_EQ(outcome.algorithm, shape.algorithm);
+      EXPECT_EQ(AnswerDigest(outcome), AnswerDigest(server_outcome.value()));
+      // Execute's cost is its session's whole bill (operator traffic plus
+      // tree-repair handshakes). A vertical query ranks its window at Open
+      // and Execute steps no epoch, while Run() still steps (and churns)
+      // the plane, so only the query's own bill compares.
+      const sim::TrafficCounters& want =
+          shape.continuous ? report.value().total : outcome.shared_cost;
+      EXPECT_EQ(want.messages, server_outcome.value().cost.messages);
+      EXPECT_EQ(want.payload_bytes, server_outcome.value().cost.payload_bytes);
+    }
   }
 }
 

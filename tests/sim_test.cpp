@@ -4,7 +4,6 @@
 #include <set>
 
 #include "sim/energy_model.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/network.hpp"
 #include "sim/radio_model.hpp"
 #include "sim/routing_tree.hpp"
@@ -15,60 +14,17 @@
 namespace kspot::sim {
 namespace {
 
-// -------------------------------------------------------------- EventQueue
+// ------------------------------------------------------------------- Clock
 
-TEST(EventQueueTest, ExecutesInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.ScheduleAt(30, [&] { order.push_back(3); });
-  q.ScheduleAt(10, [&] { order.push_back(1); });
-  q.ScheduleAt(20, [&] { order.push_back(2); });
-  EXPECT_EQ(q.RunUntilIdle(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(q.now(), 30u);
-}
-
-TEST(EventQueueTest, TiesExecuteInInsertionOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.ScheduleAt(7, [&order, i] { order.push_back(i); });
-  }
-  q.RunUntilIdle();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueueTest, HandlersCanScheduleMoreEvents) {
-  EventQueue q;
-  int fired = 0;
-  q.ScheduleAt(1, [&] {
-    ++fired;
-    q.ScheduleAfter(5, [&] { ++fired; });
-  });
-  q.RunUntilIdle();
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(q.now(), 6u);
-}
-
-TEST(EventQueueTest, RunUntilStopsAtDeadline) {
-  EventQueue q;
-  int fired = 0;
-  q.ScheduleAt(5, [&] { ++fired; });
-  q.ScheduleAt(15, [&] { ++fired; });
-  EXPECT_EQ(q.RunUntil(10), 1u);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(q.pending(), 1u);
-  EXPECT_EQ(q.now(), 10u);
-}
-
-TEST(EventQueueTest, PastSchedulingClampsToNow) {
-  EventQueue q;
-  q.AdvanceTo(100);
-  bool ran = false;
-  q.ScheduleAt(5, [&] { ran = true; });
-  q.RunUntilIdle();
-  EXPECT_TRUE(ran);
-  EXPECT_EQ(q.now(), 100u);
+TEST(ClockTest, AdvanceToIsMonotoneAndJumpToIsExact) {
+  Clock clock;
+  EXPECT_EQ(clock.now(), 0u);
+  clock.AdvanceTo(100);
+  EXPECT_EQ(clock.now(), 100u);
+  clock.AdvanceTo(40);  // never backwards
+  EXPECT_EQ(clock.now(), 100u);
+  clock.JumpTo(40);  // exactly, backwards included
+  EXPECT_EQ(clock.now(), 40u);
 }
 
 // ---------------------------------------------------------------- Topology
@@ -336,6 +292,23 @@ TEST(NetworkTest, PathPrimitivesTraverseHops) {
   EXPECT_TRUE(bed.net->UnicastDownPath(deep, 8));
   auto down = bed.net->total().Since(before);
   EXPECT_EQ(down.messages, static_cast<uint64_t>(bed.tree.depth(deep)));
+}
+
+TEST(NetworkTest, DeadSenderStopsRetryingOnTheDownPath) {
+  // Chain 0 -> 1 -> 2 where every frame is lost and the battery holds less
+  // than one transmission: the sink dies on its first attempt and must not
+  // keep transmitting (and being charged) for the remaining retries.
+  Topology topology({{0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}}, {0, 0, 0}, 1.5);
+  RoutingTree tree = RoutingTree::FromParents({kNoNode, 0, 1});
+  NetworkOptions opt;
+  opt.loss_prob = 1.0;
+  opt.max_retries = 3;
+  opt.battery_j = 1e-12;
+  Network net(&topology, &tree, opt, util::Rng(5));
+  EXPECT_FALSE(net.UnicastDownPath(1, 20));
+  EXPECT_FALSE(net.NodeAlive(kSinkId));
+  EXPECT_EQ(net.total().messages, 1u);
+  EXPECT_EQ(net.MessagesSentBy(kSinkId), 1u);
 }
 
 // -------------------------------------------------------------------- Waves
