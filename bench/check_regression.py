@@ -29,11 +29,25 @@ With --e18-gate it instead checks the acceptance floor of one E18
 fanout_throughput run: exactly three U=1e6 sweep points, each delivering
 >= 1e5 subscriber results per second.
 
+With --e19-gate it instead checks the acceptance point of one E19
+reliability_tradeoff run: the reference sweep point (the trial carrying
+slo_completeness_ok) must exist, meet the completeness SLO and stay within
+the energy-overhead bound.
+
 With --e20-gate it instead checks the acceptance floor of one E20
 historic_throughput run: at every W >= 64 sweep point (at least two of them)
 the delta path runs >= 5x the epochs/sec of the from-scratch path, and the
 suppression row is present, saves traffic, and keeps its observed
 reconstruction error within the configured bound.
+
+With --bench-dir it instead checks a `kspot_bench --all --json-dir`
+output directory: at least 20 BENCH_*.json files, among them the eight
+gated scenarios, each with schema_version 1 and every trial ok.
+
+With --tracked-baselines it instead checks a CI workflow file: every
+--baseline path it passes to a gate (outside the bench-json* directories the
+jobs write) must be tracked by git, because a gate whose baseline is missing
+from a fresh checkout is a broken build.
 
 The baselines are machine-dependent: refresh them (run the scenario with
 --quick --threads 1 and copy the JSON) whenever CI hardware changes, and
@@ -48,12 +62,18 @@ Usage:
   python3 bench/check_regression.py --servebench-result floor.txt
   python3 bench/check_regression.py --e17-gate bench-json-e17/BENCH_server_throughput.json
   python3 bench/check_regression.py --e18-gate bench-json-e18/BENCH_fanout_throughput.json
+  python3 bench/check_regression.py --e19-gate bench-json-e19/BENCH_reliability_tradeoff.json
   python3 bench/check_regression.py --e20-gate bench-json-e20/BENCH_historic_throughput.json
+  python3 bench/check_regression.py --bench-dir bench-json
+  python3 bench/check_regression.py --tracked-baselines .github/workflows/ci.yml
 """
 
 import argparse
+import glob
 import json
 import os
+import re
+import subprocess
 import sys
 
 
@@ -219,6 +239,103 @@ def check_e18(path):
     return 1 if failures else 0
 
 
+def check_e19(path):
+    """Gate on an E19 reliability_tradeoff bench JSON: the reference sweep
+    point is present, meets the completeness SLO and keeps the energy
+    overhead in bound. Returns the exit code."""
+    try:
+        trials = load_trials(path)
+    except BenchFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    failures = []
+    matched = False
+    for _, metrics in trials:
+        if "slo_completeness_ok" not in metrics:
+            continue
+        matched = True
+        num = {name: float(metrics.get(name, float("nan")))
+               for name in ("completeness", "energy_mj_per_epoch", "energy_off_mj_per_epoch",
+                            "retries_per_epoch")}
+        if metrics["slo_completeness_ok"] != 1.0:
+            failures.append(f"reference completeness {num['completeness']:.3f} < SLO")
+        if metrics.get("overhead_ok") != 1.0:
+            failures.append(f"energy overhead: {num['energy_mj_per_epoch']:.2f} vs "
+                            f"{num['energy_off_mj_per_epoch']:.2f} mJ/epoch flat")
+        print(f"reference point: completeness {num['completeness']:.3f}, "
+              f"{num['retries_per_epoch']:.1f} retries/epoch")
+    # A sweep rename must fail loudly, not turn the gate into a no-op.
+    if not matched:
+        failures.append("E19 reference sweep point missing")
+    for failure in failures:
+        print(f"E19 gate FAILED: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+BENCH_DIR_MIN_FILES = 20
+BENCH_DIR_SCENARIOS = ("churn_lifetime", "churn_accuracy", "repair_cost", "throughput",
+                       "server_throughput", "fanout_throughput", "reliability_tradeoff",
+                       "historic_throughput")
+
+
+def check_bench_dir(path):
+    """Gate on a `kspot_bench --all --json-dir` directory: >= 20 result
+    files including the gated scenarios, schema_version 1, every trial ok.
+    Returns the exit code."""
+    if not os.path.isdir(path):
+        print(f"error: bench JSON directory {path} does not exist", file=sys.stderr)
+        return 2
+    files = sorted(glob.glob(os.path.join(path, "BENCH_*.json")))
+    failures = []
+    if len(files) < BENCH_DIR_MIN_FILES:
+        failures.append(f"expected >= {BENCH_DIR_MIN_FILES} result files, got {len(files)}")
+    for name in BENCH_DIR_SCENARIOS:
+        if os.path.join(path, f"BENCH_{name}.json") not in files:
+            failures.append(f"missing scenario {name}")
+    for file in files:
+        try:
+            doc = load_bench_doc(file)
+        except BenchFileError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if doc.get("schema_version") != 1:
+            failures.append(f"{file}: schema_version {doc.get('schema_version')!r}, want 1")
+            continue
+        trials = doc.get("trials", [])
+        bad = [t.get("index", i) for i, t in enumerate(trials) if not t.get("ok")]
+        if bad:
+            failures.append(f"{file}: failed trials {bad}")
+        else:
+            print(f"{file}: {doc.get('trial_count', len(trials))} trials ok")
+    for failure in failures:
+        print(f"bench JSON check FAILED: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+def check_tracked_baselines(workflow):
+    """Gate on a CI workflow file: every --baseline path it names outside the
+    bench-json* output directories is tracked by git (run from the repository
+    root). Returns the exit code."""
+    try:
+        with open(workflow) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read workflow {workflow}: {exc}", file=sys.stderr)
+        return 2
+    paths = sorted({p for p in re.findall(r"--baseline\s+(\S+\.json)", text)
+                    if not p.startswith("bench-json")})
+    if not paths:
+        print(f"error: no --baseline paths found in {workflow}; gate would be vacuous",
+              file=sys.stderr)
+        return 2
+    missing = [p for p in paths
+               if subprocess.run(["git", "ls-files", "--error-unmatch", p],
+                                 capture_output=True).returncode != 0]
+    for p in paths:
+        print(("MISSING " if p in missing else "tracked ") + p)
+    return 1 if missing else 0
+
+
 E20_MIN_SPEEDUP = 5.0
 E20_MIN_WINDOW = 64
 E20_MIN_PAIRS = 2
@@ -292,7 +409,6 @@ def print_metric_deltas(base_metrics, cur_metrics, gated_metric):
 def self_test():
     """Spawns this script against missing/garbage/good inputs and asserts the
     advertised contract: actionable one-line errors, exit 2, no traceback."""
-    import subprocess
     import tempfile
 
     good = {
@@ -312,10 +428,10 @@ def self_test():
             capture_output=True, text=True,
         )
 
-    def run_mode(flag, path):
+    def run_mode(flag, path, cwd=None):
         return subprocess.run(
             [sys.executable, os.path.abspath(__file__), flag, path],
-            capture_output=True, text=True,
+            capture_output=True, text=True, cwd=cwd,
         )
 
     def run_servebench(result_path):
@@ -327,8 +443,17 @@ def self_test():
     def run_e18(path):
         return run_mode("--e18-gate", path)
 
+    def run_e19(path):
+        return run_mode("--e19-gate", path)
+
     def run_e20(path):
         return run_mode("--e20-gate", path)
+
+    def run_bench_dir(path):
+        return run_mode("--bench-dir", path)
+
+    def run_tracked(repo, workflow):
+        return run_mode("--tracked-baselines", workflow, cwd=repo)
 
     def write_trials(tmp, name, trials):
         path = os.path.join(tmp, name)
@@ -366,6 +491,45 @@ def self_test():
                                        "recon_err_max": recon_err, "recon_err_bound": 2}})
         return write_trials(tmp, name, trials)
 
+    def e19_output(tmp, name, slo_ok=1.0, overhead_ok=1.0, point=True):
+        trials = [{"params": [["retries", "0"]], "metrics": [["completeness", 0.8]]}]
+        if point:
+            trials.append({"params": [["retries", "4"]],
+                           "metrics": [["completeness", 0.99], ["slo_completeness_ok", slo_ok],
+                                       ["overhead_ok", overhead_ok],
+                                       ["energy_mj_per_epoch", 2.0],
+                                       ["energy_off_mj_per_epoch", 1.5],
+                                       ["retries_per_epoch", 3.0]]})
+        return write_trials(tmp, name, trials)
+
+    def bench_dir(tmp, name, files=BENCH_DIR_MIN_FILES, drop=None, schema=1, failed=False):
+        path = os.path.join(tmp, name)
+        os.makedirs(path)
+        names = list(BENCH_DIR_SCENARIOS)
+        names += [f"extra{i}" for i in range(max(0, files - len(names)))]
+        for i, scenario in enumerate(names[:files]):
+            if scenario == drop:
+                continue
+            trials = [{"index": 0, "ok": True}, {"index": 1, "ok": not (failed and i == 0)}]
+            with open(os.path.join(path, f"BENCH_{scenario}.json"), "w") as fh:
+                json.dump({"schema_version": schema, "trial_count": 2, "trials": trials}, fh)
+        return path
+
+    def tracked_repo(tmp, name, untracked=False):
+        repo = os.path.join(tmp, name)
+        os.makedirs(os.path.join(repo, "base"))
+        for file in ("a.json", "b.json"):
+            with open(os.path.join(repo, "base", file), "w") as fh:
+                fh.write("{}")
+        with open(os.path.join(repo, "ci.yml"), "w") as fh:
+            fh.write("run: gate --baseline base/a.json --current bench-json/a.json\n"
+                     "run: gate --baseline base/b.json\n"
+                     "run: gate --baseline bench-json-x/self.json\n")
+        subprocess.run(["git", "init", "-q", repo], check=True, capture_output=True)
+        staged = ["base/a.json"] if untracked else ["base/a.json", "base/b.json"]
+        subprocess.run(["git", "add"] + staged, cwd=repo, check=True, capture_output=True)
+        return repo
+
     def servebench_output(tmp, name, correct, failed, recall):
         path = os.path.join(tmp, name)
         result = {"correct": correct, "attempted": 10, "failed": failed,
@@ -383,6 +547,9 @@ def self_test():
         with open(garbage_path, "w") as fh:
             fh.write("{not json")
         missing_path = os.path.join(tmp, "does-not-exist.json")
+        garbage_dir = bench_dir(tmp, "dir_garbage")
+        with open(os.path.join(garbage_dir, "BENCH_throughput.json"), "w") as fh:
+            fh.write("{not json")
 
         cases = [
             ("missing baseline", run(missing_path, good_path), 2),
@@ -412,6 +579,33 @@ def self_test():
             ("e18 rate under 1e5", run_e18(e18_output(tmp, "e18_slow.json", rate=9.9e4)), 1),
             ("e18 two U=1e6 points",
              run_e18(e18_output(tmp, "e18_two_points.json", points=2)), 1),
+            ("e19 missing output", run_e19(missing_path), 2),
+            ("e19 garbage output", run_e19(garbage_path), 2),
+            ("e19 clean run", run_e19(e19_output(tmp, "e19_clean.json")), 0),
+            ("e19 completeness under SLO",
+             run_e19(e19_output(tmp, "e19_slo.json", slo_ok=0.0)), 1),
+            ("e19 energy overhead over bound",
+             run_e19(e19_output(tmp, "e19_overhead.json", overhead_ok=0.0)), 1),
+            ("e19 reference point missing",
+             run_e19(e19_output(tmp, "e19_no_point.json", point=False)), 1),
+            ("bench dir missing", run_bench_dir(missing_path), 2),
+            ("bench dir garbage file", run_bench_dir(garbage_dir), 2),
+            ("bench dir clean", run_bench_dir(bench_dir(tmp, "dir_clean")), 0),
+            ("bench dir under 20 files",
+             run_bench_dir(bench_dir(tmp, "dir_few", files=BENCH_DIR_MIN_FILES - 1)), 1),
+            ("bench dir scenario missing",
+             run_bench_dir(bench_dir(tmp, "dir_drop", files=BENCH_DIR_MIN_FILES + 1,
+                                     drop="throughput")), 1),
+            ("bench dir schema_version 2",
+             run_bench_dir(bench_dir(tmp, "dir_schema", schema=2)), 1),
+            ("bench dir failed trial",
+             run_bench_dir(bench_dir(tmp, "dir_failed", failed=True)), 1),
+            ("tracked baselines missing workflow", run_tracked(tmp, missing_path), 2),
+            ("tracked baselines garbage workflow", run_tracked(tmp, garbage_path), 2),
+            ("tracked baselines clean",
+             run_tracked(tracked_repo(tmp, "repo_clean"), "ci.yml"), 0),
+            ("tracked baselines untracked file",
+             run_tracked(tracked_repo(tmp, "repo_untracked", untracked=True), "ci.yml"), 1),
             ("e20 missing output", run_e20(missing_path), 2),
             ("e20 garbage output", run_e20(garbage_path), 2),
             ("e20 clean run", run_e20(e20_output(tmp, "e20_clean.json")), 0),
@@ -441,6 +635,10 @@ def self_test():
           "servebench gate passes only correct, failure-free, full-recall runs; "
           "E17 gate passes only a present >= 1.5x speedup point; "
           "E18 gate passes only three U=1e6 points at >= 1e5 deliveries/sec; "
+          "E19 gate passes only a present reference point within SLO and overhead; "
+          "bench-dir check passes only >= 20 schema-1 files with the gated "
+          "scenarios and no failed trial; tracked-baselines passes only when "
+          "every --baseline path is tracked; "
           "E20 gate passes only >= 5x delta pairs with a bounded, saving suppression row")
     return 0
 
@@ -476,6 +674,22 @@ def main():
         help="check the E18 fanout_throughput acceptance floor of a bench JSON",
     )
     parser.add_argument(
+        "--e19-gate",
+        default=None,
+        help="check the E19 reliability_tradeoff reference point of a bench JSON",
+    )
+    parser.add_argument(
+        "--bench-dir",
+        default=None,
+        help="check a kspot_bench --json-dir directory (files, scenarios, schema, trials)",
+    )
+    parser.add_argument(
+        "--tracked-baselines",
+        default=None,
+        metavar="WORKFLOW",
+        help="check every --baseline path in a CI workflow file is tracked by git",
+    )
+    parser.add_argument(
         "--e20-gate",
         default=None,
         help="check the E20 historic_throughput acceptance floor of a bench JSON",
@@ -495,11 +709,18 @@ def main():
         return check_e17(args.e17_gate)
     if args.e18_gate is not None:
         return check_e18(args.e18_gate)
+    if args.e19_gate is not None:
+        return check_e19(args.e19_gate)
     if args.e20_gate is not None:
         return check_e20(args.e20_gate)
+    if args.bench_dir is not None:
+        return check_bench_dir(args.bench_dir)
+    if args.tracked_baselines is not None:
+        return check_tracked_baselines(args.tracked_baselines)
     if args.current is None:
         parser.error("--current is required (unless --self-test, --servebench-result, "
-                     "--e17-gate, --e18-gate or --e20-gate)")
+                     "--e17-gate, --e18-gate, --e19-gate, --e20-gate, --bench-dir or "
+                     "--tracked-baselines)")
 
     try:
         baseline, baseline_metrics = load_points(args.baseline, args.metric)

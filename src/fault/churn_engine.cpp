@@ -25,28 +25,9 @@ ChurnEngine::ChurnEngine(sim::Network* net, sim::RoutingTree* tree, FaultPlan pl
       neighbors_(net->topology()) {
   size_t n = net_->topology().num_nodes();
   was_alive_.resize(n);
-  episode_loss_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     was_alive_[i] = net_->NodeAlive(static_cast<sim::NodeId>(i)) ? 1 : 0;
   }
-}
-
-void ChurnEngine::ApplyEpisodeLoss(sim::NodeId node) {
-  const EpisodeLoss& ep = episode_loss_[node];
-  // Single-source episodes pass their value through untouched: compounding
-  // 0.3 with two zero sources via 1-(1-p) products would change the double's
-  // bits (1 - (1 - 0.3) != 0.3) and silently break degrade-only golden runs.
-  double loss;
-  if (ep.blackout > 0.0) {
-    loss = 1.0;  // a blackout drowns out everything else
-  } else if (ep.burst == 0.0) {
-    loss = ep.degrade;
-  } else if (ep.degrade == 0.0) {
-    loss = ep.burst;
-  } else {
-    loss = 1.0 - (1.0 - ep.degrade) * (1.0 - ep.burst);
-  }
-  net_->SetNodeExtraLoss(node, loss);
 }
 
 ChurnReport ChurnEngine::BeginEpoch(sim::Epoch epoch) {
@@ -64,34 +45,11 @@ ChurnReport ChurnEngine::BeginEpoch(sim::Epoch epoch) {
         ++report.recoveries;
         break;
       case FaultEvent::Kind::kDegradeStart:
-        episode_loss_[ev.node].degrade = ev.extra_loss;
-        ApplyEpisodeLoss(ev.node);
-        ++report.degrade_changes;
-        break;
       case FaultEvent::Kind::kDegradeEnd:
-        episode_loss_[ev.node].degrade = 0.0;
-        ApplyEpisodeLoss(ev.node);
+        // The episode's loss passes through untouched (an end carries 0.0),
+        // so 1.0 pins the node's links at exactly 1.0.
+        net_->SetNodeExtraLoss(ev.node, ev.extra_loss);
         ++report.degrade_changes;
-        break;
-      case FaultEvent::Kind::kBlackoutStart:
-        episode_loss_[ev.node].blackout = ev.extra_loss;
-        ApplyEpisodeLoss(ev.node);
-        ++report.blackout_changes;
-        break;
-      case FaultEvent::Kind::kBlackoutEnd:
-        episode_loss_[ev.node].blackout = 0.0;
-        ApplyEpisodeLoss(ev.node);
-        ++report.blackout_changes;
-        break;
-      case FaultEvent::Kind::kBurstStart:
-        episode_loss_[ev.node].burst = ev.extra_loss;
-        ApplyEpisodeLoss(ev.node);
-        ++report.burst_changes;
-        break;
-      case FaultEvent::Kind::kBurstEnd:
-        episode_loss_[ev.node].burst = 0.0;
-        ApplyEpisodeLoss(ev.node);
-        ++report.burst_changes;
         break;
     }
   }
@@ -159,14 +117,6 @@ ChurnReport ChurnEngine::BeginEpoch(sim::Epoch epoch) {
     deaths.Add(report.battery_deaths);
     reattached.Add(report.reattached);
     if (report.topology_changed) repairs.Add(1);
-    // Created lazily so registries of plans without these episode kinds keep
-    // their historical counter set.
-    if (report.blackout_changes + report.burst_changes > 0) {
-      static obs::Counter& blackouts = obs::Registry().counter("churn.blackout_changes");
-      static obs::Counter& bursts = obs::Registry().counter("churn.burst_changes");
-      blackouts.Add(report.blackout_changes);
-      bursts.Add(report.burst_changes);
-    }
   }
   return report;
 }

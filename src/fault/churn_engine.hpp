@@ -15,8 +15,6 @@ struct ChurnReport {
   size_t recoveries = 0;       ///< Scheduled recovery events applied.
   size_t battery_deaths = 0;   ///< Nodes found battery-dead since the last call.
   size_t degrade_changes = 0;  ///< Degradation episodes started or ended.
-  size_t blackout_changes = 0; ///< Blackout episodes started or ended.
-  size_t burst_changes = 0;    ///< Burst-loss episodes started or ended.
   size_t reattached = 0;       ///< Nodes the tree repair re-parented.
   size_t detached = 0;         ///< Up nodes left without a route after repair.
   /// True when tree membership changed: algorithms must evict state keyed on
@@ -30,11 +28,12 @@ struct ChurnReport {
 };
 
 /// Executes a FaultPlan against a live Network / RoutingTree pair: applies
-/// the epoch's scheduled crashes, recoveries and degradation episodes, folds
-/// in battery deaths the energy model produced since the last call, runs the
-/// in-network tree repair and charges its join handshakes to the radio
-/// (phase "fault.repair"). Drive it once per epoch, before the algorithm's
-/// RunEpoch:
+/// the epoch's scheduled crashes, recoveries and degradation episodes (an
+/// episode event passes its extra_loss to Network::SetNodeExtraLoss
+/// unmodified), folds in battery deaths the energy model produced since the
+/// last call, runs the in-network tree repair and charges its join
+/// handshakes to the radio (phase "fault.repair"). Drive it once per epoch,
+/// before the algorithm's RunEpoch:
 ///
 ///   ChurnReport rep = churn.BeginEpoch(e);
 ///   if (rep.topology_changed) algo->OnTopologyChanged();
@@ -60,8 +59,6 @@ class ChurnEngine {
   size_t total_reattached() const { return total_reattached_; }
   /// Up-but-unroutable nodes after the most recent repair.
   size_t detached_count() const { return last_detached_; }
-  /// The plan being executed.
-  const FaultPlan& plan() const { return plan_; }
 
  private:
   sim::Network* net_;
@@ -72,18 +69,6 @@ class ChurnEngine {
   sim::NeighborIndex neighbors_;
   /// Reusable Repair scratch (adoption rounds, frontier, attachment marks).
   sim::RepairWorkspace repair_workspace_;
-  /// A node's concurrent loss episodes by source. The network holds one
-  /// compounded extra-loss value per node, so overlapping episode kinds must
-  /// be tracked separately here and re-compounded on every change (an ending
-  /// burst must restore a still-running degradation, not clear everything).
-  struct EpisodeLoss {
-    double degrade = 0.0;
-    double blackout = 0.0;
-    double burst = 0.0;
-  };
-  std::vector<EpisodeLoss> episode_loss_;
-  /// Recompounds `node`'s episode losses into Network::SetNodeExtraLoss.
-  void ApplyEpisodeLoss(sim::NodeId node);
   size_t next_event_ = 0;
   std::vector<uint8_t> was_alive_;
   size_t repair_events_ = 0;

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <queue>
-#include <sstream>
 #include <tuple>
 
 #include "util/rng.hpp"
@@ -44,20 +45,11 @@ struct NodeProcess {
   uint64_t degrade_gap = 0;
   /// Exclusive end of the current degradation episode (0 = none).
   sim::Epoch degraded_until = 0;
-  /// Blackout clock: same freeze-while-down discipline as the degradation
-  /// clock (ticks on up epochs outside its own episode).
-  sim::Epoch blackout_from = 1;
-  uint64_t blackout_gap = 0;
-  sim::Epoch blackout_until = 0;
-  /// Burst-loss clock, ditto.
-  sim::Epoch burst_from = 1;
-  uint64_t burst_gap = 0;
-  sim::Epoch burst_until = 0;
 };
 
 /// One entry of the chronological merge sweep. pass 0 carries scheduled
-/// returns (recoveries, episode ends), pass 1 fresh proposals (crashes,
-/// episode starts) — mirroring the per-epoch generator, which processed the
+/// returns (recoveries, degradation ends), pass 1 fresh proposals (crashes,
+/// degradation starts) — mirroring the per-epoch generator, which processed the
 /// epoch's returns before drawing its fresh events. The (at, pass, node,
 /// kind) tuple is a strict total order, so the sweep — and therefore the
 /// generated plan — is deterministic.
@@ -76,22 +68,14 @@ struct SweepLater {
 
 }  // namespace
 
-const char* FaultEventKindName(FaultEvent::Kind kind) {
-  switch (kind) {
-    case FaultEvent::Kind::kCrash: return "crash";
-    case FaultEvent::Kind::kRecover: return "recover";
-    case FaultEvent::Kind::kDegradeStart: return "degrade-start";
-    case FaultEvent::Kind::kDegradeEnd: return "degrade-end";
-    case FaultEvent::Kind::kBlackoutStart: return "blackout-start";
-    case FaultEvent::Kind::kBlackoutEnd: return "blackout-end";
-    case FaultEvent::Kind::kBurstStart: return "burst-start";
-    case FaultEvent::Kind::kBurstEnd: return "burst-end";
-  }
-  return "?";
-}
-
 FaultPlan FaultPlan::Generate(const sim::Topology& topology, const FaultPlanOptions& options,
                               uint64_t seed) {
+  // Written so a NaN fails too: a cast of it (or of a negative product) to
+  // size_t is undefined behaviour, not a zero cap.
+  if (!(options.max_down_fraction >= 0.0 && options.max_down_fraction <= 1.0)) {
+    std::fprintf(stderr, "FaultPlan::Generate: max_down_fraction must lie in [0, 1]\n");
+    std::abort();
+  }
   FaultPlan plan;
   plan.seed = seed;
   size_t n = topology.num_nodes();
@@ -104,17 +88,15 @@ FaultPlan FaultPlan::Generate(const sim::Topology& topology, const FaultPlanOpti
   // generator short-circuited the draw entirely in that case).
   bool crash_on = options.crash_prob > 0.0 && max_down > 0;
   bool degrade_on = options.degrade_prob > 0.0;
-  bool blackout_on = options.blackout_prob > 0.0;
-  bool burst_on = options.burst_prob > 0.0;
-  if (!crash_on && !degrade_on && !blackout_on && !burst_on) return plan;
+  if (!crash_on && !degrade_on) return plan;
 
   util::Rng master(seed ^ 0xFA17'F1A6'0D15'EA5EULL);
   std::vector<NodeProcess> procs(n);
 
   // The node's next fresh event strictly inside the horizon, if any. Ties
-  // go to the earlier-considered clock — crash, then degradation, then
-  // blackout, then burst (the per-epoch generator drew in that order, and a
-  // crash suppresses the epoch's episode trials without consuming them).
+  // go to the crash clock (the per-epoch generator drew crash before
+  // degradation, and a crash suppresses the epoch's degradation trial
+  // without consuming it).
   auto propose = [&](sim::NodeId v) -> std::optional<SweepItem> {
     NodeProcess& p = procs[v];
     uint64_t best_at = UINT64_MAX;
@@ -130,10 +112,6 @@ FaultPlan FaultPlan::Generate(const sim::Topology& topology, const FaultPlanOpti
     consider(crash_on, p.crash_from, p.crash_gap, FaultEvent::Kind::kCrash);
     consider(degrade_on, std::max<uint64_t>(p.degrade_from, p.degraded_until), p.degrade_gap,
              FaultEvent::Kind::kDegradeStart);
-    consider(blackout_on, std::max<uint64_t>(p.blackout_from, p.blackout_until), p.blackout_gap,
-             FaultEvent::Kind::kBlackoutStart);
-    consider(burst_on, std::max<uint64_t>(p.burst_from, p.burst_until), p.burst_gap,
-             FaultEvent::Kind::kBurstStart);
     if (best_at >= options.horizon) return std::nullopt;
     return SweepItem{static_cast<sim::Epoch>(best_at), 1, v, best_kind};
   };
@@ -141,13 +119,10 @@ FaultPlan FaultPlan::Generate(const sim::Topology& topology, const FaultPlanOpti
   std::priority_queue<SweepItem, std::vector<SweepItem>, SweepLater> queue;
   for (sim::NodeId v = 1; v < n; ++v) {
     procs[v].rng = master.Split(v);
-    // Draw order is fixed and each draw is gated on its clock being on, so a
-    // plan with the new episode kinds off consumes exactly the historical
-    // stream (byte-identical plans).
+    // Draw order is fixed (crash, then degradation) and each draw is gated
+    // on its clock being on.
     if (crash_on) procs[v].crash_gap = GeometricSkip(procs[v].rng, options.crash_prob);
     if (degrade_on) procs[v].degrade_gap = GeometricSkip(procs[v].rng, options.degrade_prob);
-    if (blackout_on) procs[v].blackout_gap = GeometricSkip(procs[v].rng, options.blackout_prob);
-    if (burst_on) procs[v].burst_gap = GeometricSkip(procs[v].rng, options.burst_prob);
     if (std::optional<SweepItem> item = propose(v)) queue.push(*item);
   }
 
@@ -169,12 +144,10 @@ FaultPlan FaultPlan::Generate(const sim::Topology& topology, const FaultPlanOpti
         if (std::optional<SweepItem> next = propose(item.node)) queue.push(*next);
         break;
       }
-      case FaultEvent::Kind::kDegradeEnd:
-      case FaultEvent::Kind::kBlackoutEnd:
-      case FaultEvent::Kind::kBurstEnd: {
+      case FaultEvent::Kind::kDegradeEnd: {
         plan.events.push_back({item.at, item.kind, item.node, 0.0});
-        // Eligibility bookkeeping (*_until) was recorded when the episode
-        // started; the node's outstanding proposal already honors it.
+        // Eligibility bookkeeping (degraded_until) was recorded when the
+        // episode started; the node's outstanding proposal already honors it.
         break;
       }
       case FaultEvent::Kind::kCrash: {
@@ -195,17 +168,10 @@ FaultPlan FaultPlan::Generate(const sim::Topology& topology, const FaultPlanOpti
           uint64_t clean_from = std::max<uint64_t>(p.degrade_from, p.degraded_until);
           if (item.at > clean_from) p.degrade_gap -= item.at - clean_from;
         }
-        if (blackout_on) {
-          uint64_t clean_from = std::max<uint64_t>(p.blackout_from, p.blackout_until);
-          if (item.at > clean_from) p.blackout_gap -= item.at - clean_from;
-        }
-        if (burst_on) {
-          uint64_t clean_from = std::max<uint64_t>(p.burst_from, p.burst_until);
-          if (item.at > clean_from) p.burst_gap -= item.at - clean_from;
-        }
         if (options.mean_downtime == 0) break;  // permanent: the node is done
-        auto downtime =
-            static_cast<sim::Epoch>(1 + p.rng.NextBounded(2 * options.mean_downtime));
+        // 64-bit end to end: 2 * mean_downtime overflows an Epoch from 2^31,
+        // and so can the downtime itself.
+        uint64_t downtime = 1 + p.rng.NextBounded(2 * uint64_t{options.mean_downtime});
         uint64_t back = static_cast<uint64_t>(item.at) + downtime;
         // A recovery landing at or past the horizon never happens: the node
         // stays down and proposes nothing further.
@@ -213,43 +179,21 @@ FaultPlan FaultPlan::Generate(const sim::Topology& topology, const FaultPlanOpti
         p.crash_from = static_cast<sim::Epoch>(back);
         p.crash_gap = GeometricSkip(p.rng, options.crash_prob);
         p.degrade_from = static_cast<sim::Epoch>(back);
-        p.blackout_from = static_cast<sim::Epoch>(back);
-        p.burst_from = static_cast<sim::Epoch>(back);
         queue.push({static_cast<sim::Epoch>(back), 0, item.node, FaultEvent::Kind::kRecover});
         break;
       }
       case FaultEvent::Kind::kDegradeStart: {
         plan.events.push_back({item.at, item.kind, item.node, options.degrade_extra_loss});
-        sim::Epoch end = item.at + std::max<sim::Epoch>(1, options.degrade_duration);
-        p.degraded_until = end;
-        p.degrade_from = end;
+        // 64-bit so a huge duration cannot wrap the end to before the start;
+        // an end at or past the horizon is stored as the horizon, which
+        // every later comparison treats alike.
+        uint64_t end = uint64_t{item.at} + std::max<sim::Epoch>(1, options.degrade_duration);
+        auto until = static_cast<sim::Epoch>(std::min<uint64_t>(end, options.horizon));
+        p.degraded_until = until;
+        p.degrade_from = until;
         p.degrade_gap = GeometricSkip(p.rng, options.degrade_prob);
         if (end < options.horizon) {
-          queue.push({end, 0, item.node, FaultEvent::Kind::kDegradeEnd});
-        }
-        if (std::optional<SweepItem> next = propose(item.node)) queue.push(*next);
-        break;
-      }
-      case FaultEvent::Kind::kBlackoutStart: {
-        plan.events.push_back({item.at, item.kind, item.node, 1.0});
-        sim::Epoch end = item.at + std::max<sim::Epoch>(1, options.blackout_duration);
-        p.blackout_until = end;
-        p.blackout_from = end;
-        p.blackout_gap = GeometricSkip(p.rng, options.blackout_prob);
-        if (end < options.horizon) {
-          queue.push({end, 0, item.node, FaultEvent::Kind::kBlackoutEnd});
-        }
-        if (std::optional<SweepItem> next = propose(item.node)) queue.push(*next);
-        break;
-      }
-      case FaultEvent::Kind::kBurstStart: {
-        plan.events.push_back({item.at, item.kind, item.node, options.burst_extra_loss});
-        sim::Epoch end = item.at + std::max<sim::Epoch>(1, options.burst_duration);
-        p.burst_until = end;
-        p.burst_from = end;
-        p.burst_gap = GeometricSkip(p.rng, options.burst_prob);
-        if (end < options.horizon) {
-          queue.push({end, 0, item.node, FaultEvent::Kind::kBurstEnd});
+          queue.push({until, 0, item.node, FaultEvent::Kind::kDegradeEnd});
         }
         if (std::optional<SweepItem> next = propose(item.node)) queue.push(*next);
         break;
@@ -267,19 +211,6 @@ size_t FaultPlan::CountKind(FaultEvent::Kind kind) const {
     if (ev.kind == kind) ++count;
   }
   return count;
-}
-
-std::string FaultPlan::Summary() const {
-  std::ostringstream oss;
-  oss << CountKind(FaultEvent::Kind::kCrash) << " crashes, "
-      << CountKind(FaultEvent::Kind::kRecover) << " recoveries, "
-      << CountKind(FaultEvent::Kind::kDegradeStart) << " degradation episodes";
-  size_t blackouts = CountKind(FaultEvent::Kind::kBlackoutStart);
-  size_t bursts = CountKind(FaultEvent::Kind::kBurstStart);
-  if (blackouts > 0) oss << ", " << blackouts << " blackouts";
-  if (bursts > 0) oss << ", " << bursts << " burst-loss episodes";
-  oss << " over " << events.size() << " events (seed " << seed << ")";
-  return oss.str();
 }
 
 }  // namespace kspot::fault

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/topology.hpp"
@@ -19,19 +18,14 @@ struct FaultEvent {
     kRecover,       ///< A crashed node comes back (and must re-attach).
     kDegradeStart,  ///< Links touching the node start losing extra frames.
     kDegradeEnd,    ///< The degradation episode ends.
-    kBlackoutStart, ///< Links touching the node lose everything (loss 1.0).
-    kBlackoutEnd,   ///< The blackout lifts.
-    kBurstStart,    ///< A correlated burst-loss episode starts on the node's links.
-    kBurstEnd,      ///< The burst-loss episode ends.
   };
   sim::Epoch at = 0;
   Kind kind = Kind::kCrash;
   sim::NodeId node = 0;
-  double extra_loss = 0.0;  ///< Episode loss; meaningful for kDegradeStart.
+  /// The node's extra link loss from this event on: the episode loss for
+  /// kDegradeStart, 0.0 for kDegradeEnd; unused by the other kinds.
+  double extra_loss = 0.0;
 };
-
-/// Human-readable kind name ("crash", ...).
-const char* FaultEventKindName(FaultEvent::Kind kind);
 
 /// Knobs of the generated fault process. All probabilities are per sensing
 /// node per epoch; the sink never fails (it is the mains-powered base
@@ -48,32 +42,21 @@ struct FaultPlanOptions {
   sim::Epoch mean_downtime = 0;
   /// Probability a clean node starts a link-degradation episode in an epoch.
   double degrade_prob = 0.0;
-  /// Extra per-frame loss on the degraded node's links during an episode.
+  /// Extra per-frame loss on the degraded node's links during an episode;
+  /// 1.0 loses every frame on them until the episode ends.
   double degrade_extra_loss = 0.3;
   /// Episode length in epochs.
   sim::Epoch degrade_duration = 10;
   /// Crash draws stop while this fraction of sensors is already down, so a
-  /// hot plan cannot depopulate the network outright.
+  /// hot plan cannot depopulate the network outright. Must lie in [0, 1];
+  /// Generate aborts otherwise.
   double max_down_fraction = 0.5;
-  /// Probability a clean node's links black out entirely in an epoch (every
-  /// frame lost until the episode ends) — the correlated-loss stressor the
-  /// reliability layer's deadline/budget path is tested against.
-  double blackout_prob = 0.0;
-  /// Blackout length in epochs.
-  sim::Epoch blackout_duration = 3;
-  /// Probability a clean node starts a burst-loss episode in an epoch:
-  /// heavier than a degradation, lighter than a blackout.
-  double burst_prob = 0.0;
-  /// Extra per-frame loss during a burst episode.
-  double burst_extra_loss = 0.6;
-  /// Burst episode length in epochs.
-  sim::Epoch burst_duration = 5;
 };
 
 /// A reproducible schedule of node churn and link dynamics.
 struct FaultPlan {
   /// Events sorted by epoch. Within an epoch the order is canonical:
-  /// scheduled returns first (recoveries, episode ends), then the epoch's
+  /// scheduled returns first (recoveries, degradation ends), then the epoch's
   /// fresh events, each sub-ordered by node id — so a node that recovers and
   /// re-crashes in the same epoch sees the recovery applied first.
   std::vector<FaultEvent> events;
@@ -101,9 +84,6 @@ struct FaultPlan {
 
   /// Number of events of `kind`.
   size_t CountKind(FaultEvent::Kind kind) const;
-
-  /// One-line summary ("17 crashes, 12 recoveries, ..." ) for logs.
-  std::string Summary() const;
 };
 
 }  // namespace kspot::fault

@@ -164,7 +164,7 @@ int Network::PlannedAttempts(double ewma_loss) const {
   const ReliabilityOptions& rel = options_.reliability;
   int cap = std::max(1, rel.max_retries + 1);
   if (!(ewma_loss > 0.0)) return 1;   // clean link: one attempt suffices
-  if (ewma_loss >= 1.0) return cap;   // blackout: spend the whole allowance
+  if (ewma_loss >= 1.0) return cap;   // a link at loss 1.0: spend the whole allowance
   double need = std::log(std::max(rel.residual_target, 1e-12)) / std::log(ewma_loss);
   if (!(need > 1.0)) return 1;
   if (need >= static_cast<double>(cap)) return cap;

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <functional>
 #include <set>
+#include <vector>
 
 #include "fault/churn_engine.hpp"
 #include "fault/fault_plan.hpp"
@@ -141,6 +144,20 @@ TEST(FaultPlanTest, EventsSortedSparedSinkAndInsideHorizon) {
     EXPECT_NE(ev.node, kSinkId);
     EXPECT_GE(ev.at, 1u);  // epoch 0 stays clean
     EXPECT_LT(ev.at, opt.horizon);
+  }
+  // Degradation starts and ends alternate per node, and every start carries
+  // the configured loss.
+  EXPECT_GT(plan.CountKind(FaultEvent::Kind::kDegradeStart), 0u);
+  std::vector<int> degraded(topology.num_nodes(), 0);
+  for (const FaultEvent& ev : plan.events) {
+    if (ev.kind == FaultEvent::Kind::kDegradeStart) {
+      EXPECT_EQ(degraded[ev.node], 0) << "double start on node " << ev.node;
+      EXPECT_EQ(ev.extra_loss, opt.degrade_extra_loss);
+      degraded[ev.node] = 1;
+    } else if (ev.kind == FaultEvent::Kind::kDegradeEnd) {
+      EXPECT_EQ(degraded[ev.node], 1) << "end without start on node " << ev.node;
+      degraded[ev.node] = 0;
+    }
   }
 }
 
@@ -307,6 +324,14 @@ TEST(FaultPlanTest, DegenerateHorizonsAndZeroCapYieldEmptyPlans) {
   opt.horizon = 50;
   opt.max_down_fraction = 0.0;
   EXPECT_TRUE(FaultPlan::Generate(topology, opt, 4).events.empty());
+  // Zero probabilities draw nothing, whatever the cap.
+  opt.max_down_fraction = 1.0;
+  opt.crash_prob = 0.0;
+  EXPECT_TRUE(FaultPlan::Generate(topology, opt, 4).events.empty());
+  // A sink-only deployment has no sensor to fail.
+  opt.crash_prob = 1.0;
+  opt.degrade_prob = 1.0;
+  EXPECT_TRUE(FaultPlan::Generate(GridTopology(1, 1), opt, 4).events.empty());
 }
 
 TEST(FaultPlanTest, CrashIncidenceMatchesBernoulliProcess) {
@@ -338,6 +363,147 @@ TEST(FaultPlanTest, RespectsMaxDownFraction) {
   FaultPlan plan = FaultPlan::Generate(topology, opt, 5);
   size_t cap = static_cast<size_t>(0.25 * static_cast<double>(topology.num_sensors()));
   EXPECT_LE(plan.CountKind(FaultEvent::Kind::kCrash), cap);
+}
+
+TEST(FaultPlanDeathTest, MaxDownFractionOutsideUnitIntervalAborts) {
+  sim::Topology topology = GridTopology(25, 4);
+  FaultPlanOptions opt;
+  opt.horizon = 50;
+  opt.crash_prob = 0.1;
+  for (double fraction : {-0.5, 1.5, std::nan("")}) {
+    opt.max_down_fraction = fraction;
+    EXPECT_DEATH(FaultPlan::Generate(topology, opt, 1), "max_down_fraction must lie in")
+        << fraction;
+  }
+}
+
+// A downtime scale of 2^31 must not wrap: in 32 bits 2 * mean_downtime is 0,
+// which would bring every crashed node back one epoch later.
+TEST(FaultPlanTest, HugeMeanDowntimeNeverRecoversInsideHorizon) {
+  sim::Topology topology = GridTopology(25, 4);
+  FaultPlanOptions opt;
+  opt.horizon = 300;
+  opt.crash_prob = 1.0;
+  opt.mean_downtime = 1u << 31;
+  opt.max_down_fraction = 1.0;
+  FaultPlan plan = FaultPlan::Generate(topology, opt, 5);
+  EXPECT_EQ(plan.CountKind(FaultEvent::Kind::kCrash), topology.num_sensors());
+  EXPECT_EQ(plan.CountKind(FaultEvent::Kind::kRecover), 0u);
+}
+
+/// Checks the invariants every generated plan keeps, whatever its options.
+void ExpectPlanInvariants(const sim::Topology& topology, const FaultPlanOptions& opt,
+                          const FaultPlan& plan) {
+  auto cap = static_cast<size_t>(opt.max_down_fraction *
+                                 static_cast<double>(topology.num_sensors()));
+  std::vector<int> down(topology.num_nodes(), 0);
+  std::vector<int> degraded(topology.num_nodes(), 0);
+  size_t down_count = 0;
+  for (size_t i = 0; i < plan.events.size(); ++i) {
+    const FaultEvent& ev = plan.events[i];
+    if (i > 0) {
+      EXPECT_LE(plan.events[i - 1].at, ev.at) << "unsorted at " << i;
+    }
+    ASSERT_NE(ev.node, kSinkId);
+    ASSERT_LT(ev.node, topology.num_nodes());
+    EXPECT_GE(ev.at, 1u);
+    EXPECT_LT(ev.at, opt.horizon);
+    switch (ev.kind) {
+      case FaultEvent::Kind::kCrash:
+        EXPECT_EQ(down[ev.node], 0) << "double crash on " << ev.node;
+        down[ev.node] = 1;
+        ++down_count;
+        EXPECT_LE(down_count, cap);
+        break;
+      case FaultEvent::Kind::kRecover:
+        ASSERT_EQ(down[ev.node], 1) << "recovery without crash on " << ev.node;
+        down[ev.node] = 0;
+        --down_count;
+        break;
+      case FaultEvent::Kind::kDegradeStart:
+        EXPECT_EQ(down[ev.node], 0) << "degradation starts while down on " << ev.node;
+        EXPECT_EQ(degraded[ev.node], 0) << "double degradation on " << ev.node;
+        EXPECT_EQ(ev.extra_loss, opt.degrade_extra_loss);
+        degraded[ev.node] = 1;
+        break;
+      case FaultEvent::Kind::kDegradeEnd:
+        EXPECT_EQ(degraded[ev.node], 1) << "end without start on " << ev.node;
+        degraded[ev.node] = 0;
+        break;
+    }
+  }
+}
+
+// Extreme options, table-driven: every corner keeps the plan invariants and
+// the seed still determines the plan.
+TEST(FaultPlanTest, ExtremeOptionsKeepPlanInvariants) {
+  FaultPlanOptions hot;
+  hot.horizon = 40;
+  hot.crash_prob = 1.0;
+  hot.degrade_prob = 1.0;
+  hot.mean_downtime = 3;
+  hot.max_down_fraction = 1.0;
+  struct Case {
+    const char* name;
+    size_t nodes;
+    FaultPlanOptions opt;
+  };
+  std::vector<Case> cases;
+  auto add = [&](const char* name, size_t nodes, auto&& tweak) {
+    FaultPlanOptions opt = hot;
+    tweak(opt);
+    cases.push_back({name, nodes, opt});
+  };
+  add("probabilities 1", 25, [](FaultPlanOptions&) {});
+  add("probabilities 0", 25, [](FaultPlanOptions& o) { o.crash_prob = o.degrade_prob = 0.0; });
+  add("crash only", 25, [](FaultPlanOptions& o) { o.degrade_prob = 0.0; });
+  add("degradation only", 25, [](FaultPlanOptions& o) { o.crash_prob = 0.0; });
+  add("horizon 0", 25, [](FaultPlanOptions& o) { o.horizon = 0; });
+  add("horizon 1", 25, [](FaultPlanOptions& o) { o.horizon = 1; });
+  add("horizon 2", 25, [](FaultPlanOptions& o) { o.horizon = 2; });
+  add("max_down 0", 25, [](FaultPlanOptions& o) { o.max_down_fraction = 0.0; });
+  add("max_down 0.5", 25, [](FaultPlanOptions& o) { o.max_down_fraction = 0.5; });
+  add("sink only", 1, [](FaultPlanOptions&) {});
+  add("one sensor", 2, [](FaultPlanOptions&) {});
+  // A crash wins its epoch's tie with a degradation, so at crash_prob 1 the
+  // episode cases would never start one.
+  add("degrade_duration 0", 25, [](FaultPlanOptions& o) {
+    o.crash_prob = 0.5;
+    o.degrade_duration = 0;
+  });
+  add("degrade_duration max", 25, [](FaultPlanOptions& o) {
+    o.crash_prob = 0.5;
+    o.degrade_duration = UINT32_MAX;
+  });
+  add("mean_downtime 0", 25, [](FaultPlanOptions& o) { o.mean_downtime = 0; });
+  add("mean_downtime max", 25,
+      [](FaultPlanOptions& o) { o.mean_downtime = UINT32_MAX; });
+  add("degrade_extra_loss 1", 25, [](FaultPlanOptions& o) {
+    o.crash_prob = 0.0;
+    o.degrade_extra_loss = 1.0;
+  });
+  add("half-hot", 25, [](FaultPlanOptions& o) {
+    o.crash_prob = 0.5;
+    o.degrade_prob = 0.5;
+    o.mean_downtime = 1;
+    o.degrade_duration = 1;
+  });
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    sim::Topology topology = GridTopology(c.nodes, 4);
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      FaultPlan plan = FaultPlan::Generate(topology, c.opt, seed);
+      ExpectPlanInvariants(topology, c.opt, plan);
+      FaultPlan again = FaultPlan::Generate(topology, c.opt, seed);
+      ASSERT_EQ(plan.events.size(), again.events.size());
+      for (size_t i = 0; i < plan.events.size(); ++i) {
+        EXPECT_EQ(plan.events[i].at, again.events[i].at);
+        EXPECT_EQ(plan.events[i].kind, again.events[i].kind);
+        EXPECT_EQ(plan.events[i].node, again.events[i].node);
+        EXPECT_EQ(plan.events[i].extra_loss, again.events[i].extra_loss);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------- RoutingTree::Repair
@@ -472,11 +638,20 @@ TEST(ChurnEngineTest, AppliesScheduledEventsAndRepairs) {
   testing::TestBed bed = testing::TestBed::Grid(25, 4, 21);
   FaultPlan plan;
   plan.seed = 21;
+  // Node 5 blacks out (an episode at loss 1.0) over epochs [3, 5). Its link
+  // to a peer clear of every other event is measured against the baseline.
+  NodeId dark = 5;
+  NodeId peer = bed.tree.parent(dark);
+  ASSERT_NE(peer, 3u);
+  ASSERT_NE(peer, 7u);
   plan.events = {{2, FaultEvent::Kind::kCrash, 7, 0.0},
+                 {3, FaultEvent::Kind::kDegradeStart, dark, 1.0},
                  {4, FaultEvent::Kind::kDegradeStart, 3, 0.4},
+                 {5, FaultEvent::Kind::kDegradeEnd, dark, 0.0},
                  {6, FaultEvent::Kind::kRecover, 7, 0.0},
                  {8, FaultEvent::Kind::kDegradeEnd, 3, 0.0}};
   ChurnEngine churn(bed.net.get(), &bed.tree, plan);
+  double baseline = bed.net->LinkLossProb(dark, peer);
 
   ChurnReport r0 = churn.BeginEpoch(0);
   EXPECT_FALSE(r0.topology_changed);
@@ -488,10 +663,21 @@ TEST(ChurnEngineTest, AppliesScheduledEventsAndRepairs) {
   EXPECT_FALSE(bed.net->NodeAlive(7));
   EXPECT_FALSE(bed.tree.attached(7));
 
+  ChurnReport r3 = churn.BeginEpoch(3);
+  EXPECT_EQ(r3.degrade_changes, 1u);
+  EXPECT_EQ(bed.net->LinkLossProb(dark, peer), 1.0);
+
   ChurnReport r4 = churn.BeginEpoch(4);
   EXPECT_EQ(r4.degrade_changes, 1u);
   EXPECT_FALSE(r4.topology_changed);  // degradation alone never repairs
-  EXPECT_GT(bed.net->NodeExtraLoss(3), 0.0);
+  // The episode's loss passes through bit-exactly: no compounding
+  // arithmetic touches it (1 - (1 - x) != x in doubles).
+  EXPECT_EQ(bed.net->NodeExtraLoss(3), 0.4);
+  EXPECT_EQ(bed.net->LinkLossProb(dark, peer), 1.0);
+
+  churn.BeginEpoch(5);
+  EXPECT_EQ(bed.net->NodeExtraLoss(dark), 0.0);
+  EXPECT_EQ(bed.net->LinkLossProb(dark, peer), baseline);
 
   ChurnReport r6 = churn.BeginEpoch(6);
   EXPECT_EQ(r6.recoveries, 1u);

@@ -2,8 +2,7 @@
 /// compounded episodes, the adaptive retry/backoff unicast core (EWMA
 /// estimator, retry budgets, backoff charged as idle listening), epoch
 /// deadlines with graceful degradation, completeness accounting
-/// (TopKResult::completeness conservation on a lossless bed), and
-/// the fault side's blackout / burst-loss episodes.
+/// (TopKResult::completeness conservation on a lossless bed).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,14 +10,11 @@
 
 #include "bench_util.hpp"
 #include "core/tag.hpp"
-#include "fault/churn_engine.hpp"
-#include "fault/fault_plan.hpp"
 #include "sim/network.hpp"
 
 namespace kspot {
 namespace {
 
-using sim::kSinkId;
 using sim::NodeId;
 
 // ------------------------------------------------ LinkLossProb clamping
@@ -226,117 +222,6 @@ TEST(ReliabilityTest, LosslessCompletenessConserved) {
   for (uint32_t c : serial.contributors) {
     EXPECT_EQ(c, probe.net->AliveAttachedSensors());
   }
-}
-
-// ------------------------------------------------- blackout / burst faults
-
-TEST(ChurnEpisodeTest, BlackoutAndBurstCompoundAndRestore) {
-  bench::Bed bed = bench::Bed::Grid(25, 4, 21);
-  fault::FaultPlan plan;
-  plan.seed = 21;
-  using Kind = fault::FaultEvent::Kind;
-  plan.events = {{1, Kind::kDegradeStart, 3, 0.3}, {2, Kind::kBurstStart, 3, 0.5},
-                 {3, Kind::kBlackoutStart, 3, 1.0}, {4, Kind::kBlackoutEnd, 3, 0.0},
-                 {5, Kind::kBurstEnd, 3, 0.0},      {6, Kind::kDegradeEnd, 3, 0.0}};
-  fault::ChurnEngine churn(bed.net.get(), &bed.tree, plan);
-
-  churn.BeginEpoch(0);
-  EXPECT_EQ(bed.net->NodeExtraLoss(3), 0.0);
-
-  fault::ChurnReport r1 = churn.BeginEpoch(1);
-  EXPECT_EQ(r1.degrade_changes, 1u);
-  // A single episode passes its loss through bit-exactly (no compounding
-  // arithmetic may touch it — 1-(1-x) != x in doubles).
-  EXPECT_DOUBLE_EQ(bed.net->NodeExtraLoss(3), 0.3);
-
-  fault::ChurnReport r2 = churn.BeginEpoch(2);
-  EXPECT_EQ(r2.burst_changes, 1u);
-  EXPECT_NEAR(bed.net->NodeExtraLoss(3), 0.65, 1e-12);  // 1-(1-0.3)(1-0.5)
-
-  fault::ChurnReport r3 = churn.BeginEpoch(3);
-  EXPECT_EQ(r3.blackout_changes, 1u);
-  EXPECT_EQ(bed.net->NodeExtraLoss(3), 1.0);  // blackout dominates outright
-
-  // Ends restore the still-running episodes, not a clean slate.
-  churn.BeginEpoch(4);
-  EXPECT_NEAR(bed.net->NodeExtraLoss(3), 0.65, 1e-12);
-  churn.BeginEpoch(5);
-  EXPECT_DOUBLE_EQ(bed.net->NodeExtraLoss(3), 0.3);
-  churn.BeginEpoch(6);
-  EXPECT_EQ(bed.net->NodeExtraLoss(3), 0.0);
-}
-
-TEST(FaultPlanEpisodeTest, GeneratesPairedBlackoutAndBurstEvents) {
-  sim::TopologyOptions topt;
-  topt.num_nodes = 49;
-  topt.num_rooms = 8;
-  sim::Topology topology = sim::MakeGrid(topt);
-  fault::FaultPlanOptions opt;
-  opt.horizon = 300;
-  opt.blackout_prob = 0.01;
-  opt.blackout_duration = 3;
-  opt.burst_prob = 0.01;
-  opt.burst_extra_loss = 0.6;
-  opt.burst_duration = 5;
-  fault::FaultPlan plan = fault::FaultPlan::Generate(topology, opt, 13);
-  using Kind = fault::FaultEvent::Kind;
-  EXPECT_GT(plan.CountKind(Kind::kBlackoutStart), 0u);
-  EXPECT_GT(plan.CountKind(Kind::kBurstStart), 0u);
-  // Starts and ends alternate per node; losses carry the configured values.
-  std::vector<int> blackout_on(topology.num_nodes(), 0);
-  std::vector<int> burst_on(topology.num_nodes(), 0);
-  for (const fault::FaultEvent& ev : plan.events) {
-    EXPECT_NE(ev.node, kSinkId);
-    EXPECT_GE(ev.at, 1u);
-    EXPECT_LT(ev.at, opt.horizon);
-    switch (ev.kind) {
-      case Kind::kBlackoutStart:
-        EXPECT_EQ(blackout_on[ev.node], 0) << "double blackout on " << ev.node;
-        EXPECT_DOUBLE_EQ(ev.extra_loss, 1.0);
-        blackout_on[ev.node] = 1;
-        break;
-      case Kind::kBlackoutEnd:
-        EXPECT_EQ(blackout_on[ev.node], 1) << "end without start on " << ev.node;
-        blackout_on[ev.node] = 0;
-        break;
-      case Kind::kBurstStart:
-        EXPECT_EQ(burst_on[ev.node], 0) << "double burst on " << ev.node;
-        EXPECT_DOUBLE_EQ(ev.extra_loss, opt.burst_extra_loss);
-        burst_on[ev.node] = 1;
-        break;
-      case Kind::kBurstEnd:
-        EXPECT_EQ(burst_on[ev.node], 1) << "end without start on " << ev.node;
-        burst_on[ev.node] = 0;
-        break;
-      default:
-        break;
-    }
-  }
-  // Determinism holds for the new event kinds too.
-  fault::FaultPlan again = fault::FaultPlan::Generate(topology, opt, 13);
-  ASSERT_EQ(plan.events.size(), again.events.size());
-  for (size_t i = 0; i < plan.events.size(); ++i) {
-    EXPECT_EQ(plan.events[i].at, again.events[i].at);
-    EXPECT_EQ(plan.events[i].kind, again.events[i].kind);
-    EXPECT_EQ(plan.events[i].node, again.events[i].node);
-  }
-}
-
-TEST(FaultPlanEpisodeTest, ZeroProbabilitiesProduceNoEpisodeEvents) {
-  sim::TopologyOptions topt;
-  topt.num_nodes = 49;
-  topt.num_rooms = 8;
-  sim::Topology topology = sim::MakeGrid(topt);
-  fault::FaultPlanOptions opt;
-  opt.horizon = 200;
-  opt.crash_prob = 0.01;
-  opt.mean_downtime = 10;
-  fault::FaultPlan plan = fault::FaultPlan::Generate(topology, opt, 7);
-  using Kind = fault::FaultEvent::Kind;
-  EXPECT_EQ(plan.CountKind(Kind::kBlackoutStart), 0u);
-  EXPECT_EQ(plan.CountKind(Kind::kBlackoutEnd), 0u);
-  EXPECT_EQ(plan.CountKind(Kind::kBurstStart), 0u);
-  EXPECT_EQ(plan.CountKind(Kind::kBurstEnd), 0u);
 }
 
 }  // namespace
