@@ -275,6 +275,8 @@ size_t QueryCoordinator::active_operators() const {
   return n;
 }
 
+const sim::Network& QueryCoordinator::session_network() const { return session_->net; }
+
 /// Binds admitted_[admitted_index] to the open session: piggyback on an
 /// existing compatible group or create the operator, and run one-shot
 /// historic (TJA) queries immediately on the shared network. Mirrors the

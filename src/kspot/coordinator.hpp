@@ -198,6 +198,9 @@ class QueryCoordinator {
   sim::Epoch session_epoch() const;
   /// Operator instances currently live (released groups excluded).
   size_t active_operators() const;
+  /// The open session's shared network: per-node battery ledgers, per-phase
+  /// counters and the simulated clock, read-only. Requires session_open().
+  const sim::Network& session_network() const;
 
   /// Advances the shared data plane one epoch: churn/repair once for
   /// everyone, then every eligible operator group in creation order.

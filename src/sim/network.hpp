@@ -192,6 +192,7 @@ class Network {
 
   /// The simulated clock transmissions advance.
   Clock& events() { return clock_; }
+  const Clock& events() const { return clock_; }
   /// Topology under simulation.
   const Topology& topology() const { return *topology_; }
   /// Routing tree under simulation.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -296,6 +298,169 @@ TEST(CoordinatorTest, ChurnRepairsSharedTreeOnceForAllQueries) {
   for (const QueryOutcome& outcome : report.outcomes) {
     EXPECT_EQ(outcome.per_epoch.size(), 40u);
   }
+}
+
+// ------------------------------------------------------ multi-group pins
+//
+// Digests of three multi-group sessions, recorded on the serial
+// group-by-group StepEpoch. They hash every per-epoch answer and row, every
+// outcome's shared bill, the session network's totals and per-phase
+// counters, every node's tx/rx energy bits and send count, and the final
+// clock, so any reordering of an epoch's charges shows.
+
+/// FNV-1a over raw bytes; doubles hash by their bit patterns.
+struct Fnv {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  void Bytes(const void* p, size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void U64(uint64_t v) { Bytes(&v, sizeof v); }
+  void F64(double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    U64(bits);
+  }
+  void Str(const std::string& s) {
+    U64(s.size());
+    Bytes(s.data(), s.size());
+  }
+  void Counters(const sim::TrafficCounters& c) {
+    for (uint64_t v : {c.messages, c.frames, c.payload_bytes, c.onair_bytes, c.retries,
+                       c.backoff_us, c.flash_reads, c.flash_writes, c.flash_bytes}) {
+      U64(v);
+    }
+    F64(c.tx_energy_j);
+    F64(c.rx_energy_j);
+    F64(c.flash_energy_j);
+  }
+  void Result(const core::TopKResult& r) {
+    U64(r.epoch);
+    U64(r.items.size());
+    for (const agg::RankedItem& item : r.items) {
+      U64(static_cast<uint64_t>(item.group));
+      F64(item.value);
+    }
+    U64(r.contributors);
+    F64(r.completeness);
+  }
+  void Rows(const std::vector<core::SelectTuple>& rows) {
+    U64(rows.size());
+    for (const core::SelectTuple& t : rows) {
+      U64(t.node);
+      U64(static_cast<uint64_t>(t.room));
+      F64(t.value);
+    }
+  }
+};
+
+enum class PinBed { kLossless, kBattery, kLossy };
+
+/// Drives the pinned session: six opening queries in five groups (snapshot
+/// room and node, TAG, SELECT, horizontal WITH HISTORY, a period-4 MIN),
+/// a mid-session admit that spins up a group and one that piggybacks, a
+/// vertical audit, and cancels that release the new group again.
+uint64_t SessionPinDigest(PinBed bed) {
+  QueryCoordinator::Options opt = SmallRun(24, 41);
+  if (bed == PinBed::kBattery) opt.battery_j = 0.2;
+  if (bed == PinBed::kLossy) {
+    opt.loss_prob = 0.05;
+    opt.max_retries = 1;
+  }
+  QueryCoordinator coordinator(Scenario::ConferenceFloor(8, 256, 5), opt);
+  EXPECT_TRUE(coordinator.Admit(kSnapshotSql).ok());
+  EXPECT_TRUE(
+      coordinator.Admit("SELECT TOP 4 nodeid, MAX(sound) FROM sensors GROUP BY nodeid").ok());
+  EXPECT_TRUE(coordinator.Admit(kGroupedSelectSql).ok());
+  EXPECT_TRUE(coordinator.Admit(kSelectSql).ok());
+  EXPECT_TRUE(coordinator.Admit(kHorizontalSql).ok());
+  AdmitOptions every4;
+  every4.period = 4;
+  EXPECT_TRUE(
+      coordinator.Admit("SELECT TOP 2 roomid, MIN(sound) FROM sensors GROUP BY roomid", every4)
+          .ok());
+  EXPECT_TRUE(coordinator.Open().ok());
+
+  Fnv h;
+  QueryId late_group = 0;
+  QueryId late_rider = 0;
+  for (size_t e = 0; e < opt.epochs; ++e) {
+    if (e == 5) {
+      late_group =
+          coordinator.Admit("SELECT TOP 2 roomid, MAX(sound) FROM sensors GROUP BY roomid").value();
+      late_rider = coordinator.Admit(kSnapshotSql).value();
+    }
+    if (e == 9) EXPECT_TRUE(coordinator.Admit(kVerticalSql).ok());
+    if (e == 14) {
+      EXPECT_TRUE(coordinator.Cancel(late_group).ok());
+      EXPECT_TRUE(coordinator.Cancel(late_rider).ok());
+    }
+    auto step = coordinator.StepEpoch();
+    EXPECT_TRUE(step.ok());
+    if (!step.ok()) return 0;
+    const EpochUpdate& update = step.value();
+    h.U64(update.epoch);
+    h.Counters(update.epoch_cost);
+    h.U64(update.alive);
+    h.U64(update.degraded ? 1 : 0);
+    for (const GroupUpdate& gu : update.groups) {
+      h.U64(gu.group_id);
+      h.Str(gu.algorithm);
+      for (QueryId id : gu.members) h.U64(id);
+      h.U64(gu.ran ? 1 : 0);
+      if (gu.result) h.Result(*gu.result);
+      if (gu.rows) h.Rows(*gu.rows);
+    }
+  }
+
+  const sim::Network& net = coordinator.session_network();
+  h.Counters(net.total());
+  for (const auto& [phase, counters] : net.by_phase()) {
+    h.Str(phase);
+    h.Counters(counters);
+  }
+  for (size_t i = 0; i < net.topology().num_nodes(); ++i) {
+    auto id = static_cast<sim::NodeId>(i);
+    h.F64(net.meter(id).tx_joules());
+    h.F64(net.meter(id).rx_joules());
+    h.U64(net.MessagesSentBy(id));
+  }
+  h.U64(net.events().now());
+
+  auto report = coordinator.Close();
+  EXPECT_TRUE(report.ok());
+  if (!report.ok()) return 0;
+  for (const QueryOutcome& outcome : report.value().outcomes) {
+    h.U64(outcome.id);
+    h.Str(outcome.algorithm);
+    for (const core::TopKResult& r : outcome.per_epoch) h.Result(r);
+    for (const auto& rows : outcome.rows_per_epoch) h.Rows(rows);
+    for (const agg::RankedItem& item : outcome.historic.items) {
+      h.U64(static_cast<uint64_t>(item.group));
+      h.F64(item.value);
+    }
+    h.Counters(outcome.shared_cost);
+    h.U64(outcome.share_group_size);
+    h.U64(outcome.joined_epoch);
+    h.U64(outcome.cancelled_mid_session ? 1 : 0);
+  }
+  h.Counters(report.value().total);
+  return h.h;
+}
+
+TEST(CoordinatorTest, LosslessMultiGroupSessionMatchesPinnedDigest) {
+  EXPECT_EQ(SessionPinDigest(PinBed::kLossless), 0x9c6883da87f851e0ULL);
+}
+
+TEST(CoordinatorTest, BatteryDeathMultiGroupSessionMatchesPinnedDigest) {
+  EXPECT_EQ(SessionPinDigest(PinBed::kBattery), 0xa9797bd4f47f7a87ULL);
+}
+
+TEST(CoordinatorTest, LossyMultiGroupSessionMatchesPinnedDigest) {
+  EXPECT_EQ(SessionPinDigest(PinBed::kLossy), 0x41e3de50937a3343ULL);
 }
 
 TEST(CoordinatorTest, EmptyAdmissionSetRunsCleanly) {
