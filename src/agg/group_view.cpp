@@ -1,6 +1,7 @@
 #include "agg/group_view.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 
@@ -97,24 +98,41 @@ void GroupView::MergeView(const GroupView& other) {
     entries_.insert(entries_.end(), other.entries_.begin(), other.entries_.end());
     return;
   }
-  std::vector<Entry> merged;
-  merged.reserve(entries_.size() + other.entries_.size());
-  auto a = entries_.begin();
-  auto b = other.entries_.begin();
-  while (a != entries_.end() && b != other.entries_.end()) {
+  // Interleaved ranges: size the union, grow this view in place and merge
+  // from the back, so every entry is read before the output reaches it and
+  // the view keeps (and only ever grows) its own buffer.
+  size_t shared = 0;
+  for (auto a = entries_.cbegin(), b = other.entries_.cbegin();
+       a != entries_.cend() && b != other.entries_.cend();) {
     if (a->first < b->first) {
-      merged.push_back(std::move(*a++));
+      ++a;
     } else if (b->first < a->first) {
-      merged.push_back(*b++);
+      ++b;
     } else {
-      merged.push_back(std::move(*a++));
-      merged.back().second.Merge(b->second);
+      ++shared;
+      ++a;
       ++b;
     }
   }
-  merged.insert(merged.end(), std::make_move_iterator(a), std::make_move_iterator(entries_.end()));
-  merged.insert(merged.end(), b, other.entries_.end());
-  entries_ = std::move(merged);
+  const size_t old_size = entries_.size();
+  entries_.resize(old_size + other.entries_.size() - shared);
+  auto out = entries_.end();
+  auto a = entries_.begin() + static_cast<std::ptrdiff_t>(old_size);
+  auto b = other.entries_.end();
+  // Entries of this view left when `other` runs out are already in place.
+  while (b != other.entries_.begin()) {
+    const Entry& next_b = *(b - 1);
+    if (a != entries_.begin() && (a - 1)->first > next_b.first) {
+      *--out = std::move(*--a);
+    } else if (a != entries_.begin() && (a - 1)->first == next_b.first) {
+      *--out = std::move(*--a);
+      out->second.Merge(next_b.second);
+      --b;
+    } else {
+      *--out = next_b;
+      --b;
+    }
+  }
 }
 
 void GroupView::MergeView(GroupView&& other) {

@@ -43,7 +43,9 @@ class GroupView {
   /// Merges a partial for `group`.
   void MergePartial(sim::GroupId group, const PartialAgg& partial);
 
-  /// Merges a whole view (linear two-pointer merge).
+  /// Merges a whole view (linear two-pointer merge, in place: the view
+  /// grows its own buffer and allocates nothing once that is large enough).
+  /// `other` must be another view.
   void MergeView(const GroupView& other);
 
   /// Merge overload that steals `other`'s storage when this view is empty —

@@ -264,9 +264,13 @@ agg::GroupView& MintViews::RunUpdateWave(sim::Epoch epoch) {
     view.AddReading(GroupOf(node), gen_->Value(node, epoch));
     PruneView(node, view);
     // Delta against what the parent believes (the Update Phase proper):
-    // both sides are sorted by group, so the diff is one linear walk.
-    Msg delta;
-    delta.from = node;
+    // both sides are sorted by group, so the diff is one linear walk. It is
+    // built in scratch reused across nodes; a delta that is sent gets
+    // exact-size copies.
+    std::vector<agg::GroupView::Entry>& changed = changed_scratch_;
+    std::vector<sim::GroupId>& removed = removed_scratch_;
+    changed.clear();
+    removed.clear();
     const auto& cur = view.entries();
     const auto& sent = last_sent_[node].entries();
     if (options_.delta_updates) {
@@ -274,29 +278,33 @@ agg::GroupView& MintViews::RunUpdateWave(sim::Epoch epoch) {
       size_t j = 0;
       while (i < cur.size() || j < sent.size()) {
         if (j == sent.size() || (i < cur.size() && cur[i].first < sent[j].first)) {
-          delta.changed.push_back(cur[i]);
+          changed.push_back(cur[i]);
           ++i;
         } else if (i == cur.size() || sent[j].first < cur[i].first) {
-          delta.removed.push_back(sent[j].first);
+          removed.push_back(sent[j].first);
           ++j;
         } else {
-          if (!SamePartial(cur[i].second, sent[j].second)) delta.changed.push_back(cur[i]);
+          if (!SamePartial(cur[i].second, sent[j].second)) changed.push_back(cur[i]);
           ++i;
           ++j;
         }
       }
     } else {
       // Ablation: full-view resend, plus tombstones for vanished groups.
-      delta.changed.assign(cur.begin(), cur.end());
+      changed.assign(cur.begin(), cur.end());
       for (const auto& [g, partial] : sent) {
-        if (!view.Contains(g)) delta.removed.push_back(g);
+        if (!view.Contains(g)) removed.push_back(g);
       }
     }
-    if (delta.changed.empty() && delta.removed.empty()) {
+    if (changed.empty() && removed.empty()) {
       // Nothing changed: the parent's cached V'_i is still current.
       return std::nullopt;
     }
     last_sent_[node] = view;
+    Msg delta;
+    delta.from = node;
+    delta.changed.assign(changed.begin(), changed.end());
+    delta.removed.assign(removed.begin(), removed.end());
     return delta;
   };
   auto wire_bytes = [&](const Msg& m) {

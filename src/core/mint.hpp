@@ -148,6 +148,9 @@ class MintViews : public EpochAlgorithm {
   /// Merge scratch for the count tables and for ApplyDelta.
   CountTable count_scratch_;
   std::vector<agg::GroupView::Entry> delta_scratch_;
+  /// Update-phase diff of one node's view, reused across nodes and epochs.
+  std::vector<agg::GroupView::Entry> changed_scratch_;
+  std::vector<sim::GroupId> removed_scratch_;
   /// Per node: the threshold currently installed (beacons can be lost).
   std::vector<double> tau_at_;
   std::vector<uint8_t> tau_valid_at_;

@@ -27,8 +27,19 @@ std::vector<SelectTuple> BasicSelect::RunEpoch(sim::Epoch epoch) {
   static const sim::PhaseId kPhaseCollect = sim::Network::InternPhase("select.collect");
   net_->SetPhase(kPhaseCollect);
   auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox) -> std::optional<Msg> {
+    // The first child's tuples are taken over, not copied, and the buffer
+    // grows at most once to hold the rest.
+    size_t total = 1;
+    for (const Msg& child : inbox) total += child.size();
     Msg out;
-    for (Msg& child : inbox) out.insert(out.end(), child.begin(), child.end());
+    for (Msg& child : inbox) {
+      if (out.empty()) {
+        out = std::move(child);
+        out.reserve(total);
+      } else {
+        out.insert(out.end(), child.begin(), child.end());
+      }
+    }
     if (node != sim::kSinkId) {
       double value = gen_->Value(node, epoch);
       if (!has_predicate_ || EvalPredicate(predicate_, value)) {
@@ -45,7 +56,7 @@ std::vector<SelectTuple> BasicSelect::RunEpoch(sim::Epoch epoch) {
     return out;
   };
   auto wire_bytes = [&](const Msg& m) { return kMsgHeaderBytes + kTupleBytes * m.size(); };
-  auto sink = sim::UpWave<Msg>::Run(*net_, produce, wire_bytes);
+  auto sink = sim::UpWave<Msg>::Run(*net_, produce, wire_bytes, &wave_ws_);
   std::vector<SelectTuple> rows = sink.value_or(Msg{});
   std::sort(rows.begin(), rows.end(),
             [](const SelectTuple& a, const SelectTuple& b) { return a.node < b.node; });

@@ -4,6 +4,7 @@
 
 #include "core/epoch_algorithm.hpp"
 #include "query/ast.hpp"
+#include "sim/waves.hpp"
 
 namespace kspot::core {
 
@@ -42,6 +43,8 @@ class BasicSelect {
   data::DataGenerator* gen_;
   bool has_predicate_;
   query::Predicate predicate_;
+  /// Per-node inboxes, reused across epochs.
+  sim::UpWave<std::vector<SelectTuple>>::Workspace wave_ws_;
 };
 
 /// Evaluates a WHERE predicate against a reading.

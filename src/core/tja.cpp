@@ -56,7 +56,8 @@ Tja::Tja(sim::Network* net, const HistorySource* history, HistoricOptions option
 Tja::LbOutcome Tja::LowerBoundPhase(size_t k_deep) {
   using Msg = LbMsg;
   net_->SetPhase(kPhaseLb);
-  lb_contributed_.assign(history_->num_nodes(), {});
+  lb_keys_.clear();
+  lb_span_.assign(history_->num_nodes(), {0, 0});
   auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox) -> std::optional<Msg> {
     Msg out;
     for (Msg& child : inbox) {
@@ -65,10 +66,13 @@ Tja::LbOutcome Tja::LowerBoundPhase(size_t k_deep) {
     }
     if (node != sim::kSinkId) {
       LocalTopK local = ComputeLocalTopK(history_->Window(node), k_deep);
+      const auto first = static_cast<uint32_t>(lb_keys_.size());
       for (const auto& [key, value] : local.entries) {
         out.view.AddReading(key, value);
-        lb_contributed_[node].insert(key);
+        lb_keys_.push_back(key);
       }
+      std::sort(lb_keys_.begin() + first, lb_keys_.end());
+      lb_span_[node] = {first, static_cast<uint32_t>(lb_keys_.size()) - first};
       out.m_sum_fx += util::fixed_point::Encode(local.m_i);
     }
     return out;
@@ -92,6 +96,11 @@ Tja::LbOutcome Tja::LowerBoundPhase(size_t k_deep) {
   return outcome;
 }
 
+bool Tja::LbContributed(sim::NodeId node, sim::GroupId key) const {
+  auto first = lb_keys_.begin() + lb_span_[node].first;
+  return std::binary_search(first, first + lb_span_[node].second, key);
+}
+
 agg::GroupView Tja::HierarchicalJoinPhase(const std::vector<sim::GroupId>& lsink) {
   // Downstream: the candidate key set, as a plain sorted u16 list or as a
   // Bloom filter. Nodes keep whatever representation arrives and answer for
@@ -111,8 +120,10 @@ agg::GroupView Tja::HierarchicalJoinPhase(const std::vector<sim::GroupId>& lsink
   } else {
     seed.keys = lsink;
   }
-  // Which keys each node must answer for (recorded during dissemination).
-  std::vector<std::vector<sim::GroupId>> to_answer(history_->num_nodes());
+  // Which keys each node must answer for (recorded during dissemination):
+  // node i's are answer_keys[answer_span[i].first, +answer_span[i].second).
+  std::vector<sim::GroupId> answer_keys;
+  std::vector<std::pair<uint32_t, uint32_t>> answer_span(history_->num_nodes(), {0, 0});
 
   auto matches = [&](const DownMsg& msg, sim::GroupId key) {
     if (msg.use_bloom) return msg.bloom.MayContain(static_cast<uint64_t>(key));
@@ -120,24 +131,29 @@ agg::GroupView Tja::HierarchicalJoinPhase(const std::vector<sim::GroupId>& lsink
   };
   auto record_keys = [&](sim::NodeId node, const DownMsg& msg) {
     size_t window = history_->window_size();
+    const auto first = static_cast<uint32_t>(answer_keys.size());
     for (size_t t = 0; t < window; ++t) {
       auto key = static_cast<sim::GroupId>(t);
       // Skip keys this node already contributed during LB — the sink merges
       // the LB union view with the HJ complement, so resending is waste.
-      if (lb_contributed_[node].count(key)) continue;
-      if (matches(msg, key)) to_answer[node].push_back(key);
+      if (LbContributed(node, key)) continue;
+      if (matches(msg, key)) answer_keys.push_back(key);
     }
+    answer_span[node] = {first, static_cast<uint32_t>(answer_keys.size()) - first};
   };
-  auto down_produce = [&](sim::NodeId node, const DownMsg* incoming) -> std::optional<DownMsg> {
-    if (node == sim::kSinkId) return seed;
-    record_keys(node, *incoming);
+  // Every node forwards the seed unchanged, so the wave carries a pointer to
+  // it rather than a copy per node.
+  using DownRef = const DownMsg*;
+  auto down_produce = [&](sim::NodeId node, const DownRef* incoming) -> std::optional<DownRef> {
+    if (node == sim::kSinkId) return &seed;
+    record_keys(node, **incoming);
     return *incoming;
   };
-  auto down_bytes = [&](const DownMsg& msg) {
-    if (msg.use_bloom) return kMsgHeaderBytes + msg.bloom.WireSizeBytes();
-    return kMsgHeaderBytes + 2 + 2 * msg.keys.size();
+  auto down_bytes = [&](DownRef msg) {
+    if (msg->use_bloom) return kMsgHeaderBytes + msg->bloom.WireSizeBytes();
+    return kMsgHeaderBytes + 2 + 2 * msg->keys.size();
   };
-  sim::DownWave<DownMsg>::Run(*net_, down_produce, down_bytes);
+  sim::DownWave<DownRef>::Run(*net_, down_produce, down_bytes);
 
   // Upstream: exact contributions for the candidate keys, merged per key.
   net_->SetPhase(kPhaseHj);
@@ -147,7 +163,9 @@ agg::GroupView Tja::HierarchicalJoinPhase(const std::vector<sim::GroupId>& lsink
     for (UpMsg& child : inbox) view.MergeView(std::move(child));
     if (node != sim::kSinkId) {
       WindowSpan window = history_->Window(node);
-      for (sim::GroupId key : to_answer[node]) {
+      const auto [first, count] = answer_span[node];
+      for (uint32_t i = first; i < first + count; ++i) {
+        const sim::GroupId key = answer_keys[i];
         if (static_cast<size_t>(key) < window.size()) {
           view.AddReading(key, window[static_cast<size_t>(key)]);
         }

@@ -1,7 +1,7 @@
 #pragma once
 
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "agg/group_view.hpp"
@@ -74,7 +74,12 @@ class Tja {
   HistoricOptions options_;
   /// Keys each node shipped during the current round's LB phase; the HJ
   /// phase only answers for the complement (the sink merges both views).
-  std::vector<std::set<sim::GroupId>> lb_contributed_;
+  /// Node i's keys are lb_keys_[lb_span_[i].first, +lb_span_[i].second),
+  /// ascending: one flat list instead of a node-based set per node.
+  std::vector<sim::GroupId> lb_keys_;
+  std::vector<std::pair<uint32_t, uint32_t>> lb_span_;
+  /// True when `node` shipped `key` in this round's LB phase.
+  bool LbContributed(sim::NodeId node, sim::GroupId key) const;
 
   struct LbOutcome {
     agg::GroupView union_view;  ///< Partial aggregates for Lsink keys.

@@ -31,7 +31,10 @@ class DataGenerator {
   /// read values and a benchmark can time data generation apart from them.
   /// Calling it is always safe — it performs exactly the mutation the first
   /// Value() would have, so the draw order is unchanged — and the default is
-  /// a no-op for stateless generators.
+  /// a no-op for stateless generators. After it, Value(_, epoch) and
+  /// PrepareEpoch(epoch) must be safe to call from several threads at once:
+  /// the coordinator's concurrent epochs read one generator from every
+  /// operator group.
   virtual void PrepareEpoch(sim::Epoch epoch) { (void)epoch; }
 
   /// The modality generated (defines the bounded domain).

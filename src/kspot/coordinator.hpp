@@ -203,8 +203,12 @@ class QueryCoordinator {
   const sim::Network& session_network() const;
 
   /// Advances the shared data plane one epoch: churn/repair once for
-  /// everyone, then every eligible operator group in creation order.
-  /// Returns the per-group materialized results for fan-out.
+  /// everyone, then every eligible operator group in creation order. When
+  /// the epoch's charges commute (lossless, reliability, churn and battery
+  /// limits off, two or more groups stepping) the groups run on a shared
+  /// worker pool and their charges replay in creation order, so the outcome
+  /// is the serial one, bit for bit. Returns the per-group materialized
+  /// results for fan-out.
   util::StatusOr<EpochUpdate> StepEpoch();
 
   /// Closes the session and returns the report over everything it served —

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <deque>
 #include <mutex>
+#include <stdexcept>
 #include <unordered_map>
 
 namespace kspot::sim {
@@ -22,6 +23,23 @@ struct PhaseRegistry {
 PhaseRegistry& Registry() {
   static PhaseRegistry* registry = new PhaseRegistry();
   return *registry;
+}
+
+/// The ledger the calling thread's LedgerScope bound, if any.
+thread_local ChargeLedger* t_bound_ledger = nullptr;
+
+/// Adds the integer fields of `from` to `to` (the float fields replay from
+/// the journal in charge order).
+void AddCounts(TrafficCounters& to, const TrafficCounters& from) {
+  to.messages += from.messages;
+  to.frames += from.frames;
+  to.payload_bytes += from.payload_bytes;
+  to.onair_bytes += from.onair_bytes;
+  to.retries += from.retries;
+  to.backoff_us += from.backoff_us;
+  to.flash_reads += from.flash_reads;
+  to.flash_writes += from.flash_writes;
+  to.flash_bytes += from.flash_bytes;
 }
 
 /// EWMA smoothing factor of the adaptive ARQ's per-link loss estimator.
@@ -59,20 +77,140 @@ Network::Network(const Topology* topology, const RoutingTree* tree, NetworkOptio
   SetPhase(kDefaultPhase);
 }
 
-void Network::SetPhase(PhaseId id) {
-  if (phase_name_ != nullptr && id == phase_id_) return;
+void ChargeLedger::Clear(size_t expected_charges) {
+  clock_ = Clock{};
+  phase_ = kInheritedPhase;
+  words_.clear();
+  joules_.clear();
+  if (joules_.capacity() < expected_charges) {
+    words_.reserve(expected_charges + expected_charges / 2);
+    joules_.reserve(expected_charges + expected_charges / 2);
+  }
+  booked_ = 0;
+  std::fill(phase_counts_.begin(), phase_counts_.end(), TrafficCounters{});
+  std::fill(phase_touched_.begin(), phase_touched_.end(), 0);
+  inherited_counts_ = TrafficCounters{};
+}
+
+Network::LedgerScope::LedgerScope(const Network& net, ChargeLedger* ledger) {
+  if (net.topology().num_nodes() > ChargeLedger::kIdMask) {
+    throw std::length_error("ChargeLedger: node ids do not fit a journal word");
+  }
+  ledger->net_ = &net;
+  t_bound_ledger = ledger;
+}
+
+Network::LedgerScope::~LedgerScope() { t_bound_ledger = nullptr; }
+
+ChargeLedger* Network::BoundLedger() const {
+  ChargeLedger* ledger = t_bound_ledger;
+  return ledger != nullptr && ledger->net_ == this ? ledger : nullptr;
+}
+
+void Network::TouchPhase(PhaseId id) {
   if (id >= state_.by_phase.size()) {
     state_.by_phase.resize(id + 1);
     state_.phase_touched.resize(id + 1, 0);
   }
-  phase_id_ = id;
-  phase_name_ = &PhaseName(id);
   state_.phase_touched[id] = 1;
 }
 
+void Network::SetPhase(PhaseId id) {
+  if (ChargeLedger* ledger = BoundLedger()) {
+    if (id == ledger->phase_) return;
+    if (id >= ledger->phase_counts_.size()) {
+      ledger->phase_counts_.resize(id + 1);
+      ledger->phase_touched_.resize(id + 1, 0);
+    }
+    ledger->phase_ = id;
+    ledger->phase_touched_[id] = 1;
+    ledger->words_.push_back(ChargeLedger::kPhase | id);
+    ledger->booked_ = ledger->words_.size();
+    return;
+  }
+  if (phase_name_ != nullptr && id == phase_id_) return;
+  TouchPhase(id);
+  phase_id_ = id;
+  phase_name_ = &PhaseName(id);
+}
+
 void Network::SetPhase(const std::string& phase) {
-  if (phase_name_ != nullptr && phase == *phase_name_) return;
+  if (BoundLedger() == nullptr && phase_name_ != nullptr && phase == *phase_name_) return;
   SetPhase(InternPhase(phase));
+}
+
+const std::string& Network::phase() const {
+  ChargeLedger* ledger = BoundLedger();
+  if (ledger == nullptr || ledger->phase_ == ChargeLedger::kInheritedPhase) return *phase_name_;
+  return PhaseName(ledger->phase_);
+}
+
+PhaseId Network::phase_id() const {
+  ChargeLedger* ledger = BoundLedger();
+  if (ledger == nullptr || ledger->phase_ == ChargeLedger::kInheritedPhase) return phase_id_;
+  return ledger->phase_;
+}
+
+Clock& Network::events() {
+  ChargeLedger* ledger = BoundLedger();
+  return ledger != nullptr ? ledger->clock_ : clock_;
+}
+
+const Clock& Network::events() const {
+  ChargeLedger* ledger = BoundLedger();
+  return ledger != nullptr ? ledger->clock_ : clock_;
+}
+
+bool Network::CanJournalCharges() const {
+  return options_.loss_prob == 0.0 && options_.edge_max_loss == 0.0 &&
+         !options_.reliability.enabled && options_.battery_j <= 0.0;
+}
+
+void Network::Replay(const ChargeLedger& ledger) {
+  // Traffic charged before the ledger's first SetPhase belongs to the phase
+  // this network is in now, exactly where a direct run would have put it.
+  const PhaseId inherited = phase_id_;
+  AddCounts(state_.total, ledger.inherited_counts_);
+  AddCounts(state_.by_phase[inherited], ledger.inherited_counts_);
+  for (PhaseId id = 0; id < ledger.phase_touched_.size(); ++id) {
+    if (!ledger.phase_touched_[id]) continue;
+    TouchPhase(id);
+    AddCounts(state_.total, ledger.phase_counts_[id]);
+    AddCounts(state_.by_phase[id], ledger.phase_counts_[id]);
+  }
+  PhaseId phase = inherited;
+  TrafficCounters delta;  // energy of the booking in progress
+  const double* joules = ledger.joules_.data();
+  for (uint32_t word : ledger.words_) {
+    const uint32_t id = word & ChargeLedger::kIdMask;
+    switch (word & ChargeLedger::kKindMask) {
+      case ChargeLedger::kPhase:
+        phase = id == ChargeLedger::kInheritedPhase ? inherited : id;
+        continue;
+      case ChargeLedger::kTx:
+        state_.meters[id].AddTx(*joules);
+        state_.sent_by[id] += 1;
+        delta.tx_energy_j += *joules++;
+        break;
+      case ChargeLedger::kRx:
+        state_.meters[id].AddRx(*joules);
+        delta.rx_energy_j += *joules++;
+        break;
+      case ChargeLedger::kStorage:
+        state_.meters[id].AddStorage(*joules);
+        delta.flash_energy_j += *joules++;
+        break;
+    }
+    if ((word & ChargeLedger::kEndsBooking) == 0) continue;
+    for (TrafficCounters* to : {&state_.total, &state_.by_phase[phase]}) {
+      to->tx_energy_j += delta.tx_energy_j;
+      to->rx_energy_j += delta.rx_energy_j;
+      to->flash_energy_j += delta.flash_energy_j;
+    }
+    delta = TrafficCounters{};
+  }
+  clock_.JumpTo(clock_.now() + ledger.clock_.now());
+  if (ledger.phase_ != ChargeLedger::kInheritedPhase) SetPhase(ledger.phase_);
 }
 
 TrafficCounters Network::PhaseTotal(const std::string& phase) const {
@@ -208,8 +346,7 @@ bool Network::ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot,
       // The radio idles in receive mode while it waits out the backoff, so
       // the wait is charged at the rx draw (idle-listen energy).
       double idle_j = options_.energy.RxEnergy(1e-6 * static_cast<double>(backoff));
-      state_.meters[sender].AddRx(idle_j);
-      delta.rx_energy_j += idle_j;
+      ChargeRx(sender, idle_j, delta);
       delta.retries += 1;
       delta.backoff_us += backoff;
     }
@@ -221,8 +358,7 @@ bool Network::ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot,
     est.ewma = kEwmaAlpha * (lost ? 1.0 : 0.0) + (1.0 - kEwmaAlpha) * est.ewma;
     if (!lost && NodeAlive(receiver)) {
       double rx_j = options_.energy.RxEnergy(options_.radio.AirtimeSeconds(payload_bytes));
-      state_.meters[receiver].AddRx(rx_j);
-      delta.rx_energy_j += rx_j;
+      ChargeRx(receiver, rx_j, delta);
       delivered = true;
     }
   }
@@ -233,13 +369,53 @@ void Network::ChargeTx(NodeId sender, size_t payload_bytes, TrafficCounters& cou
   const RadioModel& radio = options_.radio;
   double airtime = radio.AirtimeSeconds(payload_bytes);
   double tx_j = options_.energy.TxEnergy(airtime);
-  state_.meters[sender].AddTx(tx_j);
-  state_.sent_by[sender] += 1;
+  if (ChargeLedger* ledger = BoundLedger()) {
+    ledger->Charge(ChargeLedger::kTx, sender, tx_j);
+  } else {
+    state_.meters[sender].AddTx(tx_j);
+    state_.sent_by[sender] += 1;
+  }
   counters.messages += 1;
   counters.frames += radio.FramesForPayload(payload_bytes);
   counters.payload_bytes += payload_bytes;
   counters.onair_bytes += radio.OnAirBytes(payload_bytes);
   counters.tx_energy_j += tx_j;
+}
+
+void Network::ChargeRx(NodeId node, double joules, TrafficCounters& delta) {
+  if (ChargeLedger* ledger = BoundLedger()) {
+    ledger->Charge(ChargeLedger::kRx, node, joules);
+  } else {
+    state_.meters[node].AddRx(joules);
+  }
+  delta.rx_energy_j += joules;
+}
+
+void Network::ChargeStorage(NodeId node, double joules, TrafficCounters& delta) {
+  if (ChargeLedger* ledger = BoundLedger()) {
+    ledger->Charge(ChargeLedger::kStorage, node, joules);
+  } else {
+    state_.meters[node].AddStorage(joules);
+  }
+  delta.flash_energy_j += joules;
+}
+
+void Network::Book(const TrafficCounters& delta) {
+  ChargeLedger* ledger = BoundLedger();
+  if (ledger == nullptr) {
+    state_.total.Add(delta);
+    state_.by_phase[phase_id_].Add(delta);
+    return;
+  }
+  const PhaseId phase = ledger->phase_;
+  AddCounts(phase == ChargeLedger::kInheritedPhase ? ledger->inherited_counts_
+                                                   : ledger->phase_counts_[phase],
+            delta);
+  // A delta without charges carries no energy; its counters are summed above.
+  if (ledger->words_.size() > ledger->booked_) {
+    ledger->words_.back() |= ChargeLedger::kEndsBooking;
+    ledger->booked_ = ledger->words_.size();
+  }
 }
 
 bool Network::FlatUnicast(NodeId sender, NodeId receiver, size_t payload_bytes,
@@ -256,8 +432,7 @@ bool Network::FlatUnicast(NodeId sender, NodeId receiver, size_t payload_bytes,
     }
     if (!lost && NodeAlive(receiver)) {
       double rx_j = options_.energy.RxEnergy(options_.radio.AirtimeSeconds(payload_bytes));
-      state_.meters[receiver].AddRx(rx_j);
-      delta.rx_energy_j += rx_j;
+      ChargeRx(receiver, rx_j, delta);
       return true;
     }
   }
@@ -270,11 +445,10 @@ bool Network::UnicastHop(NodeId sender, NodeId receiver, NodeId link_slot,
   bool delivered = options_.reliability.enabled
                        ? ReliableUnicast(sender, receiver, link_slot, payload_bytes, delta)
                        : FlatUnicast(sender, receiver, payload_bytes, delta);
-  state_.total.Add(delta);
-  state_.by_phase[phase_id_].Add(delta);
+  Book(delta);
   // backoff_us is zero unless the reliability layer waited out retries.
-  clock_.AdvanceTo(clock_.now() + options_.radio.AirtimeMicros(payload_bytes) +
-                   delta.backoff_us);
+  Clock& clock = events();
+  clock.AdvanceTo(clock.now() + options_.radio.AirtimeMicros(payload_bytes) + delta.backoff_us);
   return delivered;
 }
 
@@ -331,37 +505,33 @@ std::vector<NodeId> Network::BroadcastToChildren(NodeId node, size_t payload_byt
     }
     // Listening children pay receive energy whether or not the CRC passes.
     double rx_j = options_.energy.RxEnergy(rx_airtime);
-    state_.meters[child].AddRx(rx_j);
-    delta.rx_energy_j += rx_j;
+    ChargeRx(child, rx_j, delta);
     if (!lost) delivered.push_back(child);
   }
-  state_.total.Add(delta);
-  state_.by_phase[phase_id_].Add(delta);
-  clock_.AdvanceTo(clock_.now() + options_.radio.AirtimeMicros(payload_bytes));
+  Book(delta);
+  Clock& clock = events();
+  clock.AdvanceTo(clock.now() + options_.radio.AirtimeMicros(payload_bytes));
   return delivered;
 }
 
 void Network::ChargeStorageIo(NodeId node, uint64_t reads, uint64_t writes, uint64_t bytes,
                               double energy_j) {
-  state_.meters[node].AddStorage(energy_j);
   TrafficCounters delta;
+  ChargeStorage(node, energy_j, delta);
   delta.flash_reads = reads;
   delta.flash_writes = writes;
   delta.flash_bytes = bytes;
-  delta.flash_energy_j = energy_j;
-  state_.total.Add(delta);
-  state_.by_phase[phase_id_].Add(delta);
+  Book(delta);
 }
 
 void Network::DeliverControl(NodeId from, NodeId to, size_t payload_bytes) {
   TrafficCounters delta;
   ChargeTx(from, payload_bytes, delta);
   double rx_j = options_.energy.RxEnergy(options_.radio.AirtimeSeconds(payload_bytes));
-  state_.meters[to].AddRx(rx_j);
-  delta.rx_energy_j += rx_j;
-  state_.total.Add(delta);
-  state_.by_phase[phase_id_].Add(delta);
-  clock_.AdvanceTo(clock_.now() + options_.radio.AirtimeMicros(payload_bytes));
+  ChargeRx(to, rx_j, delta);
+  Book(delta);
+  Clock& clock = events();
+  clock.AdvanceTo(clock.now() + options_.radio.AirtimeMicros(payload_bytes));
 }
 
 }  // namespace kspot::sim

@@ -9,7 +9,7 @@
 #include "sim/energy_model.hpp"
 #include "sim/radio_model.hpp"
 #include "sim/routing_tree.hpp"
-#include "sim/shard_state.hpp"
+#include "sim/network_state.hpp"
 #include "sim/topology.hpp"
 #include "sim/types.hpp"
 #include "util/rng.hpp"
@@ -34,11 +34,68 @@ class Clock {
   TimeUs now_ = 0;
 };
 
+class Network;
+
+/// One writer's share of a network's charge-side state while several writers
+/// step on the network at once (see Network::LedgerScope): its own clock,
+/// current phase and integer counters, and a journal of every per-node
+/// energy charge in the order it was made. Network::Replay adds the ledger
+/// to the shared state, so every per-node energy sum and every counter sees
+/// exactly the additions a run without the ledger makes. Clock moves are
+/// relative (waves schedule from now()), so the ledger's clock starts at 0
+/// and its final reading is the span to add.
+class ChargeLedger {
+ public:
+  /// Empties the journal and rewinds the clock and phase. The journal keeps
+  /// its capacity and grows here to hold `expected_charges`, so a writer on
+  /// another thread rarely has to grow it: growing it there would leave the
+  /// buffer in that thread's allocator arena.
+  void Clear(size_t expected_charges);
+
+ private:
+  friend class Network;
+
+  // A journal word holds a kind in its top two bits, an end-of-booking flag
+  // and a node or phase id. Every charge has one word and one entry in
+  // `joules_`; a booking (one delta added to the total and the current
+  // phase) is the flag on its last charge, because a delta's energy is the
+  // in-order sum of its charges (the network builds every delta that way).
+  // A phase word records a SetPhase.
+  static constexpr uint32_t kTx = 0u << 30;
+  static constexpr uint32_t kRx = 1u << 30;
+  static constexpr uint32_t kStorage = 2u << 30;
+  static constexpr uint32_t kPhase = 3u << 30;
+  static constexpr uint32_t kKindMask = 3u << 30;
+  static constexpr uint32_t kEndsBooking = 1u << 29;
+  static constexpr uint32_t kIdMask = kEndsBooking - 1;
+  /// The phase of traffic charged before the writer's first SetPhase: it
+  /// belongs to whatever phase the shared network is in at replay.
+  static constexpr PhaseId kInheritedPhase = kIdMask;
+
+  void Charge(uint32_t kind, NodeId node, double joules) {
+    words_.push_back(kind | node);
+    joules_.push_back(joules);
+  }
+
+  const Network* net_ = nullptr;  ///< The network a scope bound this ledger to.
+  Clock clock_;
+  PhaseId phase_ = kInheritedPhase;
+  std::vector<uint32_t> words_;
+  std::vector<double> joules_;
+  /// words_.size() at the last booking or phase word.
+  size_t booked_ = 0;
+  /// Integer counters per phase (energy fields unused); they commute, so
+  /// they are summed here and added once at replay.
+  std::vector<TrafficCounters> phase_counts_;
+  std::vector<uint8_t> phase_touched_;
+  TrafficCounters inherited_counts_;
+};
+
 /// The end-to-end reliability & graceful-degradation layer (everything off
 /// by default — a default-constructed struct leaves the network bit-identical
 /// to a build without it). When enabled, unicast sends replace the flat
 /// `max_retries` ARQ loop with an adaptive per-link policy: an EWMA
-/// link-quality estimator (ShardState::link_est) schedules just enough
+/// link-quality estimator (NetworkState::link_est) schedules just enough
 /// attempts to push the residual per-message loss under `residual_target`,
 /// retries wait out an exponential backoff charged as idle-listen energy,
 /// and a per-node per-epoch retry budget bounds the worst-case spend.
@@ -93,10 +150,26 @@ struct NetworkOptions {
 /// charges energy to both endpoints, applies losses, and maintains the
 /// traffic counters (globally and attributed to named protocol phases).
 ///
-/// All per-epoch mutable state lives in one value-type ShardState, so a
+/// All per-epoch mutable state lives in one value-type NetworkState, so a
 /// Network is freely copyable: copies evolve independently.
+///
+/// Several threads may step on one network at once when each binds its own
+/// ChargeLedger with a LedgerScope and the network CanJournalCharges(): their
+/// charges land in their ledgers, the shared state is only read, and Replay
+/// adds each ledger in a fixed order afterwards.
 class Network {
  public:
+  /// Diverts every charge the calling thread makes on `net` — energy, send
+  /// counts, traffic counters, phase switches and clock moves — into
+  /// `ledger` for the scope's lifetime. One scope per thread at a time.
+  class LedgerScope {
+   public:
+    LedgerScope(const Network& net, ChargeLedger* ledger);
+    ~LedgerScope();
+    LedgerScope(const LedgerScope&) = delete;
+    LedgerScope& operator=(const LedgerScope&) = delete;
+  };
+
   /// `topology` and `tree` must outlive the network.
   Network(const Topology* topology, const RoutingTree* tree, NetworkOptions options,
           util::Rng rng);
@@ -135,12 +208,13 @@ class Network {
   /// (e.g. "mint.update", "tja.lb"). Cheap when the phase is unchanged;
   /// interns the label otherwise.
   void SetPhase(const std::string& phase);
-  /// The current phase label.
-  const std::string& phase() const { return *phase_name_; }
-  /// The current phase id.
-  PhaseId phase_id() const { return phase_id_; }
+  /// The current phase label (the calling thread's ledger's, when bound).
+  const std::string& phase() const;
+  /// The current phase id (the calling thread's ledger's, when bound).
+  PhaseId phase_id() const;
 
-  /// Grand-total counters.
+  /// Grand-total counters. A thread bound to a ledger still reads the shared
+  /// total, which its charges reach only at Replay.
   const TrafficCounters& total() const { return state_.total; }
   /// Counters attributed to `phase` (zeroes if the phase never sent).
   TrafficCounters PhaseTotal(const std::string& phase) const;
@@ -190,9 +264,10 @@ class Network {
   void ChargeStorageIo(NodeId node, uint64_t reads, uint64_t writes, uint64_t bytes,
                        double energy_j);
 
-  /// The simulated clock transmissions advance.
-  Clock& events() { return clock_; }
-  const Clock& events() const { return clock_; }
+  /// The simulated clock transmissions advance (the calling thread's
+  /// ledger's, when bound).
+  Clock& events();
+  const Clock& events() const;
   /// Topology under simulation.
   const Topology& topology() const { return *topology_; }
   /// Routing tree under simulation.
@@ -208,6 +283,20 @@ class Network {
   /// loss model (baseline + distance-dependent gray zone + degradation
   /// episodes at either endpoint), clamped to [0, 1].
   double LinkLossProb(NodeId from, NodeId to) const;
+
+  // ------------------------------------------------------- charge ledgers
+
+  /// True when charges commute with one another: no send draws randomness
+  /// (loss_prob and edge_max_loss are 0), the reliability layer is off, and
+  /// batteries are unlimited, so no send can kill a node. Ledgers may then
+  /// be filled concurrently and replayed later without changing a result,
+  /// provided no node's up flag or degradation episode changes meanwhile.
+  bool CanJournalCharges() const;
+  /// Adds `ledger` to the shared state as if its charges had been made here
+  /// directly, in order: per-node energy and send counts, the total and the
+  /// per-phase counters, the clock (advanced by the ledger's span) and the
+  /// current phase. The ledger is left as it was.
+  void Replay(const ChargeLedger& ledger);
 
   // ------------------------------------------------------ reliability layer
 
@@ -238,15 +327,26 @@ class Network {
   NetworkOptions options_;
   util::Rng rng_;
   Clock clock_;
-  /// Every mutable per-epoch ledger, owned as one value (see ShardState).
-  ShardState state_;
+  /// Every mutable per-epoch ledger, owned as one value (see NetworkState).
+  NetworkState state_;
   PhaseId phase_id_ = 0;
   /// Label of the current phase (registry storage is pointer-stable), so the
   /// string SetPhase overload's unchanged-phase fast path needs no lock.
   /// nullptr only before the constructor's initial SetPhase.
   const std::string* phase_name_ = nullptr;
 
-  void ChargeTx(NodeId sender, size_t payload_bytes, TrafficCounters& counters);
+  /// The ledger the calling thread bound to this network, or nullptr.
+  ChargeLedger* BoundLedger() const;
+  /// Sizes the per-phase arrays for `id` and marks it visited.
+  void TouchPhase(PhaseId id);
+  /// Per-node energy charges, into the bound ledger or the meters; each also
+  /// adds its energy to `delta`, so a delta's energy is the in-order sum of
+  /// its charges (what a ledger's replay relies on).
+  void ChargeTx(NodeId sender, size_t payload_bytes, TrafficCounters& delta);
+  void ChargeRx(NodeId node, double joules, TrafficCounters& delta);
+  void ChargeStorage(NodeId node, double joules, TrafficCounters& delta);
+  /// Books one delta into the total and the current phase.
+  void Book(const TrafficCounters& delta);
   /// Adaptive-ARQ unicast core (ReliabilityOptions::enabled): EWMA-scheduled
   /// attempts, exponential backoff charged as idle listening, per-epoch
   /// retry budget. `link_slot` is the child endpoint of the link (its

@@ -1,4 +1,4 @@
-#include "sim/shard_state.hpp"
+#include "sim/network_state.hpp"
 
 namespace kspot::sim {
 
@@ -34,7 +34,7 @@ TrafficCounters TrafficCounters::Since(const TrafficCounters& earlier) const {
   return d;
 }
 
-void ShardState::Reset(size_t num_nodes, double battery_j) {
+void NetworkState::Reset(size_t num_nodes, double battery_j) {
   meters.assign(num_nodes, EnergyMeter(battery_j));
   up.assign(num_nodes, 1);
   extra_loss.assign(num_nodes, 0.0);

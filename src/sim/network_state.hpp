@@ -60,7 +60,7 @@ struct LinkEstimator {
 /// Owning this as a value (rather than as loose members with a cached
 /// interior pointer) is what makes Network copyable with defaulted copy
 /// operations.
-struct ShardState {
+struct NetworkState {
   /// Per-node energy ledger (battery budget included).
   std::vector<EnergyMeter> meters;
   /// 1 unless the node was administratively taken down (crash injection).

@@ -15,9 +15,13 @@ namespace kspot::util {
 /// A persistent fork-join worker pool for index-parallel jobs.
 ///
 /// One pool serves any number of sequential ParallelFor calls; the worker
-/// threads are spawned once and parked between jobs, so per-call overhead is
-/// a notify + join barrier instead of thread creation. The trial fan-out of
-/// runner::ExperimentEngine runs on this pool.
+/// threads are spawned once and wait between jobs, so per-call overhead is
+/// a notify + join barrier instead of thread creation. An idle worker (and
+/// a caller at the barrier) polls for up to two milliseconds before parking
+/// on a condition variable, so a caller that fans out every few
+/// milliseconds never pays a park/wake round trip. The trial fan-out of
+/// runner::ExperimentEngine and the coordinator's concurrent epochs run on
+/// this pool.
 ///
 /// ParallelFor is a barrier: it returns only when every index has executed.
 /// Indices are claimed from an atomic counter, so work is distributed
@@ -41,10 +45,18 @@ class TaskPool {
   /// Exceptions thrown by `fn` propagate to the caller (first one wins).
   void ParallelFor(size_t count, const std::function<void(size_t)>& fn);
 
+  /// Like ParallelFor, but index i always runs on thread i (0 is the calling
+  /// thread), so whatever a thread keeps from call to call — its allocator
+  /// arena, warm caches — stays with the index. Requires
+  /// count <= thread_count().
+  void RunPerThread(size_t count, const std::function<void(size_t)>& fn);
+
  private:
   struct Job {
     const std::function<void(size_t)>* fn = nullptr;
     size_t count = 0;
+    /// RunPerThread: worker t runs index t only, instead of claiming.
+    bool pinned = false;
     /// Wall-clock publish time (obs::NowMicros) when metrics were enabled at
     /// publish, 0 otherwise; workers read it (after the mutex handoff) to
     /// record their claim latency.
@@ -55,8 +67,11 @@ class TaskPool {
     std::mutex error_mu;
   };
 
-  void WorkerLoop();
+  void WorkerLoop(size_t index);
   void RunIndices(Job& job);
+  void RunIndex(Job& job, size_t i);
+  void Publish(const std::shared_ptr<Job>& job);
+  void Join(Job& job);
 
   std::vector<std::thread> workers_;
   size_t worker_count_ = 0;
@@ -64,9 +79,10 @@ class TaskPool {
   std::mutex mu_;
   std::condition_variable cv_work_;
   std::condition_variable cv_done_;
-  uint64_t generation_ = 0;
-  std::shared_ptr<Job> job_;
-  bool stop_ = false;
+  /// Written under mu_; atomic so idle workers can poll them without it.
+  std::atomic<uint64_t> generation_{0};
+  std::atomic<bool> stop_{false};
+  std::shared_ptr<Job> job_;  ///< Guarded by mu_.
 };
 
 }  // namespace kspot::util

@@ -225,6 +225,22 @@ TEST(GroupViewTest, MergeDisjointAndOverlappingViews) {
   }
 }
 
+TEST(GroupViewTest, InterleavedMergeGrowsItsOwnBuffer) {
+  GroupView view, other;
+  for (sim::GroupId g : {2, 4, 6, 8}) view.AddReading(g, 1.0);
+  for (sim::GroupId g : {1, 4, 5, 8, 9}) other.AddReading(g, 2.0);
+  view.Reserve(16);
+  const GroupView::Entry* buffer = view.entries().data();
+  view.MergeView(other);
+  EXPECT_EQ(view.entries().data(), buffer);  // merged in place, no new buffer
+  std::vector<sim::GroupId> groups;
+  for (const auto& [g, partial] : view.entries()) groups.push_back(g);
+  EXPECT_EQ(groups, (std::vector<sim::GroupId>{1, 2, 4, 5, 6, 8, 9}));
+  EXPECT_DOUBLE_EQ(view.Get(4).Final(AggKind::kSum), 3.0);
+  EXPECT_EQ(view.Get(8).count, 2u);
+  EXPECT_DOUBLE_EQ(view.Get(9).Final(AggKind::kSum), 2.0);
+}
+
 TEST(GroupViewTest, MergeEmptyViewsAndMoveSteal) {
   GroupView empty, full;
   full.AddReading(1, 4.0);

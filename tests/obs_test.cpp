@@ -1,13 +1,19 @@
 /// Unit coverage for the observability layer: the metric primitives and
 /// their gating on the process-global switches, the log-bucketed histogram's
 /// quantile math, registry handle identity and snapshot/JSON shape, and the
-/// tracer's interning, ring wrap-around, and Chrome trace export.
+/// tracer's interning, ring wrap-around, and Chrome trace export — plus the
+/// coordinator's concurrent-epoch counter and its worker-thread spans.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <set>
 #include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "kspot/coordinator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
@@ -305,6 +311,91 @@ TEST(ObsTest, ScopedSpanRecordsOnlyWhenTracingOn) {
   { ScopedSpan on(id); }
   { ScopedSpan zero(0); }  // the reserved no-op id never records
   EXPECT_EQ(t.total_recorded(), before + 1);
+}
+
+// ------------------------------------------------- concurrent group epochs
+
+enum class GroupBed { kLossless, kLossy, kChurn };
+
+/// Runs five operator groups for 12 epochs and returns every answer, row
+/// and bill as text.
+std::string RunGroupBed(GroupBed bed) {
+  system::QueryCoordinator::Options opt;
+  opt.epochs = 12;
+  opt.seed = 31;
+  if (bed == GroupBed::kLossy) opt.loss_prob = 0.05;
+  if (bed == GroupBed::kChurn) {
+    opt.enable_churn = true;
+    opt.churn.crash_prob = 0.02;
+    opt.churn.mean_downtime = 4;
+  }
+  system::QueryCoordinator coordinator(system::Scenario::ConferenceFloor(8, 256, 5), opt);
+  for (const char* sql : {
+           "SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid",
+           "SELECT TOP 4 nodeid, MAX(sound) FROM sensors GROUP BY nodeid",
+           "SELECT roomid, AVG(sound) FROM sensors GROUP BY roomid",
+           "SELECT nodeid, sound FROM sensors WHERE sound > 40",
+           "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid WITH HISTORY 4",
+       }) {
+    EXPECT_TRUE(coordinator.Admit(sql).ok());
+  }
+  auto report = coordinator.Run();
+  EXPECT_TRUE(report.ok());
+  if (!report.ok()) return "";
+  char buf[64];
+  std::string out;
+  for (const system::QueryOutcome& outcome : report.value().outcomes) {
+    for (const core::TopKResult& epoch : outcome.per_epoch) out += epoch.ToString() + "|";
+    for (const auto& rows : outcome.rows_per_epoch) {
+      for (const core::SelectTuple& t : rows) {
+        std::snprintf(buf, sizeof buf, "%u=%a;", t.node, t.value);
+        out += buf;
+      }
+    }
+    std::snprintf(buf, sizeof buf, "[%llu,%a,%a]",
+                  static_cast<unsigned long long>(outcome.shared_cost.messages),
+                  outcome.shared_cost.tx_energy_j, outcome.shared_cost.rx_energy_j);
+    out += buf;
+  }
+  std::snprintf(buf, sizeof buf, "total=%a", report.value().total.energy_j());
+  return out + buf;
+}
+
+uint64_t ConcurrentEpochs() {
+  return Registry().counter("coord.concurrent_epochs").value();
+}
+
+TEST(ObsTest, ConcurrentEpochCounterTracksEligibleSessions) {
+  ObsFlagGuard guard;
+  SetMetricsEnabled(false);
+  SetTracingEnabled(false);
+  const std::string dark = RunGroupBed(GroupBed::kLossless);
+
+  SetMetricsEnabled(true);
+  SetTracingEnabled(true);
+  GlobalTracer().Clear();
+  uint64_t before = ConcurrentEpochs();
+  // Observation perturbs nothing, with the groups on worker threads too.
+  EXPECT_EQ(RunGroupBed(GroupBed::kLossless), dark);
+  if (std::thread::hardware_concurrency() > 1) {
+    // Every epoch steps five groups and no other session holds the pool;
+    // the first two run serially while the groups build their state.
+    EXPECT_EQ(ConcurrentEpochs(), before + 10);
+  }
+  std::set<std::string> group_spans;
+  for (const TraceSpan& span : GlobalTracer().Spans()) {
+    std::string name = GlobalTracer().Name(span.name_id);
+    if (name.rfind("coord.run.", 0) == 0) group_spans.insert(name);
+  }
+  EXPECT_EQ(group_spans, (std::set<std::string>{"coord.run.MINT", "coord.run.TAG",
+                                                "coord.run.SELECT", "coord.run.MINT+history"}));
+
+  // Loss draws and churn keep every epoch on the serial path.
+  for (GroupBed bed : {GroupBed::kLossy, GroupBed::kChurn}) {
+    before = ConcurrentEpochs();
+    RunGroupBed(bed);
+    EXPECT_EQ(ConcurrentEpochs(), before);
+  }
 }
 
 }  // namespace

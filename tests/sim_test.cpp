@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <optional>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "sim/energy_model.hpp"
 #include "sim/network.hpp"
@@ -312,6 +316,104 @@ TEST(NetworkTest, DeadSenderStopsRetryingOnTheDownPath) {
 }
 
 // -------------------------------------------------------------------- Waves
+
+// ------------------------------------------------------------ ChargeLedger
+
+/// One operator group's worth of traffic: a dissemination wave charged
+/// before the group names its phase, then a converge-cast, a path relay, a
+/// control handshake and a flash write.
+void GroupTraffic(Network& net, int salt) {
+  DownWave<int>::Run(
+      net, [&](NodeId, const int* in) -> std::optional<int> { return in ? *in : salt; },
+      [](int) { return size_t{6}; });
+  net.SetPhase(salt % 2 == 0 ? "ledger.even" : "ledger.odd");
+  UpWave<int>::Run(
+      net,
+      [&](NodeId node, std::vector<int>&& inbox) -> std::optional<int> {
+        int sum = static_cast<int>(node) + salt;
+        for (int v : inbox) sum += v;
+        return sum;
+      },
+      [](int v) { return static_cast<size_t>(4 + v % 37); });
+  net.UnicastUpPath(static_cast<NodeId>(net.tree().num_nodes() - 1), 9 + salt);
+  net.DeliverControl(net.tree().children(kSinkId).front(), kSinkId, 5);
+  net.ChargeStorageIo(3, 1, 2, 64, 1e-4 * (salt + 1));
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+void ExpectSameCounters(const TrafficCounters& a, const TrafficCounters& b) {
+  EXPECT_EQ(a.messages, b.messages);
+  EXPECT_EQ(a.frames, b.frames);
+  EXPECT_EQ(a.payload_bytes, b.payload_bytes);
+  EXPECT_EQ(a.onair_bytes, b.onair_bytes);
+  EXPECT_EQ(a.flash_reads, b.flash_reads);
+  EXPECT_EQ(a.flash_writes, b.flash_writes);
+  EXPECT_EQ(a.flash_bytes, b.flash_bytes);
+  EXPECT_EQ(Bits(a.tx_energy_j), Bits(b.tx_energy_j));
+  EXPECT_EQ(Bits(a.rx_energy_j), Bits(b.rx_energy_j));
+  EXPECT_EQ(Bits(a.flash_energy_j), Bits(b.flash_energy_j));
+}
+
+TEST(ChargeLedgerTest, ReplayInOrderMatchesDirectChargesBitForBit) {
+  auto direct = kspot::testing::TestBed::Grid(49, 8, 5);
+  auto journaled = kspot::testing::TestBed::Grid(49, 8, 5);
+  ASSERT_TRUE(journaled.net->CanJournalCharges());
+  for (Network* net : {direct.net.get(), journaled.net.get()}) {
+    net->SetPhase("ledger.before");
+    net->events().JumpTo(1'000'000);
+  }
+  for (int g = 0; g < 3; ++g) GroupTraffic(*direct.net, g);
+
+  // Three writers fill their ledgers concurrently, last group first.
+  std::vector<ChargeLedger> ledgers(3);
+  std::vector<std::thread> writers;
+  for (int g = 2; g >= 0; --g) {
+    writers.emplace_back([&, g] {
+      Network::LedgerScope scope(*journaled.net, &ledgers[static_cast<size_t>(g)]);
+      GroupTraffic(*journaled.net, g);
+    });
+  }
+  for (std::thread& writer : writers) writer.join();
+  EXPECT_EQ(journaled.net->total().messages, 0u);  // nothing lands before replay
+  for (const ChargeLedger& ledger : ledgers) journaled.net->Replay(ledger);
+
+  ExpectSameCounters(journaled.net->total(), direct.net->total());
+  auto want = direct.net->by_phase();
+  auto got = journaled.net->by_phase();
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [phase, counters] : want) {
+    SCOPED_TRACE(phase);
+    ASSERT_EQ(got.count(phase), 1u);
+    ExpectSameCounters(got.at(phase), counters);
+  }
+  for (NodeId id = 0; id < direct.tree.num_nodes(); ++id) {
+    EXPECT_EQ(Bits(journaled.net->meter(id).tx_joules()), Bits(direct.net->meter(id).tx_joules()));
+    EXPECT_EQ(Bits(journaled.net->meter(id).rx_joules()), Bits(direct.net->meter(id).rx_joules()));
+    EXPECT_EQ(Bits(journaled.net->meter(id).storage_joules()),
+              Bits(direct.net->meter(id).storage_joules()));
+    EXPECT_EQ(journaled.net->MessagesSentBy(id), direct.net->MessagesSentBy(id));
+  }
+  EXPECT_EQ(journaled.net->events().now(), direct.net->events().now());
+  EXPECT_EQ(journaled.net->phase(), direct.net->phase());
+}
+
+TEST(ChargeLedgerTest, OnlyCommutingNetworksJournal) {
+  EXPECT_TRUE(kspot::testing::TestBed::Grid(9, 4, 1).net->CanJournalCharges());
+  NetworkOptions lossy;
+  lossy.loss_prob = 0.1;
+  EXPECT_FALSE(kspot::testing::TestBed::Grid(9, 4, 1, lossy).net->CanJournalCharges());
+  NetworkOptions battery;
+  battery.battery_j = 1.0;
+  EXPECT_FALSE(kspot::testing::TestBed::Grid(9, 4, 1, battery).net->CanJournalCharges());
+  NetworkOptions reliable;
+  reliable.reliability.enabled = true;
+  EXPECT_FALSE(kspot::testing::TestBed::Grid(9, 4, 1, reliable).net->CanJournalCharges());
+}
 
 TEST(WaveTest, UpWaveAggregatesWholeTree) {
   auto bed = kspot::testing::TestBed::Grid(49, 4, 43);

@@ -429,5 +429,24 @@ TEST(TaskPoolTest, ReusableAcrossManyJobs) {
   }
 }
 
+TEST(TaskPoolTest, RunPerThreadKeepsEachIndexOnOneThread) {
+  TaskPool pool(3);
+  std::vector<std::thread::id> first(3);
+  pool.RunPerThread(3, [&](size_t i) { first[i] = std::this_thread::get_id(); });
+  EXPECT_EQ(first[0], std::this_thread::get_id());  // index 0 is the caller
+  EXPECT_EQ(std::set<std::thread::id>(first.begin(), first.end()).size(), 3u);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::thread::id> again(3);
+    pool.RunPerThread(round % 2 == 0 ? 3 : 2,
+                      [&](size_t i) { again[i] = std::this_thread::get_id(); });
+    for (size_t i = 0; i < (round % 2 == 0 ? 3u : 2u); ++i) EXPECT_EQ(again[i], first[i]);
+  }
+  // Pinned and claimed jobs share the workers.
+  std::atomic<size_t> sum{0};
+  pool.ParallelFor(10, [&](size_t i) { sum.fetch_add(i); });
+  EXPECT_EQ(sum.load(), 45u);
+  EXPECT_THROW(pool.RunPerThread(4, [](size_t) {}), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace kspot::util
