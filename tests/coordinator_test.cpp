@@ -463,6 +463,108 @@ TEST(CoordinatorTest, LossyMultiGroupSessionMatchesPinnedDigest) {
   EXPECT_EQ(SessionPinDigest(PinBed::kLossy), 0x41e3de50937a3343ULL);
 }
 
+// ---------------------------------------------------- horizontal window pins
+//
+// Digests of sessions with horizontal (WITH HISTORY) groups: one rate
+// limited from the first epoch, and two admitted mid-session, when the window
+// is not yet full (epoch 3 of W = 8) and when it is (epoch 20). Each is pinned
+// on the 46-mote floor, which steps serially, and on a 2049-mote floor, whose
+// epochs step their groups concurrently. Recorded on the code where every
+// horizontal group replayed a generator of its own from epoch 0.
+
+constexpr const char* kHorizontalMaxSql =
+    "SELECT TOP 3 roomid, MAX(sound) FROM sensors GROUP BY roomid WITH HISTORY 8";
+constexpr const char* kHorizontalMinSql =
+    "SELECT TOP 2 roomid, MIN(sound) FROM sensors GROUP BY roomid WITH HISTORY 8";
+
+void HashStep(Fnv& h, const EpochUpdate& update) {
+  h.U64(update.epoch);
+  h.Counters(update.epoch_cost);
+  for (const GroupUpdate& gu : update.groups) {
+    h.U64(gu.group_id);
+    h.Str(gu.algorithm);
+    for (QueryId id : gu.members) h.U64(id);
+    h.U64(gu.ran ? 1 : 0);
+    if (gu.result) h.Result(*gu.result);
+  }
+}
+
+void HashReport(Fnv& h, const CoordinatorReport& report) {
+  for (const QueryOutcome& outcome : report.outcomes) {
+    h.U64(outcome.id);
+    for (const core::TopKResult& r : outcome.per_epoch) h.Result(r);
+    h.Counters(outcome.shared_cost);
+    h.U64(outcome.joined_epoch);
+  }
+  h.Counters(report.total);
+}
+
+Scenario HorizontalPinBed(bool large) {
+  return large ? Scenario::ConferenceFloor(8, 256, 5) : Scenario::ConferenceFloor(9, 5, 5);
+}
+
+/// A snapshot query and a period-3 horizontal AVG W = 8 group from Open on.
+uint64_t RateLimitedHorizontalDigest(bool large) {
+  QueryCoordinator coordinator(HorizontalPinBed(large), SmallRun(24, 17));
+  AdmitOptions every3;
+  every3.period = 3;
+  EXPECT_TRUE(coordinator.Admit(kSnapshotSql).ok());
+  EXPECT_TRUE(coordinator.Admit(kHorizontalSql, every3).ok());
+  EXPECT_TRUE(coordinator.Open().ok());
+  Fnv h;
+  for (size_t e = 0; e < 24; ++e) {
+    auto step = coordinator.StepEpoch();
+    EXPECT_TRUE(step.ok());
+    if (!step.ok()) return 0;
+    HashStep(h, step.value());
+  }
+  auto report = coordinator.Close();
+  EXPECT_TRUE(report.ok());
+  if (!report.ok()) return 0;
+  HashReport(h, report.value());
+  return h.h;
+}
+
+/// A snapshot query and a horizontal MIN group from Open on; at `admit`, a
+/// horizontal AVG and a horizontal MAX group (both W = 8) join.
+uint64_t MidSessionHorizontalDigest(bool large, sim::Epoch admit) {
+  QueryCoordinator coordinator(HorizontalPinBed(large), SmallRun(28, 23));
+  EXPECT_TRUE(coordinator.Admit(kSnapshotSql).ok());
+  EXPECT_TRUE(coordinator.Admit(kHorizontalMinSql).ok());
+  EXPECT_TRUE(coordinator.Open().ok());
+  Fnv h;
+  for (sim::Epoch e = 0; e < 28; ++e) {
+    if (e == admit) {
+      EXPECT_TRUE(coordinator.Admit(kHorizontalSql).ok());
+      EXPECT_TRUE(coordinator.Admit(kHorizontalMaxSql).ok());
+    }
+    auto step = coordinator.StepEpoch();
+    EXPECT_TRUE(step.ok());
+    if (!step.ok()) return 0;
+    HashStep(h, step.value());
+  }
+  auto report = coordinator.Close();
+  EXPECT_TRUE(report.ok());
+  if (!report.ok()) return 0;
+  HashReport(h, report.value());
+  return h.h;
+}
+
+TEST(CoordinatorTest, RateLimitedHorizontalGroupMatchesPinnedDigest) {
+  EXPECT_EQ(RateLimitedHorizontalDigest(false), 0xf8a37f5bdb2f0ac2ULL);
+  EXPECT_EQ(RateLimitedHorizontalDigest(true), 0xe88b71d6f2e2aa58ULL);
+}
+
+TEST(CoordinatorTest, HorizontalAdmitBeforeWindowFillsMatchesPinnedDigest) {
+  EXPECT_EQ(MidSessionHorizontalDigest(false, 3), 0xa60c96351603aaadULL);
+  EXPECT_EQ(MidSessionHorizontalDigest(true, 3), 0xc59d33d2a7dff082ULL);
+}
+
+TEST(CoordinatorTest, HorizontalAdmitAfterWindowFillsMatchesPinnedDigest) {
+  EXPECT_EQ(MidSessionHorizontalDigest(false, 20), 0xcd88d1c4086fb193ULL);
+  EXPECT_EQ(MidSessionHorizontalDigest(true, 20), 0xab20921ca0eb1562ULL);
+}
+
 TEST(CoordinatorTest, EmptyAdmissionSetRunsCleanly) {
   QueryCoordinator coordinator(Scenario::ConferenceFloor(4, 3, 5), SmallRun(5));
   auto report = coordinator.Run();

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "data/generators.hpp"
 #include "data/modality.hpp"
@@ -150,6 +153,60 @@ TEST(WindowAggregateGeneratorTest, MaxAndMinKinds) {
   TraceGenerator inner_min(m, Modality::kSound);
   WindowAggregateGenerator gmin(&inner_min, 2, 3, agg::AggKind::kMin);
   EXPECT_DOUBLE_EQ(gmin.Value(1, 2), 10.0);
+}
+
+// ------------------------------------------------------------ pinned draws
+//
+// FNV-1a digests of every reading over 300 epochs, recorded on the generator
+// that kept its room levels in a hash map, so a change of room-level storage
+// or of window bookkeeping that moved any draw or any bit shows.
+
+uint64_t FnvReading(uint64_t h, double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  for (int i = 0; i < 8; ++i) {
+    h ^= (bits >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// 200 nodes over 69 scattered room ids, so the per-epoch room walk visits
+/// the rooms in an order unlike both their ids and their first appearance.
+std::vector<sim::GroupId> ScatteredRooms() {
+  std::vector<sim::GroupId> rooms(200, 0);
+  for (size_t i = 1; i < rooms.size(); ++i) {
+    rooms[i] = static_cast<sim::GroupId>((i * 37) % 23 + (i % 3) * 100);
+  }
+  return rooms;
+}
+
+RoomCorrelatedGenerator PinnedRoomGenerator() {
+  return RoomCorrelatedGenerator(ScatteredRooms(), Modality::kSound, /*room_sigma=*/2.0,
+                                 /*noise_sigma=*/1.0, util::Rng(2024), /*global_sigma=*/3.0,
+                                 /*quantize_step=*/1.0);
+}
+
+TEST(RoomCorrelatedGeneratorTest, First300EpochsMatchPinnedDigest) {
+  RoomCorrelatedGenerator gen = PinnedRoomGenerator();
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (sim::Epoch e = 0; e < 300; ++e) {
+    for (sim::NodeId id = 0; id < 200; ++id) h = FnvReading(h, gen.Value(id, e));
+  }
+  EXPECT_EQ(h, 0xd087cf5bb55e2e8fULL);
+}
+
+TEST(WindowAggregateGeneratorTest, RoomWalkWindowsMatchPinnedDigest) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (agg::AggKind kind : {agg::AggKind::kAvg, agg::AggKind::kMin, agg::AggKind::kMax,
+                            agg::AggKind::kSum, agg::AggKind::kCount}) {
+    RoomCorrelatedGenerator inner = PinnedRoomGenerator();
+    WindowAggregateGenerator gen(&inner, 200, /*window=*/7, kind);
+    for (sim::Epoch e = 0; e < 300; ++e) {
+      for (sim::NodeId id = 0; id < 200; ++id) h = FnvReading(h, gen.Value(id, e));
+    }
+  }
+  EXPECT_EQ(h, 0xa0d77f1ae219e42bULL);
 }
 
 }  // namespace

@@ -273,5 +273,18 @@ TEST(HistoricAuditWindowTest, LiveAuditsAtDifferentEpochsDoNotShare) {
   EXPECT_EQ(items[1], OracleTopK(9, 25, 3));
 }
 
+TEST(HistoricAuditWindowTest, LateAndBoundaryAdmitsEqualFullReplay) {
+  // Windows starting one epoch before a multiple of 16 and on one (31/32 and
+  // 47/48 admits), and an audit admitted late in the session, each against
+  // an oracle that replays the generator from epoch 0.
+  const std::vector<sim::Epoch> admits = {31, 32, 47, 48, 300};
+  auto items = AuditsAdmittedAt(admits, 301);
+  ASSERT_EQ(items.size(), admits.size());
+  for (size_t i = 0; i < admits.size(); ++i) {
+    SCOPED_TRACE("admit " + std::to_string(admits[i]));
+    EXPECT_EQ(items[i], OracleTopK(admits[i] - 16, admits[i], 3));
+  }
+}
+
 }  // namespace
 }  // namespace kspot
