@@ -8,7 +8,10 @@
 /// one "query" = one admitted query served for the full run) and per-query
 /// radio traffic, at 1/4/16/64 concurrent queries, churn on/off, for a
 /// fleet of identical snapshot dashboards ("snapshot") and a mixed
-/// snapshot+select+historic workload ("mixed").
+/// snapshot+select+historic workload ("mixed"), on a 33-mote floor, plus
+/// one mixed 16-query point on a 2049-mote floor: large enough that the
+/// coordinator steps an epoch's operator groups concurrently, so the
+/// coord_qps gate covers that path too.
 ///
 /// Wall-clock metrics are machine-dependent: the scenario is excluded from
 /// bit-determinism checks, CI runs it quick with --threads 1, and
@@ -35,6 +38,7 @@ struct ServerThroughputConfig {
   uint64_t seed = 171;
   bool churn = false;
   bool mixed = false;
+  size_t nodes_per_room = 4;  ///< On eight rooms: 4 -> 33 motes, 256 -> 2049.
 };
 
 /// The admitted workload. "snapshot" is N users watching the same top-3
@@ -64,7 +68,7 @@ std::vector<std::string> BuildQueryMix(const ServerThroughputConfig& cfg) {
 
 runner::MetricList RunServerThroughput(const ServerThroughputConfig& cfg) {
   using Clock = std::chrono::steady_clock;
-  system::Scenario floor = system::Scenario::ConferenceFloor(8, 4, cfg.seed);
+  system::Scenario floor = system::Scenario::ConferenceFloor(8, cfg.nodes_per_room, cfg.seed);
   std::vector<std::string> queries = BuildQueryMix(cfg);
 
   fault::FaultPlanOptions churn_opt;
@@ -152,26 +156,32 @@ void RegisterServerThroughput(runner::ScenarioRegistry& registry) {
       "bench/check_regression.py gates CI on this scenario's coord_qps.";
   s.make_trials = [](const runner::SweepOptions& opt) {
     std::vector<runner::Trial> trials;
+    auto add = [&](size_t queries, bool mixed, bool churn, size_t nodes_per_room) {
+      runner::Trial t;
+      t.spec.algorithm = "COORD";
+      t.spec.seed = opt.seed != 0 ? opt.seed : 171;
+      t.spec.params = {{"queries", std::to_string(queries)},
+                       {"mix", mixed ? "mixed" : "snapshot"},
+                       {"churn", churn ? "on" : "off"}};
+      if (nodes_per_room != 4) {
+        t.spec.params.push_back({"motes", std::to_string(8 * nodes_per_room + 1)});
+      }
+      ServerThroughputConfig cfg;
+      cfg.queries = queries;
+      cfg.epochs = opt.quick ? 30 : 120;
+      cfg.seed = t.spec.seed;
+      cfg.churn = churn;
+      cfg.mixed = mixed;
+      cfg.nodes_per_room = nodes_per_room;
+      t.run = [cfg]() { return RunServerThroughput(cfg); };
+      trials.push_back(std::move(t));
+    };
     for (bool mixed : {false, true}) {
       for (bool churn : {false, true}) {
-        for (size_t queries : {1u, 4u, 16u, 64u}) {
-          runner::Trial t;
-          t.spec.algorithm = "COORD";
-          t.spec.seed = opt.seed != 0 ? opt.seed : 171;
-          t.spec.params = {{"queries", std::to_string(queries)},
-                           {"mix", mixed ? "mixed" : "snapshot"},
-                           {"churn", churn ? "on" : "off"}};
-          ServerThroughputConfig cfg;
-          cfg.queries = queries;
-          cfg.epochs = opt.quick ? 30 : 120;
-          cfg.seed = t.spec.seed;
-          cfg.churn = churn;
-          cfg.mixed = mixed;
-          t.run = [cfg]() { return RunServerThroughput(cfg); };
-          trials.push_back(std::move(t));
-        }
+        for (size_t queries : {1u, 4u, 16u, 64u}) add(queries, mixed, churn, 4);
       }
     }
+    add(16, /*mixed=*/true, /*churn=*/false, /*nodes_per_room=*/256);
     return trials;
   };
   RegisterOrDie(registry, std::move(s));

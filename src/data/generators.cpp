@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <unordered_map>
 
 #include "util/fixed_point.hpp"
 
@@ -22,6 +25,27 @@ double QuantizeToStep(double v, double step, const ModalityInfo& info) {
   return QuantizeToDomain(v, info);
 }
 
+/// A stateful generator was asked for an epoch it has already moved past:
+/// its process cannot go back, and answering with the current epoch's
+/// reading would be silently wrong.
+[[noreturn]] void EpochWentBack(const char* generator, sim::Epoch asked, sim::Epoch next) {
+  std::fprintf(stderr,
+               "%s: epoch %llu asked after the generator moved on to epoch %llu "
+               "(epochs must be queried in non-decreasing order)\n",
+               generator, static_cast<unsigned long long>(asked),
+               static_cast<unsigned long long>(next));
+  std::abort();
+}
+
+/// A checkpoint of the RNG and the next epoch: all the state of a generator
+/// that draws each asked epoch afresh; walks add their levels.
+GeneratorCheckpoint RngCheckpoint(const util::Rng& rng, sim::Epoch next_epoch) {
+  GeneratorCheckpoint checkpoint;
+  checkpoint.next_epoch = next_epoch;
+  checkpoint.rng = rng;
+  return checkpoint;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- Constant
@@ -36,19 +60,36 @@ double ConstantGenerator::Value(sim::NodeId id, sim::Epoch /*epoch*/) {
   return values_[id];
 }
 
+std::unique_ptr<DataGenerator> ConstantGenerator::Resume(const GeneratorCheckpoint&) const {
+  return std::make_unique<ConstantGenerator>(*this);
+}
+
 // ----------------------------------------------------------------- Uniform
 
 UniformGenerator::UniformGenerator(size_t num_nodes, Modality modality, util::Rng rng)
     : num_nodes_(num_nodes), info_(GetModalityInfo(modality)), rng_(rng) {}
 
 void UniformGenerator::FillEpoch(sim::Epoch epoch) {
-  if (primed_ && epoch == cached_epoch_) return;
+  if (cached_ && epoch + 1 == next_epoch_) return;
+  if (epoch < next_epoch_) EpochWentBack("UniformGenerator", epoch, next_epoch_);
   cache_.assign(num_nodes_, 0.0);
   for (size_t i = 1; i < num_nodes_; ++i) {
     cache_[i] = QuantizeToDomain(rng_.NextDouble(info_.min_value, info_.max_value), info_);
   }
-  cached_epoch_ = epoch;
-  primed_ = true;
+  next_epoch_ = epoch + 1;
+  cached_ = true;
+}
+
+std::optional<GeneratorCheckpoint> UniformGenerator::Checkpoint() const {
+  return RngCheckpoint(rng_, next_epoch_);
+}
+
+std::unique_ptr<DataGenerator> UniformGenerator::Resume(const GeneratorCheckpoint& cp) const {
+  auto gen = std::make_unique<UniformGenerator>(*this);
+  gen->rng_ = cp.rng;
+  gen->next_epoch_ = cp.next_epoch;
+  gen->cached_ = false;
+  return gen;
 }
 
 double UniformGenerator::Value(sim::NodeId id, sim::Epoch epoch) {
@@ -68,13 +109,26 @@ GaussianGenerator::GaussianGenerator(size_t num_nodes, Modality modality, double
 }
 
 void GaussianGenerator::FillEpoch(sim::Epoch epoch) {
-  if (primed_ && epoch == cached_epoch_) return;
+  if (cached_ && epoch + 1 == next_epoch_) return;
+  if (epoch < next_epoch_) EpochWentBack("GaussianGenerator", epoch, next_epoch_);
   cache_.assign(means_.size(), 0.0);
   for (size_t i = 1; i < means_.size(); ++i) {
     cache_[i] = QuantizeToDomain(means_[i] + rng_.NextGaussian(0.0, stddev_), info_);
   }
-  cached_epoch_ = epoch;
-  primed_ = true;
+  next_epoch_ = epoch + 1;
+  cached_ = true;
+}
+
+std::optional<GeneratorCheckpoint> GaussianGenerator::Checkpoint() const {
+  return RngCheckpoint(rng_, next_epoch_);
+}
+
+std::unique_ptr<DataGenerator> GaussianGenerator::Resume(const GeneratorCheckpoint& cp) const {
+  auto gen = std::make_unique<GaussianGenerator>(*this);
+  gen->rng_ = cp.rng;
+  gen->next_epoch_ = cp.next_epoch;
+  gen->cached_ = false;
+  return gen;
 }
 
 double GaussianGenerator::Value(sim::NodeId id, sim::Epoch epoch) {
@@ -101,17 +155,33 @@ RandomWalkGenerator::RandomWalkGenerator(size_t num_nodes, Modality modality, do
 }
 
 void RandomWalkGenerator::AdvanceTo(sim::Epoch epoch) {
-  if (!primed_) {
-    cached_epoch_ = 0;
-    primed_ = true;
-  }
-  while (cached_epoch_ < epoch) {
+  if (epoch < epoch_) EpochWentBack("RandomWalkGenerator", epoch, epoch_);
+  while (epoch_ < epoch) {
     for (size_t i = 1; i < state_.size(); ++i) {
       state_[i] = ClampToDomain(state_[i] + rng_.NextGaussian(0.0, sigma_), info_);
       observed_[i] = QuantizeToStep(state_[i], quantize_step_, info_);
     }
-    ++cached_epoch_;
+    ++epoch_;
   }
+}
+
+std::optional<GeneratorCheckpoint> RandomWalkGenerator::Checkpoint() const {
+  // The observations derive from the walk states, so the states are the
+  // whole process: a resumed walk can serve the checkpoint's own epoch too.
+  GeneratorCheckpoint checkpoint = RngCheckpoint(rng_, epoch_);
+  checkpoint.levels = state_;
+  return checkpoint;
+}
+
+std::unique_ptr<DataGenerator> RandomWalkGenerator::Resume(const GeneratorCheckpoint& cp) const {
+  auto gen = std::make_unique<RandomWalkGenerator>(*this);
+  gen->rng_ = cp.rng;
+  gen->epoch_ = cp.next_epoch;
+  gen->state_ = cp.levels;
+  for (size_t i = 1; i < gen->state_.size(); ++i) {
+    gen->observed_[i] = QuantizeToStep(gen->state_[i], quantize_step_, info_);
+  }
+  return gen;
 }
 
 double RandomWalkGenerator::Value(sim::NodeId id, sim::Epoch epoch) {
@@ -125,7 +195,7 @@ RoomCorrelatedGenerator::RoomCorrelatedGenerator(std::vector<sim::GroupId> room_
                                                  Modality modality, double room_sigma,
                                                  double noise_sigma, util::Rng rng,
                                                  double global_sigma, double quantize_step)
-    : room_of_(std::move(room_of)),
+    : slot_of_(room_of.size(), 0),
       info_(GetModalityInfo(modality)),
       room_sigma_(room_sigma),
       noise_sigma_(noise_sigma),
@@ -133,44 +203,68 @@ RoomCorrelatedGenerator::RoomCorrelatedGenerator(std::vector<sim::GroupId> room_
       global_sigma_(global_sigma),
       quantize_step_(quantize_step) {
   global_level_ = global_sigma_ > 0.0 ? rng_.NextGaussian(0.0, global_sigma_ * 4.0) : 0.0;
-  for (size_t i = 1; i < room_of_.size(); ++i) {
-    sim::GroupId room = room_of_[i];
-    if (!room_level_.count(room)) {
-      room_level_[room] = rng_.NextDouble(info_.min_value, info_.max_value);
-    }
+  // Initial levels draw in order of first appearance; the per-epoch walk
+  // steps the rooms in the iteration order of a hash map keyed by room id,
+  // the order every recorded run drew them in. Build that map once and lay
+  // the levels out flat in its order, so a reading costs no hash lookup.
+  std::unordered_map<sim::GroupId, double> level_of;
+  for (size_t i = 1; i < room_of.size(); ++i) {
+    sim::GroupId room = room_of[i];
+    if (!level_of.count(room)) level_of[room] = rng_.NextDouble(info_.min_value, info_.max_value);
   }
+  std::unordered_map<sim::GroupId, uint32_t> slot;
+  for (const auto& [room, level] : level_of) {
+    slot[room] = static_cast<uint32_t>(room_level_.size());
+    room_level_.push_back(level);
+  }
+  for (size_t i = 1; i < room_of.size(); ++i) slot_of_[i] = slot[room_of[i]];
 }
 
 void RoomCorrelatedGenerator::AdvanceTo(sim::Epoch epoch) {
-  auto refill = [&]() {
-    cache_.assign(room_of_.size(), 0.0);
-    for (size_t i = 1; i < room_of_.size(); ++i) {
-      double level = room_level_[room_of_[i]] + global_level_;
+  if (cached_ && epoch + 1 == next_epoch_) return;
+  if (epoch < next_epoch_) EpochWentBack("RoomCorrelatedGenerator", epoch, next_epoch_);
+  cache_.resize(slot_of_.size(), 0.0);
+  while (next_epoch_ <= epoch) {
+    if (next_epoch_ > 0) {
+      for (double& level : room_level_) {
+        level = ClampToDomain(level + rng_.NextGaussian(0.0, room_sigma_), info_);
+      }
+      if (global_sigma_ > 0.0) {
+        // The global walk is mean-reverting so readings stay inside the domain.
+        global_level_ = global_level_ * 0.98 + rng_.NextGaussian(0.0, global_sigma_);
+      }
+    }
+    for (size_t i = 1; i < slot_of_.size(); ++i) {
+      double level = room_level_[slot_of_[i]] + global_level_;
       cache_[i] =
           QuantizeToStep(level + rng_.NextGaussian(0.0, noise_sigma_), quantize_step_, info_);
     }
-  };
-  if (!primed_) {
-    cached_epoch_ = 0;
-    refill();
-    primed_ = true;
+    ++next_epoch_;
   }
-  while (cached_epoch_ < epoch) {
-    for (auto& [room, level] : room_level_) {
-      level = ClampToDomain(level + rng_.NextGaussian(0.0, room_sigma_), info_);
-    }
-    if (global_sigma_ > 0.0) {
-      // The global walk is mean-reverting so readings stay inside the domain.
-      global_level_ = global_level_ * 0.98 + rng_.NextGaussian(0.0, global_sigma_);
-    }
-    ++cached_epoch_;
-    refill();
-  }
+  cached_ = true;
 }
 
 double RoomCorrelatedGenerator::Value(sim::NodeId id, sim::Epoch epoch) {
   AdvanceTo(epoch);
   return id < cache_.size() ? cache_[id] : 0.0;
+}
+
+std::optional<GeneratorCheckpoint> RoomCorrelatedGenerator::Checkpoint() const {
+  GeneratorCheckpoint checkpoint = RngCheckpoint(rng_, next_epoch_);
+  checkpoint.global_level = global_level_;
+  checkpoint.levels = room_level_;
+  return checkpoint;
+}
+
+std::unique_ptr<DataGenerator> RoomCorrelatedGenerator::Resume(
+    const GeneratorCheckpoint& cp) const {
+  auto gen = std::make_unique<RoomCorrelatedGenerator>(*this);
+  gen->rng_ = cp.rng;
+  gen->global_level_ = cp.global_level;
+  gen->room_level_ = cp.levels;
+  gen->next_epoch_ = cp.next_epoch;
+  gen->cached_ = false;
+  return gen;
 }
 
 // ------------------------------------------------------------------ Spikes
@@ -184,7 +278,8 @@ SpikeGenerator::SpikeGenerator(size_t num_nodes, Modality modality, double basel
       rng_(rng) {}
 
 void SpikeGenerator::FillEpoch(sim::Epoch epoch) {
-  if (primed_ && epoch == cached_epoch_) return;
+  if (cached_ && epoch + 1 == next_epoch_) return;
+  if (epoch < next_epoch_) EpochWentBack("SpikeGenerator", epoch, next_epoch_);
   cache_.assign(num_nodes_, 0.0);
   double spike_floor = info_.min_value + 0.9 * (info_.max_value - info_.min_value);
   for (size_t i = 1; i < num_nodes_; ++i) {
@@ -196,13 +291,25 @@ void SpikeGenerator::FillEpoch(sim::Epoch epoch) {
     }
     cache_[i] = QuantizeToDomain(v, info_);
   }
-  cached_epoch_ = epoch;
-  primed_ = true;
+  next_epoch_ = epoch + 1;
+  cached_ = true;
 }
 
 double SpikeGenerator::Value(sim::NodeId id, sim::Epoch epoch) {
   FillEpoch(epoch);
   return id < cache_.size() ? cache_[id] : 0.0;
+}
+
+std::optional<GeneratorCheckpoint> SpikeGenerator::Checkpoint() const {
+  return RngCheckpoint(rng_, next_epoch_);
+}
+
+std::unique_ptr<DataGenerator> SpikeGenerator::Resume(const GeneratorCheckpoint& cp) const {
+  auto gen = std::make_unique<SpikeGenerator>(*this);
+  gen->rng_ = cp.rng;
+  gen->next_epoch_ = cp.next_epoch;
+  gen->cached_ = false;
+  return gen;
 }
 
 // ------------------------------------------------------------------- Trace
@@ -218,6 +325,10 @@ double TraceGenerator::Value(sim::NodeId id, sim::Epoch epoch) {
   if (matrix_.empty()) return 0.0;
   const auto& row = matrix_[epoch % matrix_.size()];
   return id < row.size() ? row[id] : 0.0;
+}
+
+std::unique_ptr<DataGenerator> TraceGenerator::Resume(const GeneratorCheckpoint&) const {
+  return std::make_unique<TraceGenerator>(*this);
 }
 
 }  // namespace kspot::data

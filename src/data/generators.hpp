@@ -1,7 +1,8 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "data/modality.hpp"
@@ -10,12 +11,25 @@
 
 namespace kspot::data {
 
+/// A generator's process state between two epochs: what drawing every later
+/// epoch takes (the RNG, the walk levels, the next epoch) and nothing the
+/// generator rebuilds from its fixed configuration (node-to-room slots,
+/// per-node means) or that only one epoch reads (the reading cache). For the
+/// default room-correlated walk that is O(rooms), not O(nodes).
+struct GeneratorCheckpoint {
+  sim::Epoch next_epoch = 0;   ///< First epoch a resumed generator can draw.
+  util::Rng rng;
+  double global_level = 0.0;   ///< RoomCorrelatedGenerator's building-wide walk.
+  std::vector<double> levels;  ///< Room levels, or each node's walk state.
+};
+
 /// Produces the reading of every sensing node at every epoch.
 ///
 /// Contract: `Value(id, epoch)` is deterministic — repeated calls with the
 /// same arguments return the same reading — and epochs must be queried in
-/// non-decreasing order (stateful generators advance their processes).
-/// Readings are quantized to the wire fixed-point grid at the source so that
+/// non-decreasing order (stateful generators advance their processes, and
+/// abort when asked for an epoch they have already moved past). Readings
+/// are quantized to the wire fixed-point grid at the source so that
 /// in-network aggregation is bit-exact with centralized computation.
 class DataGenerator {
  public:
@@ -37,6 +51,20 @@ class DataGenerator {
   /// operator group.
   virtual void PrepareEpoch(sim::Epoch epoch) { (void)epoch; }
 
+  /// The process state after the last epoch this generator produced, or
+  /// nullopt when it cannot hand one out (the default, for generators outside
+  /// this library).
+  virtual std::optional<GeneratorCheckpoint> Checkpoint() const { return std::nullopt; }
+
+  /// A new generator that continues from `checkpoint` (taken from this
+  /// generator) bit for bit: asked for the same epochs from
+  /// `checkpoint.next_epoch` on, it returns exactly what this generator
+  /// returned or will return for them. Null when Checkpoint() is nullopt.
+  virtual std::unique_ptr<DataGenerator> Resume(const GeneratorCheckpoint& checkpoint) const {
+    (void)checkpoint;
+    return nullptr;
+  }
+
   /// The modality generated (defines the bounded domain).
   virtual const ModalityInfo& modality() const = 0;
 };
@@ -48,6 +76,8 @@ class ConstantGenerator : public DataGenerator {
   ConstantGenerator(std::vector<double> values, Modality modality = Modality::kSound);
 
   double Value(sim::NodeId id, sim::Epoch epoch) override;
+  std::optional<GeneratorCheckpoint> Checkpoint() const override { return GeneratorCheckpoint(); }
+  std::unique_ptr<DataGenerator> Resume(const GeneratorCheckpoint& checkpoint) const override;
   const ModalityInfo& modality() const override { return info_; }
 
  private:
@@ -62,15 +92,17 @@ class UniformGenerator : public DataGenerator {
 
   double Value(sim::NodeId id, sim::Epoch epoch) override;
   void PrepareEpoch(sim::Epoch epoch) override { FillEpoch(epoch); }
+  std::optional<GeneratorCheckpoint> Checkpoint() const override;
+  std::unique_ptr<DataGenerator> Resume(const GeneratorCheckpoint& checkpoint) const override;
   const ModalityInfo& modality() const override { return info_; }
 
  private:
   size_t num_nodes_;
   ModalityInfo info_;
   util::Rng rng_;
-  sim::Epoch cached_epoch_ = 0;
+  sim::Epoch next_epoch_ = 0;  ///< Every epoch before it has been drawn or skipped.
+  bool cached_ = false;        ///< cache_ holds epoch next_epoch_ - 1.
   std::vector<double> cache_;
-  bool primed_ = false;
 
   void FillEpoch(sim::Epoch epoch);
 };
@@ -84,6 +116,8 @@ class GaussianGenerator : public DataGenerator {
 
   double Value(sim::NodeId id, sim::Epoch epoch) override;
   void PrepareEpoch(sim::Epoch epoch) override { FillEpoch(epoch); }
+  std::optional<GeneratorCheckpoint> Checkpoint() const override;
+  std::unique_ptr<DataGenerator> Resume(const GeneratorCheckpoint& checkpoint) const override;
   const ModalityInfo& modality() const override { return info_; }
 
  private:
@@ -91,9 +125,9 @@ class GaussianGenerator : public DataGenerator {
   double stddev_;
   util::Rng rng_;
   std::vector<double> means_;
-  sim::Epoch cached_epoch_ = 0;
+  sim::Epoch next_epoch_ = 0;  ///< Every epoch before it has been drawn or skipped.
+  bool cached_ = false;        ///< cache_ holds epoch next_epoch_ - 1.
   std::vector<double> cache_;
-  bool primed_ = false;
 
   void FillEpoch(sim::Epoch epoch);
 };
@@ -110,6 +144,8 @@ class RandomWalkGenerator : public DataGenerator {
 
   double Value(sim::NodeId id, sim::Epoch epoch) override;
   void PrepareEpoch(sim::Epoch epoch) override { AdvanceTo(epoch); }
+  std::optional<GeneratorCheckpoint> Checkpoint() const override;
+  std::unique_ptr<DataGenerator> Resume(const GeneratorCheckpoint& checkpoint) const override;
   const ModalityInfo& modality() const override { return info_; }
 
  private:
@@ -117,10 +153,9 @@ class RandomWalkGenerator : public DataGenerator {
   double sigma_;
   util::Rng rng_;
   double quantize_step_;
-  sim::Epoch cached_epoch_ = 0;
+  sim::Epoch epoch_ = 0;  ///< The epoch state_ and observed_ hold.
   std::vector<double> state_;
   std::vector<double> observed_;
-  bool primed_ = false;
 
   void AdvanceTo(sim::Epoch epoch);
 };
@@ -143,10 +178,13 @@ class RoomCorrelatedGenerator : public DataGenerator {
 
   double Value(sim::NodeId id, sim::Epoch epoch) override;
   void PrepareEpoch(sim::Epoch epoch) override { AdvanceTo(epoch); }
+  std::optional<GeneratorCheckpoint> Checkpoint() const override;
+  std::unique_ptr<DataGenerator> Resume(const GeneratorCheckpoint& checkpoint) const override;
   const ModalityInfo& modality() const override { return info_; }
 
  private:
-  std::vector<sim::GroupId> room_of_;
+  /// Node id -> index into room_level_ (0 for the sink, which reads 0).
+  std::vector<uint32_t> slot_of_;
   ModalityInfo info_;
   double room_sigma_;
   double noise_sigma_;
@@ -154,10 +192,11 @@ class RoomCorrelatedGenerator : public DataGenerator {
   double global_sigma_;
   double quantize_step_;
   double global_level_ = 0.0;
-  std::unordered_map<sim::GroupId, double> room_level_;
-  sim::Epoch cached_epoch_ = 0;
+  /// Each room's level, in the order the per-epoch walk steps them.
+  std::vector<double> room_level_;
+  sim::Epoch next_epoch_ = 0;  ///< Epochs before it have been drawn.
+  bool cached_ = false;        ///< cache_ holds epoch next_epoch_ - 1.
   std::vector<double> cache_;
-  bool primed_ = false;
 
   void AdvanceTo(sim::Epoch epoch);
 };
@@ -172,6 +211,8 @@ class SpikeGenerator : public DataGenerator {
 
   double Value(sim::NodeId id, sim::Epoch epoch) override;
   void PrepareEpoch(sim::Epoch epoch) override { FillEpoch(epoch); }
+  std::optional<GeneratorCheckpoint> Checkpoint() const override;
+  std::unique_ptr<DataGenerator> Resume(const GeneratorCheckpoint& checkpoint) const override;
   const ModalityInfo& modality() const override { return info_; }
 
  private:
@@ -180,9 +221,9 @@ class SpikeGenerator : public DataGenerator {
   double baseline_;
   double spike_prob_;
   util::Rng rng_;
-  sim::Epoch cached_epoch_ = 0;
+  sim::Epoch next_epoch_ = 0;  ///< Every epoch before it has been drawn or skipped.
+  bool cached_ = false;        ///< cache_ holds epoch next_epoch_ - 1.
   std::vector<double> cache_;
-  bool primed_ = false;
 
   void FillEpoch(sim::Epoch epoch);
 };
@@ -194,6 +235,8 @@ class TraceGenerator : public DataGenerator {
   TraceGenerator(std::vector<std::vector<double>> matrix, Modality modality);
 
   double Value(sim::NodeId id, sim::Epoch epoch) override;
+  std::optional<GeneratorCheckpoint> Checkpoint() const override { return GeneratorCheckpoint(); }
+  std::unique_ptr<DataGenerator> Resume(const GeneratorCheckpoint& checkpoint) const override;
   const ModalityInfo& modality() const override { return info_; }
 
   /// Number of recorded epochs.

@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -27,6 +28,13 @@ constexpr sim::Epoch kNoEpoch = std::numeric_limits<sim::Epoch>::max();
 
 /// Smallest deployment whose epochs step operator groups concurrently.
 constexpr size_t kMinConcurrentNodes = 2048;
+
+/// Epochs between two checkpoints of a session's shared generator. A window
+/// that starts at epoch f replays from the last checkpoint at or before f,
+/// so rebuilding it draws at most kCheckpointEvery - 1 + W epochs however
+/// old the session is; each checkpoint costs the generator's process state
+/// (O(rooms) for the default walk).
+constexpr sim::Epoch kCheckpointEvery = 16;
 
 /// How a query executes on the shared data plane.
 enum class OpKind {
@@ -136,9 +144,8 @@ struct OpGroup {
   std::unique_ptr<core::EpochAlgorithm> algo;
   /// ... or the tuple-collection path of ungrouped selects.
   std::unique_ptr<core::BasicSelect> select;
-  /// Horizontal historic operators own their window adapter (the shared
-  /// per-epoch wave feeds it through its own inner generator replay).
-  std::unique_ptr<data::DataGenerator> own_inner;
+  /// Horizontal historic operators own their window adapter over the
+  /// session's shared generator.
   std::unique_ptr<data::WindowAggregateGenerator> window_gen;
 
   /// Cached tracer name id for this operator's per-epoch span
@@ -173,7 +180,6 @@ struct OpGroup {
     algo.reset();
     select.reset();
     window_gen.reset();
-    own_inner.reset();
     key.clear();
   }
 };
@@ -221,6 +227,12 @@ GroupPool& SharedGroupPool() {
   return shared;
 }
 
+/// Span around filling or replaying a window at admission.
+uint32_t AdmitWindowSpan() {
+  static const uint32_t id = obs::GlobalTracer().InternName("coord.admit.window");
+  return id;
+}
+
 }  // namespace
 
 /// Everything one open session owns: the shared data plane plus the
@@ -228,7 +240,13 @@ GroupPool& SharedGroupPool() {
 struct QueryCoordinator::Session {
   sim::RoutingTree tree;
   sim::Network net;
+  /// The one source of readings: every operator reads it at the current
+  /// epoch, every horizontal window buffers it, and every window
+  /// rebuilt at admission replays it from one of its checkpoints.
   std::unique_ptr<data::DataGenerator> shared_gen;
+  /// shared_gen before epochs 0, kCheckpointEvery, 2 * kCheckpointEvery, ...
+  /// (empty when the generator hands out no checkpoint).
+  std::vector<data::GeneratorCheckpoint> checkpoints;
   std::unique_ptr<fault::ChurnEngine> churn;
 
   std::vector<OpGroup> groups;
@@ -248,7 +266,31 @@ struct QueryCoordinator::Session {
   Session(const Deployment& deployment, const DeploymentConfig& config)
       : tree(deployment.tree),
         net(SessionNetwork(deployment, &tree, config)),
-        shared_gen(SessionGenerator(deployment, config)) {}
+        shared_gen(SessionGenerator(deployment, config)) {
+    if (auto checkpoint = shared_gen->Checkpoint()) checkpoints.push_back(std::move(*checkpoint));
+  }
+
+  /// A generator whose next draw is epoch `first`, drawing what shared_gen
+  /// drew (or will draw) from there on: resumed from the last checkpoint at
+  /// or before `first`, or replayed from a fresh generator of `deployment`
+  /// and `config` when there is none. Every epoch in between is drawn, as
+  /// shared_gen draws every epoch.
+  std::unique_ptr<data::DataGenerator> GeneratorAt(sim::Epoch first, const Deployment& deployment,
+                                                   const DeploymentConfig& config) const {
+    auto after = std::upper_bound(
+        checkpoints.begin(), checkpoints.end(), first,
+        [](sim::Epoch e, const data::GeneratorCheckpoint& cp) { return e < cp.next_epoch; });
+    std::unique_ptr<data::DataGenerator> gen;
+    sim::Epoch from = 0;
+    if (after != checkpoints.begin()) {
+      gen = shared_gen->Resume(*(after - 1));
+      from = (after - 1)->next_epoch;
+    } else {
+      gen = SessionGenerator(deployment, config);
+    }
+    for (sim::Epoch e = from; e < first; ++e) gen->PrepareEpoch(e);
+    return gen;
+  }
 
   /// One group stepping this epoch and the update entry it fills.
   struct Step {
@@ -287,14 +329,6 @@ bool QueryCoordinator::Session::StepConcurrently(const std::vector<Step>& steps,
   std::unique_lock<std::mutex> pool_lock(shared.busy, std::try_to_lock);
   if (!pool_lock.owns_lock()) return false;
 
-  // The first reader of an epoch advances the shared generator; do it here
-  // so the groups only read it. Horizontal groups read their own.
-  for (const Step& step : steps) {
-    if (step.group->plan.kind != OpKind::kHorizontal) {
-      shared_gen->PrepareEpoch(epoch);
-      break;
-    }
-  }
   // Longest first onto the least-loaded lane, by each group's smoothed step
   // time. Lane l always runs on pool thread l, so a group that keeps its
   // lane keeps its allocator arena; a lane that runs dry takes groups no
@@ -481,22 +515,38 @@ util::Status QueryCoordinator::BindToSession(size_t admitted_index) {
           std::make_unique<core::MintViews>(&session.net, session.shared_gen.get(), plan.spec);
       group.algorithm = group.algo->name();
       break;
-    case OpKind::kHorizontal:
-      group.own_inner = SessionGenerator(*deployment_, options_);
+    case OpKind::kHorizontal: {
+      // The window reads shared_gen from the join on. A mid-session admit
+      // first buffers the readings that already exist, up to W - 1 of them.
+      const sim::Epoch held = std::min(session.epoch, static_cast<sim::Epoch>(plan.window - 1));
       group.window_gen = std::make_unique<data::WindowAggregateGenerator>(
-          group.own_inner.get(), n, plan.window, plan.spec.agg);
+          session.shared_gen.get(), n, plan.window, plan.spec.agg, session.epoch - held);
+      if (held > 0) {
+        obs::ScopedSpan window_span(AdmitWindowSpan());
+        auto gen = session.GeneratorAt(session.epoch - held, *deployment_, options_);
+        for (sim::Epoch e = session.epoch - held; e < session.epoch; ++e) {
+          group.window_gen->Push(*gen, e);
+        }
+      }
       group.algo =
           std::make_unique<core::MintViews>(&session.net, group.window_gen.get(), plan.spec);
       group.algorithm = "MINT+history";
       break;
+    }
     case OpKind::kVertical: {
-      // One-shot historic: ranks the plan's window, replayed from a fresh
-      // generator, on the same network — its traffic drains the same
-      // batteries the continuous queries live off. Mid-session admits run
-      // theirs at admission.
-      auto gen = SessionGenerator(*deployment_, options_);
-      core::GeneratorHistory source(gen.get(), n, plan.first, plan.window);
-      core::Tja tja(&session.net, &source, plan.historic);
+      // One-shot historic: ranks the plan's window, replayed from the
+      // shared generator's nearest checkpoint, on the same network — its
+      // traffic drains the same batteries the continuous queries live off.
+      // Mid-session admits run theirs at admission.
+      std::optional<core::GeneratorHistory> source;
+      {
+        obs::ScopedSpan window_span(AdmitWindowSpan());
+        auto gen = session.GeneratorAt(plan.first, *deployment_, options_);
+        source.emplace(gen.get(), n, plan.first, plan.window);
+      }
+      static const uint32_t kTjaSpan = obs::GlobalTracer().InternName("coord.admit.tja");
+      obs::ScopedSpan tja_span(kTjaSpan);
+      core::Tja tja(&session.net, &*source, plan.historic);
       sim::TrafficCounters before = session.net.total();
       group.historic = tja.Run();
       group.algorithm = tja.name();
@@ -583,6 +633,12 @@ util::StatusOr<EpochUpdate> QueryCoordinator::StepEpoch() {
 
   static const uint32_t kWavesSpan = obs::GlobalTracer().InternName("coord.waves");
   const uint64_t waves_start = obs::TracingOn() ? obs::NowMicros() : 0;
+  // Checkpoint the generator before it draws a checkpoint epoch. Then draw
+  // the epoch's readings once, so the groups only read them.
+  if (!session.checkpoints.empty() && epoch % kCheckpointEvery == 0 && epoch > 0) {
+    session.checkpoints.push_back(*session.shared_gen->Checkpoint());
+  }
+  session.shared_gen->PrepareEpoch(epoch);
   // Every live epoch-driven group reports, in creation order (admission
   // order). Epoch-driven groups carry an algorithm or a select pipeline;
   // vertical (TJA) groups carry neither: they ran at bind time.
@@ -598,6 +654,10 @@ util::StatusOr<EpochUpdate> QueryCoordinator::StepEpoch() {
       }
     }
     gu.ran = group_eligible[gi] != 0;
+    // A horizontal window that steps reads the epoch from shared_gen in its
+    // own step; one rate-limited out of the epoch gets it pushed, so its
+    // window never misses an epoch.
+    if (!gu.ran && group.window_gen) group.window_gen->Push(*session.shared_gen, epoch);
     if (!gu.ran && topology_changed) {
       // Rate-limited out of this epoch. Operators keep caches keyed against
       // the tree; remember to evict them if it changed while we slept.

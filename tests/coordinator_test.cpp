@@ -3,9 +3,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "data/generators.hpp"
 #include "kspot/coordinator.hpp"
 #include "kspot/scenario_config.hpp"
 #include "kspot/server.hpp"
@@ -563,6 +565,54 @@ TEST(CoordinatorTest, HorizontalAdmitBeforeWindowFillsMatchesPinnedDigest) {
 TEST(CoordinatorTest, HorizontalAdmitAfterWindowFillsMatchesPinnedDigest) {
   EXPECT_EQ(MidSessionHorizontalDigest(false, 20), 0xcd88d1c4086fb193ULL);
   EXPECT_EQ(MidSessionHorizontalDigest(true, 20), 0xab20921ca0eb1562ULL);
+}
+
+/// Readings as a pure function of node and epoch, from a generator that
+/// hands out no checkpoint (the DataGenerator defaults).
+class FormulaGenerator : public data::DataGenerator {
+ public:
+  double Value(sim::NodeId id, sim::Epoch epoch) override {
+    return id == 0 ? 0.0 : static_cast<double>(20 + (id * 7 + epoch * 13) % 61);
+  }
+  const data::ModalityInfo& modality() const override {
+    return data::GetModalityInfo(data::Modality::kSound);
+  }
+};
+
+TEST(CoordinatorTest, WindowsOfAGeneratorWithoutCheckpointsMatchCheckpointedOnes) {
+  // A custom generator that cannot checkpoint has its windows replayed from
+  // a fresh copy; a trace of the same readings replays from checkpoints.
+  // Horizontal admits at epochs 12 and 40 and audits at 20 and 45 answer alike.
+  auto run = [](bool checkpointed) {
+    QueryCoordinator::Options opt = SmallRun(48, 3);
+    opt.make_generator = [checkpointed](const Scenario& scenario,
+                                        uint64_t) -> std::unique_ptr<data::DataGenerator> {
+      if (!checkpointed) return std::make_unique<FormulaGenerator>();
+      FormulaGenerator formula;
+      std::vector<std::vector<double>> trace(48);
+      for (sim::Epoch e = 0; e < 48; ++e) {
+        for (sim::NodeId id = 0; id < scenario.nodes.size(); ++id) {
+          trace[e].push_back(formula.Value(id, e));
+        }
+      }
+      return std::make_unique<data::TraceGenerator>(std::move(trace), data::Modality::kSound);
+    };
+    QueryCoordinator coordinator(Scenario::ConferenceFloor(6, 3, 5), opt);
+    EXPECT_TRUE(coordinator.Admit(kSnapshotSql).ok());
+    EXPECT_TRUE(coordinator.Open().ok());
+    for (sim::Epoch e = 0; e < 48; ++e) {
+      if (e == 12) EXPECT_TRUE(coordinator.Admit(kHorizontalSql).ok());
+      if (e == 40) EXPECT_TRUE(coordinator.Admit(kHorizontalMaxSql).ok());
+      if (e == 20 || e == 45) EXPECT_TRUE(coordinator.Admit(kVerticalSql).ok());
+      EXPECT_TRUE(coordinator.StepEpoch().ok());
+    }
+    auto report = coordinator.Close();
+    EXPECT_TRUE(report.ok());
+    return report.ok() ? ReportDigest(report.value()) : std::string();
+  };
+  const std::string replayed = run(false);
+  EXPECT_FALSE(replayed.empty());
+  EXPECT_EQ(replayed, run(true));
 }
 
 TEST(CoordinatorTest, EmptyAdmissionSetRunsCleanly) {

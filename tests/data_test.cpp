@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <vector>
 
 #include "data/generators.hpp"
@@ -69,10 +71,11 @@ TEST(GaussianGeneratorTest, CentersOnMeans) {
   GaussianGenerator gen(kNodes, Modality::kSound, 1.0, util::Rng(7));
   ExpectDomainAndDeterminism(gen);
   // Averaged over epochs, node values should stay near their per-node mean:
-  // variance of the mean of 200 samples with sigma=1 is tiny.
-  double first_epoch = gen.Value(1, 0);
+  // variance of the mean of 200 samples with sigma=1 is tiny. The epochs
+  // continue after the 30 the determinism check read.
+  double first_epoch = gen.Value(1, 30);
   double acc = 0;
-  for (sim::Epoch e = 0; e < 200; ++e) acc += gen.Value(1, e);
+  for (sim::Epoch e = 30; e < 230; ++e) acc += gen.Value(1, e);
   EXPECT_NEAR(acc / 200.0, first_epoch, 3.0);
 }
 
@@ -102,9 +105,10 @@ TEST(RoomCorrelatedGeneratorTest, NodesInSameRoomCorrelate) {
   RoomCorrelatedGenerator gen(rooms, Modality::kSound, 2.0, 0.5, util::Rng(17));
   ExpectDomainAndDeterminism(gen);
   // Same-room spread should be much smaller than the room separation on
-  // average (not guaranteed per epoch; average over many).
+  // average (not guaranteed per epoch; average over many). The epochs
+  // continue after the 30 the determinism check read.
   double within = 0, across = 0;
-  for (sim::Epoch e = 0; e < 100; ++e) {
+  for (sim::Epoch e = 30; e < 130; ++e) {
     within += std::abs(gen.Value(1, e) - gen.Value(2, e));
     across += std::abs(gen.Value(1, e) - gen.Value(6, e));
   }
@@ -115,7 +119,7 @@ TEST(SpikeGeneratorTest, SpikesAppearAtRoughlyTheConfiguredRate) {
   SpikeGenerator gen(kNodes, Modality::kSound, 20.0, 0.05, util::Rng(19));
   ExpectDomainAndDeterminism(gen);
   int spikes = 0, total = 0;
-  for (sim::Epoch e = 0; e < 300; ++e) {
+  for (sim::Epoch e = 30; e < 330; ++e) {
     for (sim::NodeId id = 1; id < kNodes; ++id) {
       spikes += gen.Value(id, e) > 80.0;
       ++total;
@@ -207,6 +211,158 @@ TEST(WindowAggregateGeneratorTest, RoomWalkWindowsMatchPinnedDigest) {
     }
   }
   EXPECT_EQ(h, 0xa0d77f1ae219e42bULL);
+}
+
+// ------------------------------------------------------------- checkpoints
+
+/// One of each library generator, freshly built from fixed seeds.
+std::vector<std::function<std::unique_ptr<DataGenerator>()>> EveryLibraryGenerator() {
+  return {
+      [] { return std::make_unique<ConstantGenerator>(std::vector<double>{0, 10, 20, 30}); },
+      [] { return std::make_unique<UniformGenerator>(kNodes, Modality::kSound, util::Rng(5)); },
+      [] {
+        return std::make_unique<GaussianGenerator>(kNodes, Modality::kTemperature, 2.0,
+                                                   util::Rng(7));
+      },
+      [] {
+        return std::make_unique<RandomWalkGenerator>(kNodes, Modality::kSound, 1.5, util::Rng(11),
+                                                     /*quantize_step=*/1.0);
+      },
+      [] { return std::make_unique<RoomCorrelatedGenerator>(PinnedRoomGenerator()); },
+      [] {
+        return std::make_unique<SpikeGenerator>(kNodes, Modality::kSound, 20.0, 0.1,
+                                                util::Rng(19));
+      },
+      [] {
+        return std::make_unique<TraceGenerator>(
+            std::vector<std::vector<double>>{{0, 1, 2}, {0, 3, 4}, {0, 5, 6}}, Modality::kSound);
+      },
+  };
+}
+
+TEST(GeneratorCheckpointTest, ResumedGeneratorsContinueBitForBit) {
+  const std::vector<sim::Epoch> checkpoint_after = {0, 1, 7, 16};
+  auto makers = EveryLibraryGenerator();
+  for (size_t g = 0; g < makers.size(); ++g) {
+    for (sim::Epoch c : checkpoint_after) {
+      SCOPED_TRACE("generator " + std::to_string(g) + ", checkpoint after epoch " +
+                   std::to_string(c));
+      std::unique_ptr<DataGenerator> original = makers[g]();
+      for (sim::Epoch e = 0; e <= c; ++e) original->PrepareEpoch(e);
+      std::optional<GeneratorCheckpoint> checkpoint = original->Checkpoint();
+      ASSERT_TRUE(checkpoint.has_value());
+      EXPECT_LE(checkpoint->next_epoch, c + 1);
+      // The original moves on before the checkpoint is resumed, as a
+      // session's generator does before an admit resumes an old checkpoint.
+      std::vector<double> want;
+      for (sim::Epoch e = c + 1; e <= c + 40; ++e) {
+        for (sim::NodeId id = 0; id < 200; ++id) want.push_back(original->Value(id, e));
+      }
+      std::unique_ptr<DataGenerator> resumed = original->Resume(*checkpoint);
+      ASSERT_NE(resumed, nullptr);
+      size_t i = 0;
+      for (sim::Epoch e = c + 1; e <= c + 40; ++e) {
+        for (sim::NodeId id = 0; id < 200; ++id, ++i) {
+          double got = resumed->Value(id, e);
+          ASSERT_EQ(std::memcmp(&want[i], &got, sizeof got), 0) << "epoch " << e << " node " << id;
+        }
+      }
+    }
+  }
+}
+
+TEST(GeneratorCheckpointTest, FreshCheckpointReplaysFromEpochZero) {
+  for (const auto& make : EveryLibraryGenerator()) {
+    std::unique_ptr<DataGenerator> fresh = make();
+    std::unique_ptr<DataGenerator> reference = make();
+    std::unique_ptr<DataGenerator> resumed = fresh->Resume(*fresh->Checkpoint());
+    for (sim::Epoch e = 0; e < 20; ++e) {
+      for (sim::NodeId id = 0; id < 200; ++id) {
+        EXPECT_EQ(resumed->Value(id, e), reference->Value(id, e));
+      }
+    }
+  }
+}
+
+TEST(GeneratorCheckpointTest, RoomWalkCheckpointIsRoomSized) {
+  // 69 rooms over 200 nodes: the checkpoint carries room levels, not nodes.
+  RoomCorrelatedGenerator gen = PinnedRoomGenerator();
+  gen.PrepareEpoch(3);
+  std::optional<GeneratorCheckpoint> checkpoint = gen.Checkpoint();
+  ASSERT_TRUE(checkpoint.has_value());
+  EXPECT_EQ(checkpoint->levels.size(), 69u);
+  EXPECT_EQ(checkpoint->next_epoch, 4u);
+}
+
+// ------------------------------------------------ epochs only move forward
+
+TEST(GeneratorEpochOrderDeathTest, StatefulGeneratorsAbortWhenAskedBackwards) {
+  EXPECT_DEATH(
+      {
+        RoomCorrelatedGenerator gen = PinnedRoomGenerator();
+        gen.Value(1, 5);
+        gen.Value(1, 3);
+      },
+      "RoomCorrelatedGenerator: epoch 3 asked after");
+  EXPECT_DEATH(
+      {
+        RandomWalkGenerator gen(kNodes, Modality::kSound, 1.0, util::Rng(3));
+        gen.Value(1, 5);
+        gen.Value(1, 4);
+      },
+      "RandomWalkGenerator: epoch 4 asked after");
+  EXPECT_DEATH(
+      {
+        UniformGenerator gen(kNodes, Modality::kSound, util::Rng(3));
+        gen.Value(1, 5);
+        gen.Value(1, 2);
+      },
+      "UniformGenerator: epoch 2 asked after");
+  EXPECT_DEATH(
+      {
+        // A resumed generator cannot serve the epoch its checkpoint followed.
+        RoomCorrelatedGenerator gen = PinnedRoomGenerator();
+        gen.PrepareEpoch(6);
+        gen.Resume(*gen.Checkpoint())->Value(1, 6);
+      },
+      "epoch 6 asked after");
+}
+
+TEST(GeneratorEpochOrderDeathTest, WindowsAbortWhenReadBackwardsOrPushedOutOfOrder) {
+  std::vector<std::vector<double>> m = {{0, 10}, {0, 20}, {0, 30}, {0, 40}};
+  EXPECT_DEATH(
+      {
+        TraceGenerator inner(m, Modality::kSound);
+        WindowAggregateGenerator gen(&inner, 2, 2, agg::AggKind::kAvg);
+        gen.Value(1, 3);
+        gen.Value(1, 1);
+      },
+      "epoch 1 asked after");
+  EXPECT_DEATH(
+      {
+        TraceGenerator inner(m, Modality::kSound);
+        WindowAggregateGenerator gen(&inner, 2, 2, agg::AggKind::kAvg, /*first=*/4);
+        gen.Push(inner, 4);
+        gen.Push(inner, 6);
+      },
+      "epoch 6 pushed, expected 5");
+}
+
+TEST(WindowAggregateGeneratorTest, PushedWindowMatchesPulledWindow) {
+  // A window started at epoch 9 and pushed from there equals one pulled
+  // from epoch 0 once that has forgotten everything before epoch 9.
+  for (agg::AggKind kind : {agg::AggKind::kAvg, agg::AggKind::kMin, agg::AggKind::kMax}) {
+    RoomCorrelatedGenerator pull_inner = PinnedRoomGenerator();
+    RoomCorrelatedGenerator push_inner = PinnedRoomGenerator();
+    WindowAggregateGenerator pulled(&pull_inner, 200, 4, kind);
+    WindowAggregateGenerator pushed(&push_inner, 200, 4, kind, /*first=*/9);
+    for (sim::Epoch e = 0; e < 30; ++e) {
+      push_inner.PrepareEpoch(e);
+      if (e >= 9) pushed.Push(push_inner, e);
+      if (e < 12) continue;
+      for (sim::NodeId id = 0; id < 200; ++id) EXPECT_EQ(pushed.Value(id, e), pulled.Value(id, e));
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 /// their gating on the process-global switches, the log-bucketed histogram's
 /// quantile math, registry handle identity and snapshot/JSON shape, and the
 /// tracer's interning, ring wrap-around, and Chrome trace export — plus the
-/// coordinator's concurrent-epoch counter and its worker-thread spans.
+/// coordinator's concurrent-epoch counter and its worker-thread spans, and
+/// the set-up spans around a vertical bind.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -396,6 +397,35 @@ TEST(ObsTest, ConcurrentEpochCounterTracksEligibleSessions) {
     RunGroupBed(bed);
     EXPECT_EQ(ConcurrentEpochs(), before);
   }
+}
+
+// ------------------------------------------------------------- setup spans
+
+TEST(ObsTest, VerticalBindRecordsWindowAndTjaSpans) {
+  ObsFlagGuard guard;
+  SetTracingEnabled(true);
+  GlobalTracer().Clear();
+  system::QueryCoordinator::Options opt;
+  opt.epochs = 40;
+  opt.seed = 7;
+  system::QueryCoordinator coordinator(system::Scenario::ConferenceFloor(4, 3, 5), opt);
+  ASSERT_TRUE(
+      coordinator.Admit("SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid").ok());
+  ASSERT_TRUE(coordinator.Open().ok());
+  for (int e = 0; e < 37; ++e) ASSERT_TRUE(coordinator.StepEpoch().ok());
+  ASSERT_TRUE(
+      coordinator.Admit("SELECT TOP 2 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 8")
+          .ok());
+  size_t window_spans = 0;
+  size_t tja_spans = 0;
+  for (const TraceSpan& span : GlobalTracer().Spans()) {
+    std::string name = GlobalTracer().Name(span.name_id);
+    window_spans += name == "coord.admit.window" ? 1 : 0;
+    tja_spans += name == "coord.admit.tja" ? 1 : 0;
+  }
+  EXPECT_EQ(window_spans, 1u);
+  EXPECT_EQ(tja_spans, 1u);
+  ASSERT_TRUE(coordinator.Close().ok());
 }
 
 }  // namespace
