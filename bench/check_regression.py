@@ -44,6 +44,13 @@ With --bench-dir it instead checks a `kspot_bench --all --json-dir`
 output directory: at least 20 BENCH_*.json files, among them the eight
 gated scenarios, each with schema_version 1 and every trial ok.
 
+With --same-results DIR_A DIR_B it instead checks that two `kspot_bench
+--json-dir` output directories hold the same results: the same BENCH_*.json
+files, equal in every value except the wall-clock ones (top-level `threads`
+and `wall_ms`, each trial's `wall_ms`, and the timing metrics listed in
+SAME_RESULTS_WALL_CLOCK_METRICS). Runs of one build with different --threads
+must pass, and so must two builds that only move or delete code.
+
 With --tracked-baselines it instead checks a CI workflow file: every
 --baseline path it passes to a gate (outside the bench-json* directories the
 jobs write) must be tracked by git, because a gate whose baseline is missing
@@ -65,6 +72,7 @@ Usage:
   python3 bench/check_regression.py --e19-gate bench-json-e19/BENCH_reliability_tradeoff.json
   python3 bench/check_regression.py --e20-gate bench-json-e20/BENCH_historic_throughput.json
   python3 bench/check_regression.py --bench-dir bench-json
+  python3 bench/check_regression.py --same-results bench-json bench-json-t1
   python3 bench/check_regression.py --tracked-baselines .github/workflows/ci.yml
 """
 
@@ -312,6 +320,85 @@ def check_bench_dir(path):
     return 1 if failures else 0
 
 
+SAME_RESULTS_WALL_CLOCK_METRICS = frozenset((
+    "epochs_per_sec", "wall_ms_p50", "wall_ms_p95", "wall_ms_p99", "coord_qps", "seq_qps",
+    "speedup", "deliveries_per_sec", "p50_delivery_ms", "p99_delivery_ms"))
+SAME_RESULTS_MAX_REPORTED = 20
+
+
+def strip_wall_clock(doc):
+    """Returns a bench document without its wall-clock values."""
+    doc = {k: v for k, v in doc.items() if k not in ("threads", "wall_ms")}
+    trials = []
+    for trial in doc.get("trials", []):
+        if isinstance(trial, dict):
+            trial = {k: v for k, v in trial.items() if k != "wall_ms"}
+            if isinstance(trial.get("metrics"), dict):
+                trial["metrics"] = {k: v for k, v in trial["metrics"].items()
+                                    if k not in SAME_RESULTS_WALL_CLOCK_METRICS}
+        trials.append(trial)
+    if "trials" in doc:
+        doc["trials"] = trials
+    return doc
+
+
+def json_differences(a, b, path):
+    """Yields a line per value that differs between two parsed documents."""
+    if type(a) is not type(b):
+        yield f"{path}: {a!r} != {b!r}"
+    elif isinstance(a, dict):
+        for key in sorted(set(a) | set(b)):
+            if key not in a or key not in b:
+                yield f"{path}.{key}: present in only one run"
+            else:
+                yield from json_differences(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, list):
+        if len(a) != len(b):
+            yield f"{path}: {len(a)} entries != {len(b)}"
+        else:
+            for i, (x, y) in enumerate(zip(a, b)):
+                yield from json_differences(x, y, f"{path}[{i}]")
+    elif a != b:
+        yield f"{path}: {a!r} != {b!r}"
+
+
+def check_same_results(dir_a, dir_b):
+    """Gate on two `kspot_bench --json-dir` directories: the same BENCH_*.json
+    files with equal non-wall-clock values. Returns the exit code."""
+    files = {}
+    for path in (dir_a, dir_b):
+        if not os.path.isdir(path):
+            print(f"error: {path} is not a bench JSON directory", file=sys.stderr)
+            return 2
+        names = sorted(os.path.basename(f)
+                       for f in glob.glob(os.path.join(path, "BENCH_*.json")))
+        if not names:
+            print(f"error: bench JSON directory {path} holds no BENCH_*.json file",
+                  file=sys.stderr)
+            return 2
+        files[path] = names
+    failures = [f"{name}: missing from {path}"
+                for path, other in ((dir_b, dir_a), (dir_a, dir_b))
+                for name in files[other] if name not in files[path]]
+    for name in sorted(set(files[dir_a]) & set(files[dir_b])):
+        try:
+            docs = [strip_wall_clock(load_bench_doc(os.path.join(path, name)))
+                    for path in (dir_a, dir_b)]
+        except BenchFileError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        diffs = list(json_differences(docs[0], docs[1], name))
+        failures += diffs
+        if not diffs:
+            print(f"{name}: same results")
+    for failure in failures[:SAME_RESULTS_MAX_REPORTED]:
+        print(f"same-results check FAILED: {failure}", file=sys.stderr)
+    if len(failures) > SAME_RESULTS_MAX_REPORTED:
+        print(f"... and {len(failures) - SAME_RESULTS_MAX_REPORTED} more differences",
+              file=sys.stderr)
+    return 1 if failures else 0
+
+
 def check_tracked_baselines(workflow):
     """Gate on a CI workflow file: every --baseline path it names outside the
     bench-json* output directories is tracked by git (run from the repository
@@ -428,9 +515,9 @@ def self_test():
             capture_output=True, text=True,
         )
 
-    def run_mode(flag, path, cwd=None):
+    def run_mode(flag, *paths, cwd=None):
         return subprocess.run(
-            [sys.executable, os.path.abspath(__file__), flag, path],
+            [sys.executable, os.path.abspath(__file__), flag, *paths],
             capture_output=True, text=True, cwd=cwd,
         )
 
@@ -451,6 +538,22 @@ def self_test():
 
     def run_bench_dir(path):
         return run_mode("--bench-dir", path)
+
+    def run_same(dir_a, dir_b):
+        return run_mode("--same-results", dir_a, dir_b)
+
+    def results_dir(tmp, name, metric=0.5, threads=1, rate=100.0, extra=False):
+        path = os.path.join(tmp, name)
+        os.makedirs(path)
+        trial = {"index": 0, "params": {"n": "200"}, "ok": True, "wall_ms": rate / 7,
+                 "metrics": {"msgs_per_epoch": metric, "epochs_per_sec": rate,
+                             "wall_ms_p99": 1 / rate}}
+        scenarios = ("throughput", "loss") + (("lifetime",) if extra else ())
+        for scenario in scenarios:
+            with open(os.path.join(path, f"BENCH_{scenario}.json"), "w") as fh:
+                json.dump({"schema_version": 1, "threads": threads, "wall_ms": rate,
+                           "trials": [trial]}, fh)
+        return path
 
     def run_tracked(repo, workflow):
         return run_mode("--tracked-baselines", workflow, cwd=repo)
@@ -550,6 +653,12 @@ def self_test():
         garbage_dir = bench_dir(tmp, "dir_garbage")
         with open(os.path.join(garbage_dir, "BENCH_throughput.json"), "w") as fh:
             fh.write("{not json")
+        results_ref = results_dir(tmp, "results_ref")
+        empty_dir = os.path.join(tmp, "results_empty")
+        os.makedirs(empty_dir)
+        results_garbage = results_dir(tmp, "results_garbage")
+        with open(os.path.join(results_garbage, "BENCH_loss.json"), "w") as fh:
+            fh.write("{not json")
 
         cases = [
             ("missing baseline", run(missing_path, good_path), 2),
@@ -600,6 +709,17 @@ def self_test():
              run_bench_dir(bench_dir(tmp, "dir_schema", schema=2)), 1),
             ("bench dir failed trial",
              run_bench_dir(bench_dir(tmp, "dir_failed", failed=True)), 1),
+            ("same results missing dir", run_same(results_ref, missing_path), 2),
+            ("same results not a dir", run_same(garbage_path, results_ref), 2),
+            ("same results empty dir", run_same(results_ref, empty_dir), 2),
+            ("same results garbage file", run_same(results_ref, results_garbage), 2),
+            ("same results wall clock only",
+             run_same(results_ref, results_dir(tmp, "results_clock", threads=4, rate=250.0)),
+             0),
+            ("same results metric differs",
+             run_same(results_ref, results_dir(tmp, "results_metric", metric=0.25)), 1),
+            ("same results file missing",
+             run_same(results_dir(tmp, "results_extra", extra=True), results_ref), 1),
             ("tracked baselines missing workflow", run_tracked(tmp, missing_path), 2),
             ("tracked baselines garbage workflow", run_tracked(tmp, garbage_path), 2),
             ("tracked baselines clean",
@@ -637,7 +757,8 @@ def self_test():
           "E18 gate passes only three U=1e6 points at >= 1e5 deliveries/sec; "
           "E19 gate passes only a present reference point within SLO and overhead; "
           "bench-dir check passes only >= 20 schema-1 files with the gated "
-          "scenarios and no failed trial; tracked-baselines passes only when "
+          "scenarios and no failed trial; same-results passes only directories "
+          "that differ in wall-clock values alone; tracked-baselines passes only when "
           "every --baseline path is tracked; "
           "E20 gate passes only >= 5x delta pairs with a bounded, saving suppression row")
     return 0
@@ -684,6 +805,14 @@ def main():
         help="check a kspot_bench --json-dir directory (files, scenarios, schema, trials)",
     )
     parser.add_argument(
+        "--same-results",
+        nargs=2,
+        default=None,
+        metavar=("DIR_A", "DIR_B"),
+        help="check two kspot_bench --json-dir directories agree on every "
+             "non-wall-clock value",
+    )
+    parser.add_argument(
         "--tracked-baselines",
         default=None,
         metavar="WORKFLOW",
@@ -715,12 +844,14 @@ def main():
         return check_e20(args.e20_gate)
     if args.bench_dir is not None:
         return check_bench_dir(args.bench_dir)
+    if args.same_results is not None:
+        return check_same_results(*args.same_results)
     if args.tracked_baselines is not None:
         return check_tracked_baselines(args.tracked_baselines)
     if args.current is None:
         parser.error("--current is required (unless --self-test, --servebench-result, "
-                     "--e17-gate, --e18-gate, --e19-gate, --e20-gate, --bench-dir or "
-                     "--tracked-baselines)")
+                     "--e17-gate, --e18-gate, --e19-gate, --e20-gate, --bench-dir, "
+                     "--same-results or --tracked-baselines)")
 
     try:
         baseline, baseline_metrics = load_points(args.baseline, args.metric)

@@ -63,13 +63,6 @@ std::string ToCsv(const std::vector<std::vector<double>>& matrix) {
   return oss.str();
 }
 
-bool SaveCsv(const std::string& path, const std::vector<std::vector<double>>& matrix) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << ToCsv(matrix);
-  return static_cast<bool>(out);
-}
-
 std::vector<std::vector<double>> Record(DataGenerator& gen, size_t num_nodes, size_t epochs) {
   std::vector<std::vector<double>> matrix(epochs, std::vector<double>(num_nodes, 0.0));
   for (size_t e = 0; e < epochs; ++e) {

@@ -29,9 +29,6 @@ util::StatusOr<std::vector<std::vector<double>>> LoadCsv(const std::string& path
 /// Serializes a matrix to CSV text.
 std::string ToCsv(const std::vector<std::vector<double>>& matrix);
 
-/// Saves a matrix to a file; false on I/O failure.
-bool SaveCsv(const std::string& path, const std::vector<std::vector<double>>& matrix);
-
 /// Records `epochs` epochs of `gen` (nodes 0..num_nodes-1) into a matrix —
 /// the bridge from synthetic generators to shareable trace files.
 std::vector<std::vector<double>> Record(DataGenerator& gen, size_t num_nodes, size_t epochs);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "util/string_util.hpp"
-
 namespace kspot::util {
 
 TablePrinter::TablePrinter(std::vector<std::string> headers) : headers_(std::move(headers)) {}
@@ -12,13 +10,6 @@ TablePrinter::TablePrinter(std::vector<std::string> headers) : headers_(std::mov
 void TablePrinter::AddRow(std::vector<std::string> cells) {
   cells.resize(headers_.size());
   rows_.push_back(std::move(cells));
-}
-
-void TablePrinter::AddRow(const std::vector<double>& cells) {
-  std::vector<std::string> row;
-  row.reserve(cells.size());
-  for (double c : cells) row.push_back(FormatDouble(c));
-  AddRow(std::move(row));
 }
 
 void TablePrinter::Print(std::ostream& os) const {

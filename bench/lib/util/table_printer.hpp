@@ -17,9 +17,6 @@ class TablePrinter {
   /// Appends a row; missing trailing cells render empty, extras are dropped.
   void AddRow(std::vector<std::string> cells);
 
-  /// Convenience: formats arithmetic cells with 2 decimals.
-  void AddRow(const std::vector<double>& cells);
-
   /// Writes the table (with a header separator) to `os`.
   void Print(std::ostream& os) const;
 

@@ -39,10 +39,4 @@ TopKResult Oracle::TopKOver(sim::Epoch epoch, const Contributes& contributes) co
   return result;
 }
 
-double Oracle::KthValue(sim::Epoch epoch) const {
-  auto ranked = FullView(epoch).Ranked(spec_.agg);
-  if (ranked.size() < static_cast<size_t>(spec_.k)) return spec_.domain_min;
-  return ranked[static_cast<size_t>(spec_.k) - 1].value;
-}
-
 }  // namespace kspot::core

@@ -37,10 +37,6 @@ class Oracle {
   /// The exact top-k answer of `epoch` over the restricted population.
   TopKResult TopKOver(sim::Epoch epoch, const Contributes& contributes) const;
 
-  /// The exact k-th best final value of `epoch` (the MINT threshold tau);
-  /// returns domain_min when fewer than k groups exist.
-  double KthValue(sim::Epoch epoch) const;
-
   /// Query spec in use.
   const QuerySpec& spec() const { return spec_; }
 

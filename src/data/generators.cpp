@@ -37,15 +37,6 @@ double QuantizeToStep(double v, double step, const ModalityInfo& info) {
   std::abort();
 }
 
-/// A checkpoint of the RNG and the next epoch: all the state of a generator
-/// that draws each asked epoch afresh; walks add their levels.
-GeneratorCheckpoint RngCheckpoint(const util::Rng& rng, sim::Epoch next_epoch) {
-  GeneratorCheckpoint checkpoint;
-  checkpoint.next_epoch = next_epoch;
-  checkpoint.rng = rng;
-  return checkpoint;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------- Constant
@@ -80,18 +71,6 @@ void UniformGenerator::FillEpoch(sim::Epoch epoch) {
   cached_ = true;
 }
 
-std::optional<GeneratorCheckpoint> UniformGenerator::Checkpoint() const {
-  return RngCheckpoint(rng_, next_epoch_);
-}
-
-std::unique_ptr<DataGenerator> UniformGenerator::Resume(const GeneratorCheckpoint& cp) const {
-  auto gen = std::make_unique<UniformGenerator>(*this);
-  gen->rng_ = cp.rng;
-  gen->next_epoch_ = cp.next_epoch;
-  gen->cached_ = false;
-  return gen;
-}
-
 double UniformGenerator::Value(sim::NodeId id, sim::Epoch epoch) {
   FillEpoch(epoch);
   return id < cache_.size() ? cache_[id] : 0.0;
@@ -117,18 +96,6 @@ void GaussianGenerator::FillEpoch(sim::Epoch epoch) {
   }
   next_epoch_ = epoch + 1;
   cached_ = true;
-}
-
-std::optional<GeneratorCheckpoint> GaussianGenerator::Checkpoint() const {
-  return RngCheckpoint(rng_, next_epoch_);
-}
-
-std::unique_ptr<DataGenerator> GaussianGenerator::Resume(const GeneratorCheckpoint& cp) const {
-  auto gen = std::make_unique<GaussianGenerator>(*this);
-  gen->rng_ = cp.rng;
-  gen->next_epoch_ = cp.next_epoch;
-  gen->cached_ = false;
-  return gen;
 }
 
 double GaussianGenerator::Value(sim::NodeId id, sim::Epoch epoch) {
@@ -163,25 +130,6 @@ void RandomWalkGenerator::AdvanceTo(sim::Epoch epoch) {
     }
     ++epoch_;
   }
-}
-
-std::optional<GeneratorCheckpoint> RandomWalkGenerator::Checkpoint() const {
-  // The observations derive from the walk states, so the states are the
-  // whole process: a resumed walk can serve the checkpoint's own epoch too.
-  GeneratorCheckpoint checkpoint = RngCheckpoint(rng_, epoch_);
-  checkpoint.levels = state_;
-  return checkpoint;
-}
-
-std::unique_ptr<DataGenerator> RandomWalkGenerator::Resume(const GeneratorCheckpoint& cp) const {
-  auto gen = std::make_unique<RandomWalkGenerator>(*this);
-  gen->rng_ = cp.rng;
-  gen->epoch_ = cp.next_epoch;
-  gen->state_ = cp.levels;
-  for (size_t i = 1; i < gen->state_.size(); ++i) {
-    gen->observed_[i] = QuantizeToStep(gen->state_[i], quantize_step_, info_);
-  }
-  return gen;
 }
 
 double RandomWalkGenerator::Value(sim::NodeId id, sim::Epoch epoch) {
@@ -250,7 +198,9 @@ double RoomCorrelatedGenerator::Value(sim::NodeId id, sim::Epoch epoch) {
 }
 
 std::optional<GeneratorCheckpoint> RoomCorrelatedGenerator::Checkpoint() const {
-  GeneratorCheckpoint checkpoint = RngCheckpoint(rng_, next_epoch_);
+  GeneratorCheckpoint checkpoint;
+  checkpoint.next_epoch = next_epoch_;
+  checkpoint.rng = rng_;
   checkpoint.global_level = global_level_;
   checkpoint.levels = room_level_;
   return checkpoint;
@@ -298,18 +248,6 @@ void SpikeGenerator::FillEpoch(sim::Epoch epoch) {
 double SpikeGenerator::Value(sim::NodeId id, sim::Epoch epoch) {
   FillEpoch(epoch);
   return id < cache_.size() ? cache_[id] : 0.0;
-}
-
-std::optional<GeneratorCheckpoint> SpikeGenerator::Checkpoint() const {
-  return RngCheckpoint(rng_, next_epoch_);
-}
-
-std::unique_ptr<DataGenerator> SpikeGenerator::Resume(const GeneratorCheckpoint& cp) const {
-  auto gen = std::make_unique<SpikeGenerator>(*this);
-  gen->rng_ = cp.rng;
-  gen->next_epoch_ = cp.next_epoch;
-  gen->cached_ = false;
-  return gen;
 }
 
 // ------------------------------------------------------------------- Trace

@@ -20,7 +20,7 @@ struct GeneratorCheckpoint {
   sim::Epoch next_epoch = 0;   ///< First epoch a resumed generator can draw.
   util::Rng rng;
   double global_level = 0.0;   ///< RoomCorrelatedGenerator's building-wide walk.
-  std::vector<double> levels;  ///< Room levels, or each node's walk state.
+  std::vector<double> levels;  ///< RoomCorrelatedGenerator's room levels.
 };
 
 /// Produces the reading of every sensing node at every epoch.
@@ -92,8 +92,6 @@ class UniformGenerator : public DataGenerator {
 
   double Value(sim::NodeId id, sim::Epoch epoch) override;
   void PrepareEpoch(sim::Epoch epoch) override { FillEpoch(epoch); }
-  std::optional<GeneratorCheckpoint> Checkpoint() const override;
-  std::unique_ptr<DataGenerator> Resume(const GeneratorCheckpoint& checkpoint) const override;
   const ModalityInfo& modality() const override { return info_; }
 
  private:
@@ -116,8 +114,6 @@ class GaussianGenerator : public DataGenerator {
 
   double Value(sim::NodeId id, sim::Epoch epoch) override;
   void PrepareEpoch(sim::Epoch epoch) override { FillEpoch(epoch); }
-  std::optional<GeneratorCheckpoint> Checkpoint() const override;
-  std::unique_ptr<DataGenerator> Resume(const GeneratorCheckpoint& checkpoint) const override;
   const ModalityInfo& modality() const override { return info_; }
 
  private:
@@ -144,8 +140,6 @@ class RandomWalkGenerator : public DataGenerator {
 
   double Value(sim::NodeId id, sim::Epoch epoch) override;
   void PrepareEpoch(sim::Epoch epoch) override { AdvanceTo(epoch); }
-  std::optional<GeneratorCheckpoint> Checkpoint() const override;
-  std::unique_ptr<DataGenerator> Resume(const GeneratorCheckpoint& checkpoint) const override;
   const ModalityInfo& modality() const override { return info_; }
 
  private:
@@ -211,8 +205,6 @@ class SpikeGenerator : public DataGenerator {
 
   double Value(sim::NodeId id, sim::Epoch epoch) override;
   void PrepareEpoch(sim::Epoch epoch) override { FillEpoch(epoch); }
-  std::optional<GeneratorCheckpoint> Checkpoint() const override;
-  std::unique_ptr<DataGenerator> Resume(const GeneratorCheckpoint& checkpoint) const override;
   const ModalityInfo& modality() const override { return info_; }
 
  private:

@@ -79,8 +79,6 @@ class FanOutHub {
   size_t subscribers() const { return live_subscribers_; }
   /// Total deliveries across all subscribers since construction.
   uint64_t total_deliveries() const { return total_deliveries_; }
-  /// The epoch of the last Publish() (staleness is measured against it).
-  sim::Epoch last_published_epoch() const { return last_epoch_; }
 
  private:
   struct Subscriber {

@@ -6,6 +6,16 @@
 
 namespace kspot::system {
 
+namespace {
+
+/// Percentage saved versus a baseline quantity (0 when baseline is 0).
+double SavingsPercent(double baseline, double mine) {
+  if (baseline <= 0.0) return 0.0;
+  return 100.0 * (baseline - mine) / baseline;
+}
+
+}  // namespace
+
 void SystemPanel::RecordKspotEpoch(const sim::TrafficCounters& epoch_delta) {
   kspot_.Add(epoch_delta);
   ++epochs_;
@@ -19,23 +29,18 @@ void SystemPanel::RecordNodeStatus(const NodeStatus& status) { node_status_ = st
 
 void SystemPanel::RecordMetrics(const obs::MetricsSnapshot& snapshot) { metrics_ = snapshot; }
 
-void SystemPanel::RecordReliability(const ReliabilityStatus& status) {
-  reliability_ = status;
-  reliability_recorded_ = true;
-}
-
 double SystemPanel::MessageSavingsPercent() const {
-  return core::CostReport::SavingsPercent(static_cast<double>(baseline_.messages),
-                                          static_cast<double>(kspot_.messages));
+  return SavingsPercent(static_cast<double>(baseline_.messages),
+                        static_cast<double>(kspot_.messages));
 }
 
 double SystemPanel::ByteSavingsPercent() const {
-  return core::CostReport::SavingsPercent(static_cast<double>(baseline_.payload_bytes),
-                                          static_cast<double>(kspot_.payload_bytes));
+  return SavingsPercent(static_cast<double>(baseline_.payload_bytes),
+                        static_cast<double>(kspot_.payload_bytes));
 }
 
 double SystemPanel::EnergySavingsPercent() const {
-  return core::CostReport::SavingsPercent(baseline_.energy_j(), kspot_.energy_j());
+  return SavingsPercent(baseline_.energy_j(), kspot_.energy_j());
 }
 
 std::string SystemPanel::Render() const {
@@ -55,11 +60,6 @@ std::string SystemPanel::Render() const {
     if (node_status_.detached > 0) oss << " (" << node_status_.detached << " detached)";
     oss << "   tree repairs " << node_status_.repair_events << " ("
         << node_status_.repair_messages << " msgs)\n";
-  }
-  if (reliability_recorded_) {
-    oss << "  completeness " << util::FormatDouble(reliability_.completeness * 100.0, 1)
-        << "%   degraded epochs " << reliability_.degraded_epochs << "   retries "
-        << reliability_.retries << " (" << reliability_.backoff_us << " us backoff)\n";
   }
   if (!metrics_.empty()) {
     oss << "  --- runtime metrics ---\n";

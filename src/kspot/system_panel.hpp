@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "core/cost_report.hpp"
 #include "obs/metrics.hpp"
 #include "sim/network.hpp"
 
@@ -26,15 +25,6 @@ class SystemPanel {
     uint64_t repair_messages = 0;///< Join-handshake messages those repairs cost.
   };
 
-  /// Live reliability block (reliability-layer runs): how complete the
-  /// served answers are and what the adaptive ARQ spent getting them.
-  struct ReliabilityStatus {
-    double completeness = 1.0;   ///< Mean completeness of the latest epoch's answers.
-    size_t degraded_epochs = 0;  ///< Epochs a deadline truncated, cumulative.
-    uint64_t retries = 0;        ///< Retransmissions, cumulative.
-    uint64_t backoff_us = 0;     ///< Idle-listen backoff time, cumulative.
-  };
-
   /// Records one epoch of KSpot traffic (counters since the previous call).
   void RecordKspotEpoch(const sim::TrafficCounters& epoch_delta);
   /// Records one epoch of baseline traffic.
@@ -44,19 +34,9 @@ class SystemPanel {
   /// Records an observability snapshot (latest wins); a non-empty one adds a
   /// runtime-metrics pane to Render(). Typically obs::Registry().Snapshot().
   void RecordMetrics(const obs::MetricsSnapshot& snapshot);
-  /// Records the reliability status (latest snapshot wins); the first call
-  /// adds a reliability pane to Render().
-  void RecordReliability(const ReliabilityStatus& status);
 
   /// Latest node status; total == 0 until a churn run records one.
   const NodeStatus& node_status() const { return node_status_; }
-  /// Latest reliability status (defaults until a run records one).
-  const ReliabilityStatus& reliability_status() const { return reliability_; }
-
-  /// Cumulative KSpot traffic.
-  const sim::TrafficCounters& kspot_total() const { return kspot_; }
-  /// Cumulative baseline traffic.
-  const sim::TrafficCounters& baseline_total() const { return baseline_; }
 
   /// Message savings, percent of the baseline.
   double MessageSavingsPercent() const;
@@ -72,8 +52,6 @@ class SystemPanel {
   sim::TrafficCounters kspot_;
   sim::TrafficCounters baseline_;
   NodeStatus node_status_;
-  ReliabilityStatus reliability_;
-  bool reliability_recorded_ = false;
   obs::MetricsSnapshot metrics_;
   size_t epochs_ = 0;
 };

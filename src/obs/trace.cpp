@@ -84,13 +84,6 @@ void Tracer::Clear() {
   total_ = 0;
 }
 
-void Tracer::SetCapacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = capacity == 0 ? 1 : capacity;
-  ring_.clear();
-  total_ = 0;
-}
-
 void Tracer::WriteChromeTrace(std::ostream& os) const {
   std::vector<TraceSpan> spans = Spans();
   std::stable_sort(spans.begin(), spans.end(),

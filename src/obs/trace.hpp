@@ -64,8 +64,6 @@ class Tracer {
 
   /// Drops buffered spans (interned names survive).
   void Clear();
-  /// Resizes the ring (clears buffered spans).
-  void SetCapacity(size_t capacity);
 
   /// Writes the buffered spans as Chrome trace-event JSON:
   /// {"traceEvents":[{"name","cat":"kspot","ph":"X","ts","dur","pid":0,
@@ -78,7 +76,7 @@ class Tracer {
   std::unordered_map<std::string, uint32_t> ids_;
   std::vector<uint32_t> phase_name_ids_;
   std::vector<TraceSpan> ring_;
-  size_t capacity_;
+  const size_t capacity_;
   uint64_t total_ = 0;
 };
 

@@ -6,6 +6,9 @@
 
 namespace kspot::query {
 
+namespace {
+
+/// The source-text spelling of a comparison operator.
 std::string CompareOpText(CompareOp op) {
   switch (op) {
     case CompareOp::kLt: return "<";
@@ -17,6 +20,8 @@ std::string CompareOpText(CompareOp op) {
   }
   return "?";
 }
+
+}  // namespace
 
 std::string ParsedQuery::ToSql() const {
   std::ostringstream oss;

@@ -61,9 +61,6 @@ struct ParsedQuery {
   std::string ToSql() const;
 };
 
-/// The source-text spelling of a comparison operator.
-std::string CompareOpText(CompareOp op);
-
 /// Query classes the KSpot client's query router distinguishes
 /// (Section II: basic SELECT / GROUP-BY queries go to the local engine,
 /// TOP-K queries to the specialized top-k operators).

@@ -13,19 +13,11 @@ struct EnergyModel {
   double tx_current_a = 0.027;
   /// Radio receive/listen current, amperes.
   double rx_current_a = 0.010;
-  /// MCU active current, amperes (ATmega128L).
-  double cpu_active_current_a = 0.008;
-  /// Whole-node sleep current, amperes.
-  double sleep_current_a = 30e-6;
 
   /// Energy to transmit for `airtime_s` seconds, joules.
   double TxEnergy(double airtime_s) const { return voltage * tx_current_a * airtime_s; }
   /// Energy to receive for `airtime_s` seconds, joules.
   double RxEnergy(double airtime_s) const { return voltage * rx_current_a * airtime_s; }
-  /// Energy for `cpu_s` seconds of active CPU, joules.
-  double CpuEnergy(double cpu_s) const { return voltage * cpu_active_current_a * cpu_s; }
-  /// Energy for `sleep_s` seconds asleep, joules.
-  double SleepEnergy(double sleep_s) const { return voltage * sleep_current_a * sleep_s; }
 };
 
 /// Per-node energy ledger with an optional battery budget; when the budget is
@@ -39,10 +31,6 @@ class EnergyMeter {
   void AddTx(double joules) { tx_j_ += joules; }
   /// Records receive energy.
   void AddRx(double joules) { rx_j_ += joules; }
-  /// Records CPU energy.
-  void AddCpu(double joules) { cpu_j_ += joules; }
-  /// Records sleep energy.
-  void AddSleep(double joules) { sleep_j_ += joules; }
   /// Records local storage (flash) I/O energy.
   void AddStorage(double joules) { storage_j_ += joules; }
 
@@ -50,17 +38,11 @@ class EnergyMeter {
   double tx_joules() const { return tx_j_; }
   /// Joules spent receiving.
   double rx_joules() const { return rx_j_; }
-  /// Joules spent computing.
-  double cpu_joules() const { return cpu_j_; }
-  /// Joules spent sleeping.
-  double sleep_joules() const { return sleep_j_; }
   /// Joules spent on local storage (flash) I/O.
   double storage_joules() const { return storage_j_; }
   /// Total joules spent.
-  double total_joules() const { return tx_j_ + rx_j_ + cpu_j_ + sleep_j_ + storage_j_; }
+  double total_joules() const { return tx_j_ + rx_j_ + storage_j_; }
 
-  /// Battery budget (joules); <= 0 means unlimited.
-  double battery_joules() const { return battery_j_; }
   /// True while the node has battery left (or has no budget).
   bool alive() const { return battery_j_ <= 0.0 || total_joules() < battery_j_; }
   /// Remaining fraction of battery in [0,1]; 1 when unlimited.
@@ -69,8 +51,6 @@ class EnergyMeter {
  private:
   double tx_j_ = 0.0;
   double rx_j_ = 0.0;
-  double cpu_j_ = 0.0;
-  double sleep_j_ = 0.0;
   double storage_j_ = 0.0;
   double battery_j_ = 0.0;
 };

@@ -41,9 +41,6 @@ class Topology {
   /// Room (cluster) of node `id`.
   GroupId room(NodeId id) const { return rooms_[id]; }
 
-  /// Mutable room assignment (used by scenario configuration).
-  void set_room(NodeId id, GroupId room) { rooms_[id] = room; }
-
   /// Radio communication range in meters (disc connectivity model).
   double comm_range() const { return comm_range_; }
 

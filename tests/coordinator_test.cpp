@@ -395,7 +395,9 @@ uint64_t SessionPinDigest(PinBed bed) {
           coordinator.Admit("SELECT TOP 2 roomid, MAX(sound) FROM sensors GROUP BY roomid").value();
       late_rider = coordinator.Admit(kSnapshotSql).value();
     }
-    if (e == 9) EXPECT_TRUE(coordinator.Admit(kVerticalSql).ok());
+    if (e == 9) {
+      EXPECT_TRUE(coordinator.Admit(kVerticalSql).ok());
+    }
     if (e == 14) {
       EXPECT_TRUE(coordinator.Cancel(late_group).ok());
       EXPECT_TRUE(coordinator.Cancel(late_rider).ok());
@@ -601,9 +603,15 @@ TEST(CoordinatorTest, WindowsOfAGeneratorWithoutCheckpointsMatchCheckpointedOnes
     EXPECT_TRUE(coordinator.Admit(kSnapshotSql).ok());
     EXPECT_TRUE(coordinator.Open().ok());
     for (sim::Epoch e = 0; e < 48; ++e) {
-      if (e == 12) EXPECT_TRUE(coordinator.Admit(kHorizontalSql).ok());
-      if (e == 40) EXPECT_TRUE(coordinator.Admit(kHorizontalMaxSql).ok());
-      if (e == 20 || e == 45) EXPECT_TRUE(coordinator.Admit(kVerticalSql).ok());
+      if (e == 12) {
+        EXPECT_TRUE(coordinator.Admit(kHorizontalSql).ok());
+      }
+      if (e == 40) {
+        EXPECT_TRUE(coordinator.Admit(kHorizontalMaxSql).ok());
+      }
+      if (e == 20 || e == 45) {
+        EXPECT_TRUE(coordinator.Admit(kVerticalSql).ok());
+      }
       EXPECT_TRUE(coordinator.StepEpoch().ok());
     }
     auto report = coordinator.Close();

@@ -215,24 +215,12 @@ TEST(WindowAggregateGeneratorTest, RoomWalkWindowsMatchPinnedDigest) {
 
 // ------------------------------------------------------------- checkpoints
 
-/// One of each library generator, freshly built from fixed seeds.
-std::vector<std::function<std::unique_ptr<DataGenerator>()>> EveryLibraryGenerator() {
+/// One of each library generator that hands out checkpoints (the ones a
+/// session can install), freshly built from fixed seeds.
+std::vector<std::function<std::unique_ptr<DataGenerator>()>> EveryCheckpointingGenerator() {
   return {
       [] { return std::make_unique<ConstantGenerator>(std::vector<double>{0, 10, 20, 30}); },
-      [] { return std::make_unique<UniformGenerator>(kNodes, Modality::kSound, util::Rng(5)); },
-      [] {
-        return std::make_unique<GaussianGenerator>(kNodes, Modality::kTemperature, 2.0,
-                                                   util::Rng(7));
-      },
-      [] {
-        return std::make_unique<RandomWalkGenerator>(kNodes, Modality::kSound, 1.5, util::Rng(11),
-                                                     /*quantize_step=*/1.0);
-      },
       [] { return std::make_unique<RoomCorrelatedGenerator>(PinnedRoomGenerator()); },
-      [] {
-        return std::make_unique<SpikeGenerator>(kNodes, Modality::kSound, 20.0, 0.1,
-                                                util::Rng(19));
-      },
       [] {
         return std::make_unique<TraceGenerator>(
             std::vector<std::vector<double>>{{0, 1, 2}, {0, 3, 4}, {0, 5, 6}}, Modality::kSound);
@@ -242,7 +230,7 @@ std::vector<std::function<std::unique_ptr<DataGenerator>()>> EveryLibraryGenerat
 
 TEST(GeneratorCheckpointTest, ResumedGeneratorsContinueBitForBit) {
   const std::vector<sim::Epoch> checkpoint_after = {0, 1, 7, 16};
-  auto makers = EveryLibraryGenerator();
+  auto makers = EveryCheckpointingGenerator();
   for (size_t g = 0; g < makers.size(); ++g) {
     for (sim::Epoch c : checkpoint_after) {
       SCOPED_TRACE("generator " + std::to_string(g) + ", checkpoint after epoch " +
@@ -272,7 +260,7 @@ TEST(GeneratorCheckpointTest, ResumedGeneratorsContinueBitForBit) {
 }
 
 TEST(GeneratorCheckpointTest, FreshCheckpointReplaysFromEpochZero) {
-  for (const auto& make : EveryLibraryGenerator()) {
+  for (const auto& make : EveryCheckpointingGenerator()) {
     std::unique_ptr<DataGenerator> fresh = make();
     std::unique_ptr<DataGenerator> reference = make();
     std::unique_ptr<DataGenerator> resumed = fresh->Resume(*fresh->Checkpoint());

@@ -6,6 +6,7 @@
 #include "runner/experiment_engine.hpp"
 #include "runner/report.hpp"
 #include "util/json.hpp"
+#include "util/json_value.hpp"
 
 namespace kspot::util {
 namespace {

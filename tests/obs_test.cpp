@@ -18,7 +18,7 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
-#include "util/json.hpp"
+#include "util/json_value.hpp"
 
 namespace kspot::obs {
 namespace {
