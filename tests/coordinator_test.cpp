@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -11,6 +13,7 @@
 #include "kspot/coordinator.hpp"
 #include "kspot/scenario_config.hpp"
 #include "kspot/server.hpp"
+#include "util/rng.hpp"
 
 namespace kspot::system {
 namespace {
@@ -357,6 +360,22 @@ struct Fnv {
       F64(t.value);
     }
   }
+  /// Totals, per-phase counters, every node's tx/rx energy bits and send
+  /// count, and the clock.
+  void Network(const sim::Network& net) {
+    Counters(net.total());
+    for (const auto& [phase, counters] : net.by_phase()) {
+      Str(phase);
+      Counters(counters);
+    }
+    for (size_t i = 0; i < net.topology().num_nodes(); ++i) {
+      auto id = static_cast<sim::NodeId>(i);
+      F64(net.meter(id).tx_joules());
+      F64(net.meter(id).rx_joules());
+      U64(net.MessagesSentBy(id));
+    }
+    U64(net.events().now());
+  }
 };
 
 enum class PinBed { kLossless, kBattery, kLossy };
@@ -420,19 +439,7 @@ uint64_t SessionPinDigest(PinBed bed) {
     }
   }
 
-  const sim::Network& net = coordinator.session_network();
-  h.Counters(net.total());
-  for (const auto& [phase, counters] : net.by_phase()) {
-    h.Str(phase);
-    h.Counters(counters);
-  }
-  for (size_t i = 0; i < net.topology().num_nodes(); ++i) {
-    auto id = static_cast<sim::NodeId>(i);
-    h.F64(net.meter(id).tx_joules());
-    h.F64(net.meter(id).rx_joules());
-    h.U64(net.MessagesSentBy(id));
-  }
-  h.U64(net.events().now());
+  h.Network(coordinator.session_network());
 
   auto report = coordinator.Close();
   EXPECT_TRUE(report.ok());
@@ -567,6 +574,146 @@ TEST(CoordinatorTest, HorizontalAdmitBeforeWindowFillsMatchesPinnedDigest) {
 TEST(CoordinatorTest, HorizontalAdmitAfterWindowFillsMatchesPinnedDigest) {
   EXPECT_EQ(MidSessionHorizontalDigest(false, 20), 0xcd88d1c4086fb193ULL);
   EXPECT_EQ(MidSessionHorizontalDigest(true, 20), 0xab20921ca0eb1562ULL);
+}
+
+// ------------------------------------------------------- lone-wave pins
+//
+// Digests of sessions whose epochs step a single operator group on at least
+// 2048 motes, so every epoch's converge-cast runs alone: a MINT room group
+// four identical dashboards share (creation, beacons and probe/repair
+// waves), a TAG group, a SELECT ... WHERE group, and a 5000-mote grid floor
+// whose vertical audits run TJA for one, two and three rounds. Recorded on
+// the code where a lone wave ran on one thread. Each hashes every answer
+// and row, every epoch's cost, the session network (see Fnv::Network) and
+// every outcome.
+
+/// A servebench-style control-room floor: `motes` motes on a square grid,
+/// sink in the first cell, each displaced by at most 5% of the grid step,
+/// rooms in an 8 x 8 tiling, 18 m radio range with about 20 neighbours each.
+Scenario GridFloor(size_t motes, uint64_t seed) {
+  Scenario s;
+  s.name = "grid-floor";
+  s.comm_range = 18.0;
+  const double spacing = s.comm_range / 2.5;
+  const size_t side = static_cast<size_t>(std::ceil(std::sqrt(static_cast<double>(motes))));
+  const size_t rows = (motes + side - 1) / side;
+  s.field_w = static_cast<double>(side) * spacing;
+  s.field_h = static_cast<double>(rows) * spacing;
+  for (sim::GroupId r = 0; r < 64; ++r) s.cluster_names[r] = "room-" + std::to_string(r);
+  util::Rng place(seed);
+  for (size_t i = 0; i < motes; ++i) {
+    const size_t gx = i % side;
+    const size_t gy = i / side;
+    const double jx = i == 0 ? 0.0 : (place.NextDouble() - 0.5) * 0.1;
+    const double jy = i == 0 ? 0.0 : (place.NextDouble() - 0.5) * 0.1;
+    Scenario::Node n;
+    n.id = static_cast<sim::NodeId>(i);
+    n.x = (static_cast<double>(gx) + 0.5 + jx) * spacing;
+    n.y = (static_cast<double>(gy) + 0.5 + jy) * spacing;
+    n.room = static_cast<sim::GroupId>((gy * 8 / rows) * 8 + gx * 8 / side);
+    s.nodes.push_back(n);
+  }
+  return s;
+}
+
+/// What a lone-wave session did besides its digest: the phases it charged
+/// and the TJA rounds of each audit.
+struct LoneWaveRun {
+  uint64_t digest = 0;
+  std::vector<std::string> phases;
+  std::vector<int> audit_rounds;
+};
+
+/// Opens `sqls` on `scenario`, steps `epochs` epochs and admits kAuditSql
+/// at each of `audits`, cancelling it five epochs later.
+LoneWaveRun RunLoneWave(Scenario scenario, const std::vector<std::string>& sqls,
+                        size_t epochs, uint64_t seed, const std::vector<sim::Epoch>& audits) {
+  static constexpr const char* kAuditSql =
+      "SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 32";
+  LoneWaveRun run;
+  QueryCoordinator coordinator(std::move(scenario), SmallRun(epochs, seed));
+  for (const std::string& sql : sqls) EXPECT_TRUE(coordinator.Admit(sql).ok());
+  EXPECT_TRUE(coordinator.Open().ok());
+  Fnv h;
+  std::vector<std::pair<QueryId, sim::Epoch>> live;
+  for (sim::Epoch e = 0; e < epochs; ++e) {
+    for (const auto& [id, at] : live) {
+      if (at + 5 == e) {
+        EXPECT_TRUE(coordinator.Cancel(id).ok());
+      }
+    }
+    if (std::find(audits.begin(), audits.end(), e) != audits.end()) {
+      auto id = coordinator.Admit(kAuditSql);
+      EXPECT_TRUE(id.ok());
+      if (id.ok()) live.emplace_back(id.value(), e);
+    }
+    auto step = coordinator.StepEpoch();
+    EXPECT_TRUE(step.ok());
+    if (!step.ok()) return run;
+    HashStep(h, step.value());
+    for (const GroupUpdate& gu : step.value().groups) {
+      if (gu.rows) h.Rows(*gu.rows);
+    }
+  }
+  const sim::Network& net = coordinator.session_network();
+  h.Network(net);
+  for (const auto& [phase, counters] : net.by_phase()) run.phases.push_back(phase);
+  auto report = coordinator.Close();
+  EXPECT_TRUE(report.ok());
+  if (!report.ok()) return run;
+  for (const QueryOutcome& outcome : report.value().outcomes) {
+    h.U64(outcome.id);
+    h.Str(outcome.algorithm);
+    for (const core::TopKResult& r : outcome.per_epoch) h.Result(r);
+    for (const auto& rows : outcome.rows_per_epoch) h.Rows(rows);
+    for (const agg::RankedItem& item : outcome.historic.items) {
+      h.U64(static_cast<uint64_t>(item.group));
+      h.F64(item.value);
+    }
+    h.U64(outcome.historic.lsink_size);
+    h.U64(static_cast<uint64_t>(outcome.historic.rounds));
+    h.Counters(outcome.shared_cost);
+    h.U64(outcome.share_group_size);
+    if (outcome.query_class == query::QueryClass::kHistoricVertical) {
+      run.audit_rounds.push_back(outcome.historic.rounds);
+    }
+  }
+  h.Counters(report.value().total);
+  run.digest = h.h;
+  return run;
+}
+
+bool Charged(const LoneWaveRun& run, const std::string& phase) {
+  return std::find(run.phases.begin(), run.phases.end(), phase) != run.phases.end();
+}
+
+TEST(CoordinatorTest, LoneSharedMintGroupMatchesPinnedDigest) {
+  const std::vector<std::string> dashboards(4, kSnapshotSql);
+  LoneWaveRun run = RunLoneWave(Scenario::ConferenceFloor(8, 256, 5), dashboards, 40, 7, {});
+  EXPECT_TRUE(Charged(run, "mint.create"));
+  EXPECT_TRUE(Charged(run, "mint.beacon"));
+  EXPECT_TRUE(Charged(run, "mint.repair"));
+  EXPECT_EQ(run.digest, 0xf1efa1354b947f93ULL);
+}
+
+TEST(CoordinatorTest, LoneTagGroupMatchesPinnedDigest) {
+  LoneWaveRun run =
+      RunLoneWave(Scenario::ConferenceFloor(8, 256, 5), {kGroupedSelectSql}, 12, 8, {});
+  EXPECT_TRUE(Charged(run, "tag.collect"));
+  EXPECT_EQ(run.digest, 0xbafd8a23283fbe62ULL);
+}
+
+TEST(CoordinatorTest, LoneSelectWhereGroupMatchesPinnedDigest) {
+  LoneWaveRun run = RunLoneWave(Scenario::ConferenceFloor(8, 256, 5), {kSelectSql}, 12, 9, {});
+  EXPECT_TRUE(Charged(run, "select.collect"));
+  EXPECT_EQ(run.digest, 0x33967e06ab8a1ec5ULL);
+}
+
+// The audits at epochs 60, 72 and 78 need one, two and three TJA rounds.
+TEST(CoordinatorTest, FloorAuditsOfOneTwoAndThreeRoundsMatchPinnedDigest) {
+  LoneWaveRun run = RunLoneWave(GridFloor(5000, 5), {kSnapshotSql}, 84, 5, {60, 72, 78});
+  EXPECT_EQ(run.audit_rounds, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(run.digest, 0xca29daf628c2587fULL);
 }
 
 /// Readings as a pure function of node and epoch, from a generator that
