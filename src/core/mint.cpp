@@ -81,8 +81,7 @@ MintViews::MintViews(sim::Network* net, data::DataGenerator* gen, QuerySpec spec
   tau_at_.assign(n, 0.0);
   tau_valid_at_.assign(n, 0);
   tau_version_at_.assign(n, 0);
-  last_sent_.resize(n);
-  child_view_.resize(n);
+  views_.resize(n);
 }
 
 uint32_t MintViews::TotalCount(sim::GroupId g) const {
@@ -111,8 +110,8 @@ agg::GroupView MintViews::FullWaveRebuildingState(sim::Epoch epoch, sim::PhaseId
           &count_scratch_);
     }
     // Reset the view-maintenance caches: the parent now holds this full view.
-    last_sent_[node] = view;
-    child_view_[node] = view;
+    views_[node].last_sent = view;
+    views_[node].cached = view;
     return view;
   };
   auto wire_bytes = [&](const Msg& m) {
@@ -245,16 +244,20 @@ agg::GroupView& MintViews::RunUpdateWave(sim::Epoch epoch) {
   using Msg = Delta;
   net_->SetPhase(kPhaseUpdate);
   gen_->PrepareEpoch(epoch);  // Value() is a pure read below
-  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox) -> std::optional<Msg> {
+  // Lane aware: a node touches only its own and its children's caches.
+  if (update_lanes_.size() < sim::WaveLanes(*net_)) update_lanes_.resize(sim::WaveLanes(*net_));
+  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox,
+                     size_t lane) -> std::optional<Msg> {
+    UpdateScratch& scratch = update_lanes_[lane];
     // Apply the children's deltas to their cached views.
     for (const Msg& delta : inbox) {
-      child_view_[delta.from].ApplyDelta(delta.changed, delta.removed, &delta_scratch_);
+      views_[delta.from].cached.ApplyDelta(delta.changed, delta.removed, &scratch.delta);
     }
     // Rebuild this node's view from the cached child views + own reading,
     // into scratch reused across nodes and epochs.
-    agg::GroupView& view = update_scratch_;
+    agg::GroupView& view = scratch.view;
     view.clear();
-    for (sim::NodeId child : net_->tree().children(node)) view.MergeView(child_view_[child]);
+    for (sim::NodeId child : net_->tree().children(node)) view.MergeView(views_[child].cached);
     if (node == sim::kSinkId) {
       // The sink's materialized view V_0 — its children's deltas were just
       // applied, so the merge of their caches is current.
@@ -267,12 +270,12 @@ agg::GroupView& MintViews::RunUpdateWave(sim::Epoch epoch) {
     // both sides are sorted by group, so the diff is one linear walk. It is
     // built in scratch reused across nodes; a delta that is sent gets
     // exact-size copies.
-    std::vector<agg::GroupView::Entry>& changed = changed_scratch_;
-    std::vector<sim::GroupId>& removed = removed_scratch_;
+    std::vector<agg::GroupView::Entry>& changed = scratch.changed;
+    std::vector<sim::GroupId>& removed = scratch.removed;
     changed.clear();
     removed.clear();
     const auto& cur = view.entries();
-    const auto& sent = last_sent_[node].entries();
+    const auto& sent = views_[node].last_sent.entries();
     if (options_.delta_updates) {
       size_t i = 0;
       size_t j = 0;
@@ -300,7 +303,7 @@ agg::GroupView& MintViews::RunUpdateWave(sim::Epoch epoch) {
       // Nothing changed: the parent's cached V'_i is still current.
       return std::nullopt;
     }
-    last_sent_[node] = view;
+    views_[node].last_sent = view;
     Msg delta;
     delta.from = node;
     delta.changed.assign(changed.begin(), changed.end());
@@ -391,8 +394,10 @@ TopKResult MintViews::RunEpoch(sim::Epoch epoch) {
 
 void MintViews::OnTopologyChanged() {
   for (auto& counts : subtree_count_) counts.clear();
-  for (auto& view : last_sent_) view.clear();
-  for (auto& view : child_view_) view.clear();
+  for (NodeViews& views : views_) {
+    views.last_sent.clear();
+    views.cached.clear();
+  }
   std::fill(tau_valid_at_.begin(), tau_valid_at_.end(), 0);
   pruning_tau_valid_ = false;
   have_last_kth_ = false;
@@ -450,8 +455,8 @@ void MintViews::OnTopologyChanged(const sim::TopologyDelta& delta) {
   //    source of the cardinality-delta converge-cast charged in step 3.
   for (const auto& [node, old_parent] : delta.removed) {
     (void)old_parent;
-    last_sent_[node].clear();
-    child_view_[node].clear();
+    views_[node].last_sent.clear();
+    views_[node].cached.clear();
     tau_valid_at_[node] = 0;
   }
   // 2) Re-attached subtree roots: the new parent caches nothing for them, so
@@ -463,8 +468,8 @@ void MintViews::OnTopologyChanged(const sim::TopologyDelta& delta) {
   //    actually stale (they missed beacons while detached or down) cost a
   //    relayed install message.
   for (sim::NodeId root : delta.reattached) {
-    last_sent_[root].clear();
-    child_view_[root].clear();
+    views_[root].last_sent.clear();
+    views_[root].cached.clear();
     if (!tree.attached(root) || !net_->NodeAlive(root)) continue;  // gone again
     std::vector<sim::NodeId> stack = {root};
     while (!stack.empty()) {

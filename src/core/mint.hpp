@@ -145,12 +145,18 @@ class MintViews : public EpochAlgorithm {
   /// Per node: subtree cardinalities c_g (recorded during full waves). Room
   /// grouping only; empty under node grouping.
   std::vector<CountTable> subtree_count_;
-  /// Merge scratch for the count tables and for ApplyDelta.
+  /// Merge scratch for the count tables.
   CountTable count_scratch_;
-  std::vector<agg::GroupView::Entry> delta_scratch_;
-  /// Update-phase diff of one node's view, reused across nodes and epochs.
-  std::vector<agg::GroupView::Entry> changed_scratch_;
-  std::vector<sim::GroupId> removed_scratch_;
+  /// Update-phase scratch of one wave lane (sim::UpWave), reused across
+  /// nodes and epochs, on cache lines of its own: the node's rebuilt view,
+  /// its diff against what the parent caches, and ApplyDelta's merge buffer.
+  struct alignas(64) UpdateScratch {
+    agg::GroupView view;
+    std::vector<agg::GroupView::Entry> changed;
+    std::vector<sim::GroupId> removed;
+    std::vector<agg::GroupView::Entry> delta;
+  };
+  std::vector<UpdateScratch> update_lanes_;
   /// Per node: the threshold currently installed (beacons can be lost).
   std::vector<double> tau_at_;
   std::vector<uint8_t> tau_valid_at_;
@@ -161,16 +167,19 @@ class MintViews : public EpochAlgorithm {
   /// beacons while away (a real install message is charged).
   uint32_t tau_version_ = 0;
   std::vector<uint32_t> tau_version_at_;
-  /// Per node: the V'_i its parent currently caches (what was last sent).
-  std::vector<agg::GroupView> last_sent_;
-  /// Per node: cached views of its children, maintained from deltas.
-  std::vector<agg::GroupView> child_view_;
+  /// Per node: the V'_i its parent currently caches, as the node knows it
+  /// (what it last sent) and as the parent maintains it from the node's
+  /// deltas.
+  struct NodeViews {
+    agg::GroupView last_sent;
+    agg::GroupView cached;
+  };
+  std::vector<NodeViews> views_;
 
-  /// Reusable wave state (inboxes, the update wave's scratch view) —
-  /// allocated once, reused every epoch.
+  /// Reusable wave state (inboxes, the sink's view) — allocated once,
+  /// reused every epoch.
   sim::UpWave<agg::GroupView>::Workspace full_wave_ws_;
   sim::UpWave<Delta>::Workspace update_wave_ws_;
-  agg::GroupView update_scratch_;
   agg::GroupView sink_view_;
 
   /// Threshold in force at the nodes (last broadcast), with margin applied.

@@ -26,7 +26,8 @@ std::vector<SelectTuple> BasicSelect::RunEpoch(sim::Epoch epoch) {
   using Msg = std::vector<SelectTuple>;
   static const sim::PhaseId kPhaseCollect = sim::Network::InternPhase("select.collect");
   net_->SetPhase(kPhaseCollect);
-  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox) -> std::optional<Msg> {
+  // Lane aware: a node's tuples are built from its inbox and its own reading.
+  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox, size_t) -> std::optional<Msg> {
     // The first child's tuples are taken over, not copied, and the buffer
     // grows at most once to hold the rest.
     size_t total = 1;

@@ -9,7 +9,8 @@ agg::GroupView TagTopK::CollectFullView(sim::Network& net, data::DataGenerator& 
                                         sim::UpWave<agg::GroupView>::Workspace* workspace) {
   using Msg = agg::GroupView;
   gen.PrepareEpoch(epoch);  // Value() is a pure read below
-  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox) -> std::optional<Msg> {
+  // Lane aware: a node's view is built from its inbox and its own reading.
+  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox, size_t) -> std::optional<Msg> {
     Msg view;
     for (Msg& child : inbox) view.MergeView(std::move(child));
     if (node != sim::kSinkId) {

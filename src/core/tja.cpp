@@ -1,6 +1,7 @@
 #include "core/tja.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "sim/waves.hpp"
 #include "util/bloom_filter.hpp"
@@ -18,34 +19,21 @@ const sim::PhaseId kPhaseLb = sim::Network::InternPhase("tja.lb");
 const sim::PhaseId kPhaseHj = sim::Network::InternPhase("tja.hj");
 const sim::PhaseId kPhaseCl = sim::Network::InternPhase("tja.cl");
 
-/// Local top-`k_deep` (window index, value) pairs of one node's window —
-/// *extended through ties* with the k_deep-th value — plus the node's
-/// m_i = value of its k_deep-th entry (the local bound). The tie extension
-/// is what makes the Clean-Up certificate sound with >=: any key outside
-/// every node's extended list is *strictly* below m_i at every node, so its
-/// aggregate is strictly below the union threshold.
-struct LocalTopK {
-  std::vector<std::pair<sim::GroupId, double>> entries;
-  double m_i;
-  bool covers_window;  ///< True when the extended list is the whole window.
-};
-
-LocalTopK ComputeLocalTopK(const WindowSpan& window, size_t k_deep) {
-  std::vector<std::pair<sim::GroupId, double>> ranked;
-  ranked.reserve(window.size());
-  window.ForEach([&](size_t t, double v) { ranked.emplace_back(static_cast<sim::GroupId>(t), v); });
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second > b.second;
-    return a.first < b.first;
-  });
-  LocalTopK out;
-  size_t take = std::min(k_deep, ranked.size());
-  out.m_i = take > 0 ? ranked[take - 1].second : 0.0;
-  // Extend through ties with the k-th value.
-  while (take < ranked.size() && ranked[take].second == out.m_i) ++take;
-  out.covers_window = take >= ranked.size();
-  out.entries.assign(ranked.begin(), ranked.begin() + static_cast<long>(take));
-  return out;
+/// The local bound m_i of one node's window: its `k_deep`-th largest value
+/// (0 for an empty window), found by selection. The node's local list is
+/// every window key whose value is >= m_i — its top `k_deep` *extended
+/// through ties* with the k_deep-th value. The tie extension is what makes
+/// the Clean-Up certificate sound with >=: any key outside every node's
+/// extended list is *strictly* below m_i at every node, so its aggregate is
+/// strictly below the union threshold. A `k_deep` of 0 has no list.
+double LocalBound(const WindowSpan& window, size_t k_deep, std::vector<double>* values) {
+  if (window.empty() || k_deep == 0) return 0.0;
+  values->clear();
+  window.ForEach([&](size_t, double v) { values->push_back(v); });
+  const size_t kth = std::min(k_deep, values->size()) - 1;
+  std::nth_element(values->begin(), values->begin() + static_cast<long>(kth), values->end(),
+                   std::greater<double>());
+  return (*values)[kth];
 }
 
 }  // namespace
@@ -56,24 +44,36 @@ Tja::Tja(sim::Network* net, const HistorySource* history, HistoricOptions option
 Tja::LbOutcome Tja::LowerBoundPhase(size_t k_deep) {
   using Msg = LbMsg;
   net_->SetPhase(kPhaseLb);
-  lb_keys_.clear();
-  lb_span_.assign(history_->num_nodes(), {0, 0});
-  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox) -> std::optional<Msg> {
+  if (lanes_.size() < sim::WaveLanes(*net_)) lanes_.resize(sim::WaveLanes(*net_));
+  for (LaneScratch& lane : lanes_) lane.lb_keys.clear();
+  lb_span_.assign(history_->num_nodes(), {});
+  // Lane aware: a node reads its own window and writes its own span and its
+  // lane's key list.
+  auto produce = [&](sim::NodeId node, std::vector<Msg>&& inbox,
+                     size_t lane) -> std::optional<Msg> {
     Msg out;
     for (Msg& child : inbox) {
       out.view.MergeView(std::move(child.view));
       out.m_sum_fx += child.m_sum_fx;
     }
     if (node != sim::kSinkId) {
-      LocalTopK local = ComputeLocalTopK(history_->Window(node), k_deep);
-      const auto first = static_cast<uint32_t>(lb_keys_.size());
-      for (const auto& [key, value] : local.entries) {
-        out.view.AddReading(key, value);
-        lb_keys_.push_back(key);
-      }
-      std::sort(lb_keys_.begin() + first, lb_keys_.end());
-      lb_span_[node] = {first, static_cast<uint32_t>(lb_keys_.size()) - first};
-      out.m_sum_fx += util::fixed_point::Encode(local.m_i);
+      LaneScratch& scratch = lanes_[lane];
+      WindowSpan window = history_->Window(node);
+      const double m_i = LocalBound(window, k_deep, &scratch.values);
+      const auto first = static_cast<uint32_t>(scratch.lb_keys.size());
+      // The local list in ascending key order, merged into the subtree's
+      // view at once.
+      scratch.own.clear();
+      window.ForEach([&](size_t t, double v) {
+        if (k_deep == 0 || v < m_i) return;
+        const auto key = static_cast<sim::GroupId>(t);
+        scratch.own.AddReading(key, v);
+        scratch.lb_keys.push_back(key);
+      });
+      out.view.MergeView(scratch.own);
+      lb_span_[node] = {static_cast<uint32_t>(lane), first,
+                        static_cast<uint32_t>(scratch.lb_keys.size()) - first};
+      out.m_sum_fx += util::fixed_point::Encode(m_i);
     }
     return out;
   };
@@ -94,11 +94,6 @@ Tja::LbOutcome Tja::LowerBoundPhase(size_t k_deep) {
                         : m_total;
   }
   return outcome;
-}
-
-bool Tja::LbContributed(sim::NodeId node, sim::GroupId key) const {
-  auto first = lb_keys_.begin() + lb_span_[node].first;
-  return std::binary_search(first, first + lb_span_[node].second, key);
 }
 
 agg::GroupView Tja::HierarchicalJoinPhase(const std::vector<sim::GroupId>& lsink) {
@@ -125,19 +120,31 @@ agg::GroupView Tja::HierarchicalJoinPhase(const std::vector<sim::GroupId>& lsink
   std::vector<sim::GroupId> answer_keys;
   std::vector<std::pair<uint32_t, uint32_t>> answer_span(history_->num_nodes(), {0, 0});
 
-  auto matches = [&](const DownMsg& msg, sim::GroupId key) {
-    if (msg.use_bloom) return msg.bloom.MayContain(static_cast<uint64_t>(key));
-    return std::binary_search(msg.keys.begin(), msg.keys.end(), key);
-  };
+  // A node answers for the window keys the message matches, minus the keys
+  // it already contributed during LB — the sink merges the LB union view
+  // with the HJ complement, so resending is waste. One merge walk over the
+  // node's ascending LB keys and the ascending candidates (or the window,
+  // when a Bloom filter stands in for them).
   auto record_keys = [&](sim::NodeId node, const DownMsg& msg) {
-    size_t window = history_->window_size();
+    const size_t window = history_->window_size();
     const auto first = static_cast<uint32_t>(answer_keys.size());
-    for (size_t t = 0; t < window; ++t) {
-      auto key = static_cast<sim::GroupId>(t);
-      // Skip keys this node already contributed during LB — the sink merges
-      // the LB union view with the HJ complement, so resending is waste.
-      if (LbContributed(node, key)) continue;
-      if (matches(msg, key)) answer_keys.push_back(key);
+    const LbSpan span = lb_span_[node];
+    const sim::GroupId* lb = lanes_[span.lane].lb_keys.data() + span.first;
+    const sim::GroupId* const lb_end = lb + span.count;
+    auto answer = [&](sim::GroupId key) {
+      while (lb != lb_end && *lb < key) ++lb;
+      if (lb == lb_end || *lb != key) answer_keys.push_back(key);
+    };
+    if (msg.use_bloom) {
+      for (size_t t = 0; t < window; ++t) {
+        const auto key = static_cast<sim::GroupId>(t);
+        if (msg.bloom.MayContain(static_cast<uint64_t>(key))) answer(key);
+      }
+    } else {
+      for (sim::GroupId key : msg.keys) {
+        if (static_cast<size_t>(key) >= window) break;
+        answer(key);
+      }
     }
     answer_span[node] = {first, static_cast<uint32_t>(answer_keys.size()) - first};
   };
@@ -158,18 +165,24 @@ agg::GroupView Tja::HierarchicalJoinPhase(const std::vector<sim::GroupId>& lsink
   // Upstream: exact contributions for the candidate keys, merged per key.
   net_->SetPhase(kPhaseHj);
   using UpMsg = agg::GroupView;
-  auto up_produce = [&](sim::NodeId node, std::vector<UpMsg>&& inbox) -> std::optional<UpMsg> {
+  // Lane aware: a node reads its own window and answer keys. Its answers
+  // form one ascending run, merged into the subtree's view at once.
+  auto up_produce = [&](sim::NodeId node, std::vector<UpMsg>&& inbox,
+                        size_t lane) -> std::optional<UpMsg> {
     UpMsg view;
     for (UpMsg& child : inbox) view.MergeView(std::move(child));
     if (node != sim::kSinkId) {
       WindowSpan window = history_->Window(node);
+      agg::GroupView& own = lanes_[lane].own;
+      own.clear();
       const auto [first, count] = answer_span[node];
       for (uint32_t i = first; i < first + count; ++i) {
         const sim::GroupId key = answer_keys[i];
         if (static_cast<size_t>(key) < window.size()) {
-          view.AddReading(key, window[static_cast<size_t>(key)]);
+          own.AddReading(key, window[static_cast<size_t>(key)]);
         }
       }
+      view.MergeView(own);
       if (view.empty()) return std::nullopt;
     }
     return view;

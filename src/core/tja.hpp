@@ -72,14 +72,23 @@ class Tja {
   sim::Network* net_;
   const HistorySource* history_;
   HistoricOptions options_;
-  /// Keys each node shipped during the current round's LB phase; the HJ
-  /// phase only answers for the complement (the sink merges both views).
-  /// Node i's keys are lb_keys_[lb_span_[i].first, +lb_span_[i].second),
-  /// ascending: one flat list instead of a node-based set per node.
-  std::vector<sim::GroupId> lb_keys_;
-  std::vector<std::pair<uint32_t, uint32_t>> lb_span_;
-  /// True when `node` shipped `key` in this round's LB phase.
-  bool LbContributed(sim::NodeId node, sim::GroupId key) const;
+  /// Per wave lane (sim::UpWave): the keys its nodes shipped during the
+  /// current round's LB phase, one ascending run per node, and scratch. The
+  /// HJ phase only answers for the complement of a node's run (the sink
+  /// merges both views). Each lane's scratch sits on cache lines of its own.
+  struct alignas(64) LaneScratch {
+    std::vector<sim::GroupId> lb_keys;
+    std::vector<double> values;  ///< Selection scratch for the local bound.
+    agg::GroupView own;          ///< A node's own entries, merged at once.
+  };
+  std::vector<LaneScratch> lanes_;
+  /// Node i's LB keys: lanes_[lane].lb_keys[first, first + count).
+  struct LbSpan {
+    uint32_t lane = 0;
+    uint32_t first = 0;
+    uint32_t count = 0;
+  };
+  std::vector<LbSpan> lb_span_;
 
   struct LbOutcome {
     agg::GroupView union_view;  ///< Partial aggregates for Lsink keys.

@@ -212,18 +212,13 @@ void StepGroup(OpGroup& group, GroupUpdate& gu, sim::Epoch epoch, bool topology_
   ++group.steps;
 }
 
-/// The worker pool every session's concurrent epochs share, created on the
-/// first concurrent epoch and sized to the hardware. A session that finds it
+/// The worker pool every session's concurrent epochs and split waves share,
+/// created on first use and sized to the hardware. A session that finds it
 /// busy (another session in the process is fanning out) steps its groups
 /// inline instead, so however many sessions step at once — kspot_bench runs
 /// one per trial thread — group stepping adds at most one pool of workers.
-struct GroupPool {
-  std::mutex busy;
-  util::TaskPool pool;
-};
-
-GroupPool& SharedGroupPool() {
-  static GroupPool shared;
+util::SharedTaskPool& SharedGroupPool() {
+  static util::SharedTaskPool shared;
   return shared;
 }
 
@@ -292,6 +287,19 @@ struct QueryCoordinator::Session {
     return gen;
   }
 
+  /// The pool a converge-cast on this session's network may split across
+  /// (see sim::UpWave), or nullptr. The same gate as a concurrent epoch: on
+  /// a multi-core host, charges commute, churn off, at least
+  /// kMinConcurrentNodes motes.
+  util::SharedTaskPool* WavePool() const {
+    static const bool kMultiCore = std::thread::hardware_concurrency() > 1;
+    if (!kMultiCore || churn || !net.CanJournalCharges() ||
+        net.topology().num_nodes() < kMinConcurrentNodes) {
+      return nullptr;
+    }
+    return &SharedGroupPool();
+  }
+
   /// One group stepping this epoch and the update entry it fills.
   struct Step {
     OpGroup* group;
@@ -314,18 +322,15 @@ bool QueryCoordinator::Session::StepConcurrently(const std::vector<Step>& steps,
   // fan-out and the ledgers (measured on a five-group mix: 1025 motes ran
   // 12% slower fanned out, 2049 motes 1.9x faster; E17's 33-mote floor
   // lost a third of its coord_qps).
-  static const bool kMultiCore = std::thread::hardware_concurrency() > 1;
-  if (!kMultiCore || steps.size() < 2 || churn || !net.CanJournalCharges() ||
-      net.topology().num_nodes() < kMinConcurrentNodes) {
-    return false;
-  }
+  util::SharedTaskPool* pool = WavePool();
+  if (pool == nullptr || steps.size() < 2) return false;
   for (const Step& step : steps) {
     // A group's first two steps (creation and the first update) build the
     // state and wave workspaces it keeps: run them on this thread, so that
     // state and the creation bill stay out of worker arenas and ledgers.
     if (step.group->steps < 2) return false;
   }
-  GroupPool& shared = SharedGroupPool();
+  util::SharedTaskPool& shared = *pool;
   std::unique_lock<std::mutex> pool_lock(shared.busy, std::try_to_lock);
   if (!pool_lock.owns_lock()) return false;
 
@@ -344,8 +349,12 @@ bool QueryCoordinator::Session::StepConcurrently(const std::vector<Step>& steps,
     lanes[lane].push_back(i);
     load[lane] += order[i].group->step_us + 1;
   }
-  // Room for about three charges per message of the group's last bill.
-  for (const Step& step : steps) step.group->ledger.Clear(3 * step.group->last_messages);
+  // Room for about three charges per message of the group's last bill, and
+  // half as much again.
+  for (const Step& step : steps) {
+    const uint64_t charges = 3 * step.group->last_messages;
+    step.group->ledger.Clear(charges + charges / 2);
+  }
   std::vector<std::atomic<bool>> started(order.size());
   auto run = [&](size_t i) {
     if (started[i].exchange(true)) return;
@@ -546,6 +555,7 @@ util::Status QueryCoordinator::BindToSession(size_t admitted_index) {
       }
       static const uint32_t kTjaSpan = obs::GlobalTracer().InternName("coord.admit.tja");
       obs::ScopedSpan tja_span(kTjaSpan);
+      sim::Network::PoolScope split_waves(session.net, session.WavePool());
       core::Tja tja(&session.net, &*source, plan.historic);
       sim::TrafficCounters before = session.net.total();
       group.historic = tja.Run();
@@ -672,6 +682,10 @@ util::StatusOr<EpochUpdate> QueryCoordinator::StepEpoch() {
   if (!session.StepConcurrently(steps, epoch)) {
     for (const Session::Step& step : steps) {
       sim::TrafficCounters before = session.net.total();
+      // A lone group's waves may split across the pool instead, once its
+      // first two steps built its state on this thread.
+      sim::Network::PoolScope split_waves(
+          session.net, step.group->steps >= 2 ? session.WavePool() : nullptr);
       StepGroup(*step.group, *step.update, epoch, topology_changed, delta);
       step.group->Bill(session.net.total().Since(before));
     }

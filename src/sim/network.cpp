@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <deque>
 #include <mutex>
 #include <stdexcept>
@@ -27,6 +29,9 @@ PhaseRegistry& Registry() {
 
 /// The ledger the calling thread's LedgerScope bound, if any.
 thread_local ChargeLedger* t_bound_ledger = nullptr;
+/// The pool the calling thread's PoolScope bound, and to which network.
+thread_local util::SharedTaskPool* t_bound_pool = nullptr;
+thread_local const Network* t_pool_net = nullptr;
 
 /// Adds the integer fields of `from` to `to` (the float fields replay from
 /// the journal in charge order).
@@ -71,6 +76,17 @@ const std::string& Network::PhaseName(PhaseId id) {
 Network::Network(const Topology* topology, const RoutingTree* tree, NetworkOptions options,
                  util::Rng rng)
     : topology_(topology), tree_(tree), options_(options), rng_(rng) {
+  // A NaN loss would draw the RNG for every frame and never lose one; a
+  // negative retry count would run no attempt, so every unicast would
+  // vanish uncharged. Both are configuration errors, not loss models.
+  if (!(options.loss_prob >= 0.0 && options.loss_prob <= 1.0)) {
+    std::fprintf(stderr, "sim::Network: loss_prob %g is outside [0, 1]\n", options.loss_prob);
+    std::abort();
+  }
+  if (options.max_retries < 0) {
+    std::fprintf(stderr, "sim::Network: max_retries %d is negative\n", options.max_retries);
+    std::abort();
+  }
   state_.Reset(topology->num_nodes(), options.battery_j);
   BeginReliabilityEpoch();
   static const PhaseId kDefaultPhase = InternPhase("default");
@@ -82,10 +98,8 @@ void ChargeLedger::Clear(size_t expected_charges) {
   phase_ = kInheritedPhase;
   words_.clear();
   joules_.clear();
-  if (joules_.capacity() < expected_charges) {
-    words_.reserve(expected_charges + expected_charges / 2);
-    joules_.reserve(expected_charges + expected_charges / 2);
-  }
+  words_.reserve(expected_charges);
+  joules_.reserve(expected_charges);
   booked_ = 0;
   std::fill(phase_counts_.begin(), phase_counts_.end(), TrafficCounters{});
   std::fill(phase_touched_.begin(), phase_touched_.end(), 0);
@@ -101,6 +115,20 @@ Network::LedgerScope::LedgerScope(const Network& net, ChargeLedger* ledger) {
 }
 
 Network::LedgerScope::~LedgerScope() { t_bound_ledger = nullptr; }
+
+Network::PoolScope::PoolScope(const Network& net, util::SharedTaskPool* pool) {
+  t_bound_pool = pool;
+  t_pool_net = &net;
+}
+
+Network::PoolScope::~PoolScope() {
+  t_bound_pool = nullptr;
+  t_pool_net = nullptr;
+}
+
+util::SharedTaskPool* Network::BoundPool() const {
+  return t_pool_net == this && BoundLedger() == nullptr ? t_bound_pool : nullptr;
+}
 
 ChargeLedger* Network::BoundLedger() const {
   ChargeLedger* ledger = t_bound_ledger;
@@ -167,8 +195,77 @@ bool Network::CanJournalCharges() const {
 }
 
 void Network::Replay(const ChargeLedger& ledger) {
+  ChargeLedger::Cursor at;
+  ReplayBookings(ledger, at, ledger.mark());
+  ReplayCounts(ledger);
+}
+
+void Network::ReplayBookings(const ChargeLedger& ledger, ChargeLedger::Cursor& at, size_t until) {
   // Traffic charged before the ledger's first SetPhase belongs to the phase
   // this network is in now, exactly where a direct run would have put it.
+  const PhaseId inherited = phase_id_;
+  PhaseId phase = at.phase_ == ChargeLedger::kInheritedPhase ? inherited : at.phase_;
+  // The energy sums of the total and the current phase are added in
+  // registers, in booking order, and stored back on a phase switch and at
+  // the end: the same additions in the same order as booking them in place.
+  double total[3] = {state_.total.tx_energy_j, state_.total.rx_energy_j,
+                     state_.total.flash_energy_j};
+  double in_phase[3];
+  auto load = [&] {
+    const TrafficCounters& c = state_.by_phase[phase];
+    in_phase[0] = c.tx_energy_j;
+    in_phase[1] = c.rx_energy_j;
+    in_phase[2] = c.flash_energy_j;
+  };
+  auto store = [&] {
+    TrafficCounters& c = state_.by_phase[phase];
+    c.tx_energy_j = in_phase[0];
+    c.rx_energy_j = in_phase[1];
+    c.flash_energy_j = in_phase[2];
+  };
+  load();
+  double delta[3] = {0.0, 0.0, 0.0};  // energy of the booking in progress
+  const double* joules = ledger.joules_.data() + at.joule_;
+  for (; at.word_ < until; ++at.word_) {
+    const uint32_t word = ledger.words_[at.word_];
+    const uint32_t id = word & ChargeLedger::kIdMask;
+    switch (word & ChargeLedger::kKindMask) {
+      case ChargeLedger::kPhase:
+        store();
+        at.phase_ = id;
+        phase = id == ChargeLedger::kInheritedPhase ? inherited : id;
+        TouchPhase(phase);
+        load();
+        continue;
+      case ChargeLedger::kTx:
+        state_.meters[id].AddTx(*joules);
+        state_.sent_by[id] += 1;
+        delta[0] += *joules++;
+        break;
+      case ChargeLedger::kRx:
+        state_.meters[id].AddRx(*joules);
+        delta[1] += *joules++;
+        break;
+      case ChargeLedger::kStorage:
+        state_.meters[id].AddStorage(*joules);
+        delta[2] += *joules++;
+        break;
+    }
+    if ((word & ChargeLedger::kEndsBooking) == 0) continue;
+    for (int f = 0; f < 3; ++f) {
+      total[f] += delta[f];
+      in_phase[f] += delta[f];
+      delta[f] = 0.0;
+    }
+  }
+  store();
+  state_.total.tx_energy_j = total[0];
+  state_.total.rx_energy_j = total[1];
+  state_.total.flash_energy_j = total[2];
+  at.joule_ = static_cast<size_t>(joules - ledger.joules_.data());
+}
+
+void Network::ReplayCounts(const ChargeLedger& ledger) {
   const PhaseId inherited = phase_id_;
   AddCounts(state_.total, ledger.inherited_counts_);
   AddCounts(state_.by_phase[inherited], ledger.inherited_counts_);
@@ -177,37 +274,6 @@ void Network::Replay(const ChargeLedger& ledger) {
     TouchPhase(id);
     AddCounts(state_.total, ledger.phase_counts_[id]);
     AddCounts(state_.by_phase[id], ledger.phase_counts_[id]);
-  }
-  PhaseId phase = inherited;
-  TrafficCounters delta;  // energy of the booking in progress
-  const double* joules = ledger.joules_.data();
-  for (uint32_t word : ledger.words_) {
-    const uint32_t id = word & ChargeLedger::kIdMask;
-    switch (word & ChargeLedger::kKindMask) {
-      case ChargeLedger::kPhase:
-        phase = id == ChargeLedger::kInheritedPhase ? inherited : id;
-        continue;
-      case ChargeLedger::kTx:
-        state_.meters[id].AddTx(*joules);
-        state_.sent_by[id] += 1;
-        delta.tx_energy_j += *joules++;
-        break;
-      case ChargeLedger::kRx:
-        state_.meters[id].AddRx(*joules);
-        delta.rx_energy_j += *joules++;
-        break;
-      case ChargeLedger::kStorage:
-        state_.meters[id].AddStorage(*joules);
-        delta.flash_energy_j += *joules++;
-        break;
-    }
-    if ((word & ChargeLedger::kEndsBooking) == 0) continue;
-    for (TrafficCounters* to : {&state_.total, &state_.by_phase[phase]}) {
-      to->tx_energy_j += delta.tx_energy_j;
-      to->rx_energy_j += delta.rx_energy_j;
-      to->flash_energy_j += delta.flash_energy_j;
-    }
-    delta = TrafficCounters{};
   }
   clock_.JumpTo(clock_.now() + ledger.clock_.now());
   if (ledger.phase_ != ChargeLedger::kInheritedPhase) SetPhase(ledger.phase_);
@@ -262,9 +328,10 @@ double Network::LinkLossProb(NodeId from, NodeId to) const {
   for (double extra : {state_.extra_loss[from], state_.extra_loss[to]}) {
     if (extra > 0.0) p = p + (1.0 - p) * std::min(1.0, extra);
   }
-  // The compounding above keeps p in [0, 1] for in-range inputs, but a
-  // configured edge_max_loss > 1 (or a baseline outside [0, 1]) could push
-  // it out, and a probability > 1 silently breaks the Bernoulli draws.
+  // The compounding above keeps p in [0, 1] for in-range inputs (the
+  // constructor rejects a baseline outside it), but a configured
+  // edge_max_loss > 1 could push it out, and a probability > 1 silently
+  // breaks the Bernoulli draws.
   return std::clamp(p, 0.0, 1.0);
 }
 

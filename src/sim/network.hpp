@@ -14,6 +14,10 @@
 #include "sim/types.hpp"
 #include "util/rng.hpp"
 
+namespace kspot::util {
+struct SharedTaskPool;
+}  // namespace kspot::util
+
 namespace kspot::sim {
 
 /// Simulated time of one network. Transmissions advance it monotonically;
@@ -47,10 +51,23 @@ class Network;
 class ChargeLedger {
  public:
   /// Empties the journal and rewinds the clock and phase. The journal keeps
-  /// its capacity and grows here to hold `expected_charges`, so a writer on
-  /// another thread rarely has to grow it: growing it there would leave the
-  /// buffer in that thread's allocator arena.
+  /// its capacity and grows here to hold `expected_charges` exactly, so a
+  /// writer on another thread rarely has to grow it: growing it there would
+  /// leave the buffer in that thread's allocator arena.
   void Clear(size_t expected_charges);
+
+  /// The journal position after everything charged so far: a booking
+  /// boundary, where Network::ReplayBookings may stop.
+  size_t mark() const { return words_.size(); }
+
+  /// A read position in the journal, advanced by Network::ReplayBookings.
+  class Cursor {
+   private:
+    friend class Network;
+    size_t word_ = 0;
+    size_t joule_ = 0;
+    PhaseId phase_ = kInheritedPhase;
+  };
 
  private:
   friend class Network;
@@ -156,7 +173,8 @@ struct NetworkOptions {
 /// Several threads may step on one network at once when each binds its own
 /// ChargeLedger with a LedgerScope and the network CanJournalCharges(): their
 /// charges land in their ledgers, the shared state is only read, and Replay
-/// adds each ledger in a fixed order afterwards.
+/// adds each ledger in a fixed order afterwards (or ReplayBookings, booking
+/// by booking, in any interleaving the caller needs).
 class Network {
  public:
   /// Diverts every charge the calling thread makes on `net` — energy, send
@@ -170,7 +188,20 @@ class Network {
     LedgerScope& operator=(const LedgerScope&) = delete;
   };
 
-  /// `topology` and `tree` must outlive the network.
+  /// Lets the converge-casts the calling thread runs on `net` split across
+  /// `pool` for the scope's lifetime (UpWave::Run decides per wave; see
+  /// BoundPool). A null `pool` binds nothing. One scope per thread at a time.
+  class PoolScope {
+   public:
+    PoolScope(const Network& net, util::SharedTaskPool* pool);
+    ~PoolScope();
+    PoolScope(const PoolScope&) = delete;
+    PoolScope& operator=(const PoolScope&) = delete;
+  };
+
+  /// `topology` and `tree` must outlive the network. Aborts with a message
+  /// when `options.loss_prob` is NaN or outside [0, 1], or
+  /// `options.max_retries` is negative.
   Network(const Topology* topology, const RoutingTree* tree, NetworkOptions options,
           util::Rng rng);
 
@@ -241,8 +272,13 @@ class Network {
   /// The degradation episode loss currently in force at `id` (0 = none).
   double NodeExtraLoss(NodeId id) const { return state_.extra_loss[id]; }
 
-  /// True while `id` is administratively up and has battery left.
-  bool NodeAlive(NodeId id) const { return state_.up[id] != 0 && state_.meters[id].alive(); }
+  /// True while `id` is administratively up and has battery left. With
+  /// unlimited batteries no meter can die, so the meters are not read (a
+  /// split wave's lanes check liveness while the calling thread's replay
+  /// writes the meters).
+  bool NodeAlive(NodeId id) const {
+    return state_.up[id] != 0 && (options_.battery_j <= 0.0 || state_.meters[id].alive());
+  }
   /// Number of alive nodes.
   size_t AliveCount() const;
 
@@ -297,6 +333,23 @@ class Network {
   /// per-phase counters, the clock (advanced by the ledger's span) and the
   /// current phase. The ledger is left as it was.
   void Replay(const ChargeLedger& ledger);
+  /// The booking-by-booking half of Replay: adds the bookings `ledger`
+  /// journaled from `at` up to the journal position `until` (a
+  /// ChargeLedger::mark()) — per-node energy and send counts, and each
+  /// booking's energy in the total and its phase — and moves `at` there.
+  /// Traffic charged before the ledger's first SetPhase goes to this
+  /// network's current phase.
+  void ReplayBookings(const ChargeLedger& ledger, ChargeLedger::Cursor& at, size_t until);
+  /// The other half: the ledger's integer counters (they commute, so they
+  /// are added at once), its clock span and its last phase switch. Replaying
+  /// a ledger's whole journal through ReplayBookings, in order and
+  /// interleaved with any other charges, and then ReplayCounts equals
+  /// Replay at the point of the first booking.
+  void ReplayCounts(const ChargeLedger& ledger);
+
+  /// The pool a PoolScope on the calling thread bound to this network, or
+  /// nullptr (also while the thread charges into a ledger).
+  util::SharedTaskPool* BoundPool() const;
 
   // ------------------------------------------------------ reliability layer
 

@@ -43,6 +43,7 @@ RoutingTree RoutingTree::FromParents(std::vector<NodeId> parents) {
 }
 
 void RoutingTree::FinishConstruction() {
+  wave_split_.reset();
   size_t n = parents_.size();
   // Clear-in-place instead of assign: repeated repairs (churn) keep the
   // per-node children capacity instead of reallocating every pass.
@@ -232,6 +233,67 @@ size_t RoutingTree::SubtreeSize(NodeId id) const {
     for (NodeId c : children_[u]) stack.push_back(c);
   }
   return count;
+}
+
+const WaveSplit& RoutingTree::SplitWave(size_t lanes) const {
+  if (wave_split_ != nullptr && wave_split_->lanes.size() == lanes) return *wave_split_;
+  const size_t n = parents_.size();
+  std::vector<uint32_t> size(n, 0);
+  for (NodeId node : post_order_) {
+    size[node] += 1;
+    if (parents_[node] != kNoNode) size[parents_[node]] += size[node];
+  }
+  const size_t total = post_order_.empty() ? 0 : post_order_.size() - 1;  // sink excluded
+  std::vector<NodeId> pieces = children_[kSinkId];
+  std::vector<size_t> load(lanes);
+  std::vector<uint16_t> lane_of_piece;
+  size_t above = 0;
+  for (;;) {
+    // Longest first onto the least-loaded lane.
+    std::sort(pieces.begin(), pieces.end(), [&](NodeId a, NodeId b) {
+      return size[a] != size[b] ? size[a] > size[b] : a < b;
+    });
+    std::fill(load.begin(), load.end(), 0);
+    lane_of_piece.assign(pieces.size(), 0);
+    for (size_t i = 0; i < pieces.size(); ++i) {
+      auto lane = static_cast<size_t>(std::min_element(load.begin(), load.end()) - load.begin());
+      lane_of_piece[i] = static_cast<uint16_t>(lane);
+      load[lane] += size[pieces[i]];
+    }
+    const size_t heaviest = *std::max_element(load.begin(), load.end());
+    if (16 * heaviest * lanes <= 17 * total || pieces.empty() || size[pieces[0]] == 1 ||
+        16 * above >= total) {
+      break;
+    }
+    // Move the largest subtree's root above the frontier.
+    const NodeId root = pieces.front();
+    pieces.erase(pieces.begin());
+    pieces.insert(pieces.end(), children_[root].begin(), children_[root].end());
+    ++above;
+  }
+  auto split = std::make_shared<WaveSplit>();
+  split->lane_of.assign(n, 0);
+  for (size_t i = 0; i < pieces.size(); ++i) {
+    split->lane_of[pieces[i]] = static_cast<uint16_t>(lane_of_piece[i] + 1);
+  }
+  for (NodeId node : pre_order_) {  // parents before children
+    const NodeId parent = parents_[node];
+    if (split->lane_of[node] == 0 && parent != kNoNode) split->lane_of[node] = split->lane_of[parent];
+  }
+  split->lanes.resize(lanes);
+  for (NodeId node : wave_order_) {
+    if (split->lane_of[node] != 0) split->lanes[split->lane_of[node] - 1].push_back(node);
+  }
+  for (NodeId node : wave_order_) {
+    const uint16_t lane = split->lane_of[node];
+    if (lane != 0 && !split->walk.empty() && split->walk.back().lane == lane) {
+      ++split->walk.back().count;
+    } else {
+      split->walk.push_back({lane, 1, node});
+    }
+  }
+  wave_split_ = std::move(split);
+  return *wave_split_;
 }
 
 }  // namespace kspot::sim

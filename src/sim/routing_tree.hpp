@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -66,6 +68,26 @@ struct RepairWorkspace {
   std::vector<uint8_t> attached;           ///< Reached-from-sink marks.
   std::vector<NodeId> frontier;            ///< Current beaconing set.
   std::vector<NodeId> stack;               ///< DFS scratch.
+};
+
+/// One converge-cast cut into lanes that may run at once (UpWave::Run): a
+/// frontier of disjoint subtrees, dealt out so every lane holds about the
+/// same number of nodes. Nodes above the frontier (the sink included) run on
+/// the calling thread after the lanes.
+struct WaveSplit {
+  /// Per node: 1 + the lane that runs it; 0 above the frontier and for
+  /// detached nodes.
+  std::vector<uint16_t> lane_of;
+  /// Per lane: its nodes, in wave order.
+  std::vector<std::vector<NodeId>> lanes;
+  /// The calling thread's walk after the lanes: the wave order as runs of
+  /// consecutive nodes of one lane and single nodes above the frontier.
+  struct Step {
+    uint16_t lane = 0;  ///< 1 + the run's lane; 0 for a node above the frontier.
+    uint32_t count = 0; ///< Nodes in the run.
+    NodeId node = kNoNode;  ///< The node above the frontier.
+  };
+  std::vector<Step> walk;
 };
 
 /// Sink-rooted routing tree over a topology.
@@ -153,6 +175,14 @@ class RoutingTree {
   /// Number of nodes in the subtree rooted at `id` (including itself).
   size_t SubtreeSize(NodeId id) const;
 
+  /// The wave split over `lanes` lanes (>= 1): starting from the sink's
+  /// subtrees, the largest subtree is split into its children until a
+  /// longest-first deal of the subtrees puts no lane more than 1/16 above an
+  /// even share, or 1/16 of the nodes sit above the frontier. Computed on
+  /// first use and cached until the tree changes; callers on several threads
+  /// must serialize (UpWave calls it holding the pool it splits on).
+  const WaveSplit& SplitWave(size_t lanes) const;
+
  private:
   std::vector<NodeId> parents_;
   std::vector<std::vector<NodeId>> children_;
@@ -162,6 +192,8 @@ class RoutingTree {
   std::vector<NodeId> wave_order_;
   std::vector<uint8_t> attached_;
   int max_depth_ = 0;
+  /// SplitWave's cache (shared by copies, which have the same shape).
+  mutable std::shared_ptr<const WaveSplit> wave_split_;
 
   void FinishConstruction();
 };

@@ -2,16 +2,30 @@
 
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <queue>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/network.hpp"
+#include "sim/routing_tree.hpp"
 #include "sim/types.hpp"
+#include "util/task_pool.hpp"
 
 namespace kspot::sim {
+
+/// Lanes a converge-cast the calling thread runs on `net` may split into:
+/// the thread count of the pool a Network::PoolScope bound, 1 when none is
+/// bound. A lane-aware produce callback (see UpWave::Run) keeps scratch for
+/// lanes [0, WaveLanes(net)).
+inline size_t WaveLanes(const Network& net) {
+  const util::SharedTaskPool* pool = net.BoundPool();
+  return pool != nullptr ? pool->pool.thread_count() : 1;
+}
 
 /// One converge-cast wave: every node, leaves first, may produce a message
 /// for its parent. This is the communication pattern of a TAG epoch, of the
@@ -28,19 +42,51 @@ namespace kspot::sim {
 /// parameters (inlined, no std::function indirection), and the per-node
 /// inboxes live in a caller-owned Workspace reused across epochs instead of
 /// being reallocated per wave.
+///
+/// **Split waves.** A node's message depends only on its own subtree, so
+/// disjoint subtrees can be computed at once. When the calling thread bound
+/// a pool to the network (Network::PoolScope), the produce callback is lane
+/// aware, the network's charges commute (CanJournalCharges) and the pool is
+/// free (try-lock), Run cuts the tree into lanes (RoutingTree::SplitWave):
+/// each lane runs its subtrees' nodes in wave order on its own pool thread,
+/// charging its own ChargeLedger. After the join the calling thread walks
+/// wave_order() as a serial wave would: a lane node's booking is replayed
+/// from its lane's ledger (Network::ReplayBookings), a frontier root's
+/// message is delivered to its parent's inbox, and a node above the frontier
+/// produces and charges directly. Every meter, counter, phase and clock bit
+/// therefore comes out in the serial order.
 template <typename Msg>
 class UpWave {
  public:
+  /// One lane of a split wave, on cache lines of its own: each charge
+  /// writes its journal's end pointers.
+  struct alignas(64) Lane {
+    ChargeLedger ledger;
+    /// The ledger's mark() after each of the lane's runs (WaveSplit::walk).
+    std::vector<uint32_t> marks;
+    /// Messages the lane's frontier roots delivered, in wave order, with
+    /// the root's position in the lane.
+    std::vector<std::pair<uint32_t, Msg>> outbox;
+  };
+
   /// Reusable per-wave state. One workspace serves any number of sequential
   /// Run calls; buffers keep their capacity across epochs.
   struct Workspace {
     std::vector<std::vector<Msg>> inbox;
+    std::vector<Lane> lanes;  ///< Split waves only.
   };
 
   /// Produce is called once per alive node in slot-schedule order with the
   /// messages that arrived from its children (losses already applied).
   /// Returning nullopt suppresses the node's transmission entirely (zero
   /// cost). WireBytes maps a message to its application payload size.
+  ///
+  /// A produce callback that takes a third argument, the lane index
+  /// (`produce(node, inbox, lane)`), declares itself lane aware, so the
+  /// wave may split: it may then run on several threads at once, each with
+  /// its own lane in [0, WaveLanes(net)), and must touch only its node's and
+  /// its subtree's state plus the lane's scratch. `wire_bytes` must be a
+  /// pure function. A lane-unaware callback always runs serially.
   ///
   /// Runs the wave on `net` using the slotted TAG schedule. Returns the
   /// sink's produced value (nullopt if the sink produced none or is dead).
@@ -60,28 +106,58 @@ class UpWave {
     TimeUs base = net.events().now();
     const size_t depth_cap = WaveDepthCap(net);
     if (depth_cap > 0) net.ApplyWaveDepthBudget(static_cast<int>(depth_cap));
-    for (NodeId node : tree.wave_order()) {
+    const WaveSplit* split = nullptr;
+    if constexpr (kLaneAware<ProduceFn>) split = MaybeRunLanes(net, produce, wire_bytes, ws);
+    // One node of the serial wave (or above a split wave's frontier).
+    auto visit = [&](NodeId node) {
       // Epoch deadline: nodes beyond the slot budget are cut from the wave
       // (their subtree data never reaches the sink; the epoch is degraded).
       if (depth_cap > 0 && static_cast<size_t>(tree.depth(node)) > depth_cap) {
         ws.inbox[node].clear();
-        continue;
+        return;
       }
       if (!net.NodeAlive(node)) {
         ws.inbox[node].clear();
-        continue;
+        return;
       }
-      std::optional<Msg> out = produce(node, std::move(ws.inbox[node]));
+      std::optional<Msg> out = Produce(produce, node, std::move(ws.inbox[node]), 0);
       ws.inbox[node].clear();
       if (node == kSinkId) {
         sink_result = std::move(out);
-        continue;
+        return;
       }
-      if (!out.has_value()) continue;
+      if (!out.has_value()) return;
       size_t bytes = wire_bytes(*out);
-      if (net.UnicastToParent(node, bytes)) {
-        ws.inbox[tree.parent(node)].push_back(std::move(*out));
+      if (net.UnicastToParent(node, bytes)) ws.inbox[tree.parent(node)].push_back(std::move(*out));
+    };
+    if (split == nullptr) {
+      for (NodeId node : tree.wave_order()) visit(node);
+    } else {
+      // The lanes joined: walk the wave order, replaying each run of lane
+      // nodes' bookings and delivering its frontier roots' messages, and
+      // visiting the nodes above the frontier.
+      obs::ScopedSpan replay_span(ReplaySpan());
+      const size_t lanes = split->lanes.size();
+      std::vector<ChargeLedger::Cursor> cursors(lanes);
+      std::vector<size_t> runs(lanes, 0);
+      std::vector<size_t> done(lanes, 0);
+      std::vector<size_t> delivered(lanes, 0);
+      for (const WaveSplit::Step& step : split->walk) {
+        if (step.lane == 0) {
+          visit(step.node);
+          continue;
+        }
+        const size_t l = step.lane - 1;
+        Lane& lane = ws.lanes[l];
+        done[l] += step.count;
+        net.ReplayBookings(lane.ledger, cursors[l], lane.marks[runs[l]++]);
+        for (size_t& d = delivered[l]; d < lane.outbox.size() && lane.outbox[d].first < done[l];
+             ++d) {
+          const NodeId root = split->lanes[l][lane.outbox[d].first];
+          ws.inbox[tree.parent(root)].push_back(std::move(lane.outbox[d].second));
+        }
       }
+      for (size_t l = 0; l < lanes; ++l) net.ReplayCounts(ws.lanes[l].ledger);
     }
     // Clock parity with the event-queue schedule: the last transmission slot
     // belongs to the sink (depth 0, last post-order position). A deadline
@@ -94,6 +170,80 @@ class UpWave {
   }
 
  private:
+  template <typename ProduceFn>
+  static constexpr bool kLaneAware =
+      std::is_invocable_v<ProduceFn&, NodeId, std::vector<Msg>&&, size_t>;
+
+  template <typename ProduceFn>
+  static std::optional<Msg> Produce(ProduceFn& produce, NodeId node, std::vector<Msg>&& inbox,
+                                    size_t lane) {
+    if constexpr (kLaneAware<ProduceFn>) {
+      return produce(node, std::move(inbox), lane);
+    } else {
+      return produce(node, std::move(inbox));
+    }
+  }
+
+  /// Runs the lanes of a split wave and returns the split, or returns
+  /// nullptr having done nothing when the wave may not split.
+  template <typename ProduceFn, typename WireFn>
+  static const WaveSplit* MaybeRunLanes(Network& net, ProduceFn& produce, WireFn& wire_bytes,
+                                        Workspace& ws) {
+    util::SharedTaskPool* shared = net.BoundPool();
+    if (shared == nullptr || shared->pool.thread_count() < 2 || !net.CanJournalCharges()) {
+      return nullptr;
+    }
+    std::unique_lock<std::mutex> pool_lock(shared->busy, std::try_to_lock);
+    if (!pool_lock.owns_lock()) return nullptr;
+    const RoutingTree& tree = net.tree();
+    const WaveSplit& split = tree.SplitWave(shared->pool.thread_count());
+    if (ws.lanes.size() < split.lanes.size()) ws.lanes.resize(split.lanes.size());
+    for (size_t l = 0; l < split.lanes.size(); ++l) {
+      // A lossless unicast charges the sender and the parent once each.
+      ws.lanes[l].ledger.Clear(2 * split.lanes[l].size());
+      ws.lanes[l].marks.clear();
+      ws.lanes[l].outbox.clear();
+    }
+    shared->pool.RunPerThread(split.lanes.size(), [&](size_t l) {
+      Lane& lane = ws.lanes[l];
+      Network::LedgerScope scope(net, &lane.ledger);
+      const std::vector<NodeId>& nodes = split.lanes[l];
+      size_t i = 0;
+      for (const WaveSplit::Step& step : split.walk) {
+        if (step.lane != l + 1) continue;
+        for (const size_t end = i + step.count; i < end; ++i) {
+          const NodeId node = nodes[i];
+          std::vector<Msg>& in = ws.inbox[node];
+          if (net.NodeAlive(node)) {
+            std::optional<Msg> out = produce(node, std::move(in), l);
+            if (out.has_value() && net.UnicastToParent(node, wire_bytes(*out))) {
+              const NodeId parent = tree.parent(node);
+              if (split.lane_of[parent] == 0) {
+                lane.outbox.emplace_back(static_cast<uint32_t>(i), std::move(*out));
+              } else {
+                ws.inbox[parent].push_back(std::move(*out));
+              }
+            }
+          }
+          in.clear();
+        }
+        lane.marks.push_back(static_cast<uint32_t>(lane.ledger.mark()));
+      }
+    });
+    if (obs::MetricsOn()) {
+      static obs::Counter& splits = obs::Registry().counter("sim.wave.split");
+      splits.Add(1);
+    }
+    return &split;
+  }
+
+  /// Span around a split wave's walk on the calling thread: the serial
+  /// remainder.
+  static uint32_t ReplaySpan() {
+    static const uint32_t id = obs::GlobalTracer().InternName("sim.wave.replay");
+    return id;
+  }
+
   /// The slot-depth deadline in force, 0 when none (reliability off or no
   /// wave_depth_budget configured).
   static size_t WaveDepthCap(const Network& net) {

@@ -20,8 +20,8 @@ namespace kspot::util {
 /// a caller at the barrier) polls for up to two milliseconds before parking
 /// on a condition variable, so a caller that fans out every few
 /// milliseconds never pays a park/wake round trip. The trial fan-out of
-/// runner::ExperimentEngine and the coordinator's concurrent epochs run on
-/// this pool.
+/// runner::ExperimentEngine, the coordinator's concurrent epochs and split
+/// converge-casts run on this pool.
 ///
 /// ParallelFor is a barrier: it returns only when every index has executed.
 /// Indices are claimed from an atomic counter, so work is distributed
@@ -83,6 +83,15 @@ class TaskPool {
   std::atomic<uint64_t> generation_{0};
   std::atomic<bool> stop_{false};
   std::shared_ptr<Job> job_;  ///< Guarded by mu_.
+};
+
+/// A pool that several callers may reach for at once: a caller that takes
+/// `busy` without waiting (try_lock) fans out on `pool`, one that finds it
+/// taken runs its work inline. The coordinator's concurrent epochs and split
+/// converge-casts (sim::UpWave) share one.
+struct SharedTaskPool {
+  std::mutex busy;
+  TaskPool pool;
 };
 
 }  // namespace kspot::util

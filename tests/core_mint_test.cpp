@@ -4,6 +4,7 @@
 #include "core/oracle.hpp"
 #include "core/tag.hpp"
 #include "test_util.hpp"
+#include "util/task_pool.hpp"
 
 namespace kspot::core {
 namespace {
@@ -223,6 +224,48 @@ TEST(MintTest, SuppressionSilencesBoringSubtrees) {
   // The first update epoch did transmit (the tombstones), so suppression is
   // doing the work, not a dead network.
   EXPECT_GT(bed.net->PhaseTotal("mint.update").messages, 0u);
+}
+
+TEST(MintTest, SplitUpdateWavesMatchSerialBitForBit) {
+  // The same session twice, the second with a pool bound so its update
+  // waves split across lanes: every answer and every charge agree, through
+  // creation, beacons and probe/repair waves.
+  // Readings that drift, collapse at epoch 12 (the sink under-runs and
+  // repairs) and recover at epoch 25 (tau is re-broadcast).
+  class PhasedGen : public data::DataGenerator {
+   public:
+    double Value(sim::NodeId id, sim::Epoch epoch) override {
+      if (id == 0) return 0.0;
+      const double base = epoch < 12 ? 70.0 : epoch < 25 ? 20.0 : 60.0;
+      return base + static_cast<double>((id * 7 + epoch * 13 + id * epoch) % 11);
+    }
+    const data::ModalityInfo& modality() const override {
+      return data::GetModalityInfo(data::Modality::kSound);
+    }
+  };
+  for (Grouping grouping : {Grouping::kRoom, Grouping::kNode}) {
+    auto serial = TestBed::Clustered(601, 12, 251);
+    auto split = TestBed::Clustered(601, 12, 251);
+    PhasedGen serial_gen;
+    PhasedGen split_gen;
+    QuerySpec spec = SoundSpec(3, agg::AggKind::kAvg, grouping);
+    MintViews serial_mint(serial.net.get(), &serial_gen, spec);
+    MintViews split_mint(split.net.get(), &split_gen, spec);
+    util::SharedTaskPool pool;
+    for (sim::Epoch e = 0; e < 40; ++e) {
+      TopKResult want = serial_mint.RunEpoch(e);
+      sim::Network::PoolScope scope(*split.net, &pool);
+      TopKResult got = split_mint.RunEpoch(e);
+      ASSERT_EQ(got.ToString(), want.ToString()) << "epoch " << e;
+      ASSERT_EQ(got.contributors, want.contributors) << "epoch " << e;
+    }
+    EXPECT_GE(serial_mint.repair_count(), 1);
+    EXPECT_GE(serial_mint.beacon_count(), 2);
+    EXPECT_EQ(split_mint.repair_count(), serial_mint.repair_count());
+    EXPECT_EQ(split_mint.beacon_count(), serial_mint.beacon_count());
+    EXPECT_EQ(kspot::testing::ChargeDigest(*split.net),
+              kspot::testing::ChargeDigest(*serial.net));
+  }
 }
 
 }  // namespace

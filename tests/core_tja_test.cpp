@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "agg/group_view.hpp"
 #include "core/centralized.hpp"
 #include "core/tja.hpp"
 #include "query/parser.hpp"
 #include "test_util.hpp"
+#include "util/task_pool.hpp"
 
 namespace kspot::core {
 namespace {
@@ -180,6 +183,40 @@ TEST(CjaTest, ShipsEntireWindows) {
   // Every sensor contributes 32 entries relayed along its whole path:
   // payload must exceed raw entry volume.
   EXPECT_GT(bed.net->total().payload_bytes, 15u * 32u * 6u);
+}
+
+TEST(TjaTest, SplitWavesMatchSerialBitForBit) {
+  // The same query twice, the second with a pool bound so its LB and HJ
+  // converge-casts split across lanes: same answer, rounds and charges.
+  std::set<int> rounds;
+  for (bool bloom : {false, true}) {
+    for (size_t k : {1u, 3u, 8u}) {
+      auto serial = TestBed::Clustered(601, 12, 263 + k);
+      auto split = TestBed::Clustered(601, 12, 263 + k);
+      std::vector<sim::GroupId> rooms;
+      for (sim::NodeId id = 0; id < 601; ++id) rooms.push_back(serial.topology.room(id));
+      // A building-wide walk on an integer ADC grid: hot instances tie, so
+      // some queries deepen.
+      data::RoomCorrelatedGenerator gen(rooms, data::Modality::kSound, 0.4, 0.3,
+                                        util::Rng(59 + k), /*global_sigma=*/1.0,
+                                        /*quantize_step=*/1.0);
+      GeneratorHistory history(&gen, 601, 0, 32);
+      HistoricOptions opt;
+      opt.k = static_cast<int>(k);
+      opt.use_bloom = bloom;
+      HistoricResult want = Tja(serial.net.get(), &history, opt).Run();
+      util::SharedTaskPool pool;
+      sim::Network::PoolScope scope(*split.net, &pool);
+      HistoricResult got = Tja(split.net.get(), &history, opt).Run();
+      ASSERT_EQ(got.items, want.items) << "k " << k << " bloom " << bloom;
+      EXPECT_EQ(got.lsink_size, want.lsink_size);
+      EXPECT_EQ(got.rounds, want.rounds);
+      rounds.insert(want.rounds);
+      EXPECT_EQ(kspot::testing::ChargeDigest(*split.net),
+                kspot::testing::ChargeDigest(*serial.net));
+    }
+  }
+  EXPECT_GT(rounds.size(), 1u);  // some queries deepened
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "kspot/coordinator.hpp"
@@ -396,6 +397,79 @@ TEST(ObsTest, ConcurrentEpochCounterTracksEligibleSessions) {
     before = ConcurrentEpochs();
     RunGroupBed(bed);
     EXPECT_EQ(ConcurrentEpochs(), before);
+  }
+}
+
+// ---------------------------------------------------------- split waves
+
+/// Four dashboards sharing one MINT group on 2049 motes for 12 epochs, with
+/// a vertical audit admitted before epoch 8; returns every answer and bill
+/// as text and the audit's TJA rounds.
+std::pair<std::string, int> RunSplitBed() {
+  system::QueryCoordinator::Options opt;
+  opt.epochs = 12;
+  opt.seed = 37;
+  system::QueryCoordinator coordinator(system::Scenario::ConferenceFloor(8, 256, 5), opt);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(
+        coordinator.Admit("SELECT TOP 3 roomid, AVG(sound) FROM sensors GROUP BY roomid").ok());
+  }
+  EXPECT_TRUE(coordinator.Open().ok());
+  for (int e = 0; e < 12; ++e) {
+    if (e == 8) {
+      EXPECT_TRUE(
+          coordinator
+              .Admit("SELECT TOP 2 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 8")
+              .ok());
+    }
+    EXPECT_TRUE(coordinator.StepEpoch().ok());
+  }
+  auto report = coordinator.Close();
+  EXPECT_TRUE(report.ok());
+  if (!report.ok()) return {"", 0};
+  char buf[64];
+  std::string out;
+  int rounds = 0;
+  for (const system::QueryOutcome& outcome : report.value().outcomes) {
+    for (const core::TopKResult& epoch : outcome.per_epoch) out += epoch.ToString() + "|";
+    for (const agg::RankedItem& item : outcome.historic.items) {
+      std::snprintf(buf, sizeof buf, "H%d=%a;", item.group, item.value);
+      out += buf;
+    }
+    if (outcome.query_class == query::QueryClass::kHistoricVertical) {
+      rounds = outcome.historic.rounds;
+    }
+    std::snprintf(buf, sizeof buf, "[%llu,%a,%a]",
+                  static_cast<unsigned long long>(outcome.shared_cost.messages),
+                  outcome.shared_cost.tx_energy_j, outcome.shared_cost.rx_energy_j);
+    out += buf;
+  }
+  std::snprintf(buf, sizeof buf, "total=%a", report.value().total.energy_j());
+  return {out + buf, rounds};
+}
+
+TEST(ObsTest, SplitWavesCountAndTraceWithoutChangingAnswers) {
+  ObsFlagGuard guard;
+  SetMetricsEnabled(false);
+  SetTracingEnabled(false);
+  const auto [dark, rounds] = RunSplitBed();
+
+  SetMetricsEnabled(true);
+  SetTracingEnabled(true);
+  GlobalTracer().Clear();
+  const uint64_t before = Registry().counter("sim.wave.split").value();
+  // Observation perturbs nothing, with the waves split across the pool.
+  EXPECT_EQ(RunSplitBed().first, dark);
+  if (std::thread::hardware_concurrency() > 1) {
+    // The group's update waves from its third step on (10 of 12), and the
+    // audit's LB and HJ converge-casts in every TJA round.
+    const uint64_t splits = Registry().counter("sim.wave.split").value() - before;
+    EXPECT_EQ(splits, 10u + 2u * static_cast<uint64_t>(rounds));
+    size_t replay_spans = 0;
+    for (const TraceSpan& span : GlobalTracer().Spans()) {
+      replay_spans += GlobalTracer().Name(span.name_id) == "sim.wave.replay" ? 1 : 0;
+    }
+    EXPECT_EQ(replay_spans, splits);
   }
 }
 

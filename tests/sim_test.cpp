@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <set>
@@ -14,6 +15,7 @@
 #include "sim/topology.hpp"
 #include "sim/waves.hpp"
 #include "test_util.hpp"
+#include "util/task_pool.hpp"
 
 namespace kspot::sim {
 namespace {
@@ -315,6 +317,24 @@ TEST(NetworkTest, DeadSenderStopsRetryingOnTheDownPath) {
   EXPECT_EQ(net.MessagesSentBy(kSinkId), 1u);
 }
 
+TEST(NetworkDeathTest, LossOutsideZeroToOneAborts) {
+  Topology topology({{0.0, 0.0}, {1.0, 0.0}}, {0, 0}, 1.5);
+  RoutingTree tree = RoutingTree::FromParents({kNoNode, 0});
+  for (double loss : {std::nan(""), -0.1, 1.5}) {
+    NetworkOptions opt;
+    opt.loss_prob = loss;
+    EXPECT_DEATH(Network(&topology, &tree, opt, util::Rng(1)), "loss_prob .* outside \\[0, 1\\]");
+  }
+}
+
+TEST(NetworkDeathTest, NegativeRetriesAbort) {
+  Topology topology({{0.0, 0.0}, {1.0, 0.0}}, {0, 0}, 1.5);
+  RoutingTree tree = RoutingTree::FromParents({kNoNode, 0});
+  NetworkOptions opt;
+  opt.max_retries = -1;
+  EXPECT_DEATH(Network(&topology, &tree, opt, util::Rng(1)), "max_retries -1 is negative");
+}
+
 // -------------------------------------------------------------------- Waves
 
 // ------------------------------------------------------------ ChargeLedger
@@ -402,6 +422,55 @@ TEST(ChargeLedgerTest, ReplayInOrderMatchesDirectChargesBitForBit) {
   EXPECT_EQ(journaled.net->phase(), direct.net->phase());
 }
 
+TEST(ChargeLedgerTest, LaneLedgersReplayedPerBookingInWaveOrderMatchDirectCharges) {
+  // Three lanes charge their subtrees' unicasts into their own ledgers on
+  // three threads; the calling thread then walks the wave order, replaying
+  // each lane node's booking and charging the nodes above the frontier
+  // directly, as a split converge-cast does.
+  auto direct = kspot::testing::TestBed::Grid(121, 9, 7);
+  auto journaled = kspot::testing::TestBed::Grid(121, 9, 7);
+  for (Network* net : {direct.net.get(), journaled.net.get()}) {
+    net->SetPhase("lanes.wave");
+    net->events().JumpTo(5'000);
+  }
+  auto bytes = [](NodeId node) { return static_cast<size_t>(3 + node % 41); };
+  const RoutingTree& tree = journaled.tree;
+  for (NodeId node : tree.wave_order()) {
+    if (node != kSinkId) direct.net->UnicastToParent(node, bytes(node));
+  }
+
+  const WaveSplit& split = tree.SplitWave(3);
+  ASSERT_EQ(split.lanes.size(), 3u);
+  std::vector<ChargeLedger> ledgers(3);
+  std::vector<std::vector<size_t>> marks(3);  // after each lane node
+  std::vector<std::thread> lanes;
+  for (size_t l = 0; l < 3; ++l) {
+    ASSERT_FALSE(split.lanes[l].empty());
+    lanes.emplace_back([&, l] {
+      Network::LedgerScope scope(*journaled.net, &ledgers[l]);
+      for (NodeId node : split.lanes[l]) {
+        journaled.net->UnicastToParent(node, bytes(node));
+        marks[l].push_back(ledgers[l].mark());
+      }
+    });
+  }
+  for (std::thread& lane : lanes) lane.join();
+  EXPECT_EQ(journaled.net->total().messages, 0u);  // nothing lands before replay
+  std::vector<ChargeLedger::Cursor> cursors(3);
+  std::vector<size_t> next(3, 0);
+  for (NodeId node : tree.wave_order()) {
+    if (const size_t lane = split.lane_of[node]) {
+      journaled.net->ReplayBookings(ledgers[lane - 1], cursors[lane - 1],
+                                    marks[lane - 1][next[lane - 1]++]);
+    } else if (node != kSinkId) {
+      journaled.net->UnicastToParent(node, bytes(node));
+    }
+  }
+  for (const ChargeLedger& ledger : ledgers) journaled.net->ReplayCounts(ledger);
+  EXPECT_EQ(kspot::testing::ChargeDigest(*journaled.net), kspot::testing::ChargeDigest(*direct.net));
+  EXPECT_EQ(journaled.net->total().messages, 120u);
+}
+
 TEST(ChargeLedgerTest, OnlyCommutingNetworksJournal) {
   EXPECT_TRUE(kspot::testing::TestBed::Grid(9, 4, 1).net->CanJournalCharges());
   NetworkOptions lossy;
@@ -464,6 +533,46 @@ TEST(WaveTest, DownWaveReachesEveryNode) {
     if (!bed.tree.children(id).empty()) ++inner;
   }
   EXPECT_EQ(bed.net->total().messages, inner);
+}
+
+TEST(WaveTest, SplitUpWaveMatchesSerialBitForBit) {
+  // A lane-aware converge-cast with per-node wire sizes, once serially and
+  // once split across a bound pool: same sink value, same charges.
+  NetworkOptions opt;
+  auto serial = kspot::testing::TestBed::Clustered(401, 12, 61, opt);
+  auto split = kspot::testing::TestBed::Clustered(401, 12, 61, opt);
+  using Msg = std::vector<NodeId>;  // the subtree's node ids, wave order
+  auto run = [](Network& net) {
+    net.SetPhase("split.test");
+    UpWave<Msg>::Workspace ws;
+    std::optional<Msg> sink;
+    for (int round = 0; round < 3; ++round) {
+      sink = UpWave<Msg>::Run(
+          net,
+          [&](NodeId node, std::vector<Msg>&& inbox, size_t) -> std::optional<Msg> {
+            Msg out;
+            for (Msg& child : inbox) out.insert(out.end(), child.begin(), child.end());
+            out.push_back(node);
+            if (node % 5 == static_cast<NodeId>(round)) return std::nullopt;  // suppressed
+            return out;
+          },
+          [](const Msg& m) { return 2 + 2 * m.size(); }, &ws);
+    }
+    return sink;
+  };
+  auto want = run(*serial.net);
+  util::SharedTaskPool pool;
+  std::optional<Msg> got;
+  {
+    Network::PoolScope scope(*split.net, &pool);
+    EXPECT_EQ(WaveLanes(*split.net), pool.pool.thread_count());
+    got = run(*split.net);
+  }
+  EXPECT_EQ(WaveLanes(*split.net), 1u);
+  ASSERT_TRUE(want.has_value());
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, *want);
+  EXPECT_EQ(kspot::testing::ChargeDigest(*split.net), kspot::testing::ChargeDigest(*serial.net));
 }
 
 TEST(WaveTest, DeadNodesSilenceSubtree) {

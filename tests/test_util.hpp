@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -77,5 +79,47 @@ struct TestBed {
     return bed;
   }
 };
+
+/// FNV-1a over everything a network's charges leave behind: the totals and
+/// per-phase counters, every node's energy bits and send count, the clock
+/// and the current phase. Two networks with equal digests were charged
+/// alike, bit for bit.
+inline uint64_t ChargeDigest(const sim::Network& net) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  auto mix_double = [&mix](double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    mix(bits);
+  };
+  auto mix_counters = [&](const sim::TrafficCounters& c) {
+    for (uint64_t v : {c.messages, c.frames, c.payload_bytes, c.onair_bytes, c.retries,
+                       c.backoff_us, c.flash_reads, c.flash_writes, c.flash_bytes}) {
+      mix(v);
+    }
+    mix_double(c.tx_energy_j);
+    mix_double(c.rx_energy_j);
+    mix_double(c.flash_energy_j);
+  };
+  mix_counters(net.total());
+  for (const auto& [phase, counters] : net.by_phase()) {
+    for (char c : phase) mix(static_cast<uint64_t>(c));
+    mix_counters(counters);
+  }
+  for (sim::NodeId id = 0; id < net.topology().num_nodes(); ++id) {
+    mix_double(net.meter(id).tx_joules());
+    mix_double(net.meter(id).rx_joules());
+    mix_double(net.meter(id).storage_joules());
+    mix(net.MessagesSentBy(id));
+  }
+  mix(net.events().now());
+  mix(net.phase_id());
+  return h;
+}
 
 }  // namespace kspot::testing
