@@ -9,9 +9,11 @@
 /// radio traffic, at 1/4/16/64 concurrent queries, churn on/off, for a
 /// fleet of identical snapshot dashboards ("snapshot") and a mixed
 /// snapshot+select+historic workload ("mixed"), on a 33-mote floor, plus
-/// one mixed 16-query point on a 2049-mote floor: large enough that the
-/// coordinator steps an epoch's operator groups concurrently, so the
-/// coord_qps gate covers that path too.
+/// two points on a 2049-mote floor, large enough for the coordinator's
+/// worker pool: a mixed 16-query point, whose epochs step their operator
+/// groups concurrently, and four identical dashboards on one operator,
+/// whose lone converge-cast splits across the pool. The coord_qps gate
+/// covers both paths.
 ///
 /// Wall-clock metrics are machine-dependent: the scenario is excluded from
 /// bit-determinism checks, CI runs it quick with --threads 1, and
@@ -182,6 +184,7 @@ void RegisterServerThroughput(runner::ScenarioRegistry& registry) {
       }
     }
     add(16, /*mixed=*/true, /*churn=*/false, /*nodes_per_room=*/256);
+    add(4, /*mixed=*/false, /*churn=*/false, /*nodes_per_room=*/256);
     return trials;
   };
   RegisterOrDie(registry, std::move(s));

@@ -207,8 +207,10 @@ class QueryCoordinator {
   /// the epoch's charges commute (lossless, reliability, churn and battery
   /// limits off, two or more groups stepping) the groups run on a shared
   /// worker pool and their charges replay in creation order, so the outcome
-  /// is the serial one, bit for bit. Returns the per-group materialized
-  /// results for fan-out.
+  /// is the serial one, bit for bit. Groups that step one at a time split
+  /// their converge-casts across the same pool instead (sim::UpWave), with
+  /// the same guarantee. Returns the per-group materialized results for
+  /// fan-out.
   util::StatusOr<EpochUpdate> StepEpoch();
 
   /// Closes the session and returns the report over everything it served —

@@ -341,10 +341,10 @@ class Network {
   /// network's current phase.
   void ReplayBookings(const ChargeLedger& ledger, ChargeLedger::Cursor& at, size_t until);
   /// The other half: the ledger's integer counters (they commute, so they
-  /// are added at once), its clock span and its last phase switch. Replaying
-  /// a ledger's whole journal through ReplayBookings, in order and
-  /// interleaved with any other charges, and then ReplayCounts equals
-  /// Replay at the point of the first booking.
+  /// are added at once), its clock span and its last phase switch.
+  /// Replaying a ledger's whole journal through ReplayBookings, in pieces
+  /// and interleaved with other charges, and then ReplayCounts adds exactly
+  /// what Replay adds.
   void ReplayCounts(const ChargeLedger& ledger);
 
   /// The pool a PoolScope on the calling thread bound to this network, or
