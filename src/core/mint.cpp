@@ -81,7 +81,8 @@ MintViews::MintViews(sim::Network* net, data::DataGenerator* gen, QuerySpec spec
   tau_at_.assign(n, 0.0);
   tau_valid_at_.assign(n, 0);
   tau_version_at_.assign(n, 0);
-  views_.resize(n);
+  last_sent_.resize(n);
+  child_view_.resize(n);
 }
 
 uint32_t MintViews::TotalCount(sim::GroupId g) const {
@@ -110,8 +111,8 @@ agg::GroupView MintViews::FullWaveRebuildingState(sim::Epoch epoch, sim::PhaseId
           &count_scratch_);
     }
     // Reset the view-maintenance caches: the parent now holds this full view.
-    views_[node].last_sent = view;
-    views_[node].cached = view;
+    last_sent_[node] = view;
+    child_view_[node] = view;
     return view;
   };
   auto wire_bytes = [&](const Msg& m) {
@@ -251,13 +252,13 @@ agg::GroupView& MintViews::RunUpdateWave(sim::Epoch epoch) {
     UpdateScratch& scratch = update_lanes_[lane];
     // Apply the children's deltas to their cached views.
     for (const Msg& delta : inbox) {
-      views_[delta.from].cached.ApplyDelta(delta.changed, delta.removed, &scratch.delta);
+      child_view_[delta.from].ApplyDelta(delta.changed, delta.removed, &scratch.delta);
     }
     // Rebuild this node's view from the cached child views + own reading,
     // into scratch reused across nodes and epochs.
     agg::GroupView& view = scratch.view;
     view.clear();
-    for (sim::NodeId child : net_->tree().children(node)) view.MergeView(views_[child].cached);
+    for (sim::NodeId child : net_->tree().children(node)) view.MergeView(child_view_[child]);
     if (node == sim::kSinkId) {
       // The sink's materialized view V_0 — its children's deltas were just
       // applied, so the merge of their caches is current.
@@ -275,7 +276,7 @@ agg::GroupView& MintViews::RunUpdateWave(sim::Epoch epoch) {
     changed.clear();
     removed.clear();
     const auto& cur = view.entries();
-    const auto& sent = views_[node].last_sent.entries();
+    const auto& sent = last_sent_[node].entries();
     if (options_.delta_updates) {
       size_t i = 0;
       size_t j = 0;
@@ -303,7 +304,7 @@ agg::GroupView& MintViews::RunUpdateWave(sim::Epoch epoch) {
       // Nothing changed: the parent's cached V'_i is still current.
       return std::nullopt;
     }
-    views_[node].last_sent = view;
+    last_sent_[node] = view;
     Msg delta;
     delta.from = node;
     delta.changed.assign(changed.begin(), changed.end());
@@ -394,10 +395,8 @@ TopKResult MintViews::RunEpoch(sim::Epoch epoch) {
 
 void MintViews::OnTopologyChanged() {
   for (auto& counts : subtree_count_) counts.clear();
-  for (NodeViews& views : views_) {
-    views.last_sent.clear();
-    views.cached.clear();
-  }
+  for (auto& view : last_sent_) view.clear();
+  for (auto& view : child_view_) view.clear();
   std::fill(tau_valid_at_.begin(), tau_valid_at_.end(), 0);
   pruning_tau_valid_ = false;
   have_last_kth_ = false;
@@ -455,8 +454,8 @@ void MintViews::OnTopologyChanged(const sim::TopologyDelta& delta) {
   //    source of the cardinality-delta converge-cast charged in step 3.
   for (const auto& [node, old_parent] : delta.removed) {
     (void)old_parent;
-    views_[node].last_sent.clear();
-    views_[node].cached.clear();
+    last_sent_[node].clear();
+    child_view_[node].clear();
     tau_valid_at_[node] = 0;
   }
   // 2) Re-attached subtree roots: the new parent caches nothing for them, so
@@ -468,8 +467,8 @@ void MintViews::OnTopologyChanged(const sim::TopologyDelta& delta) {
   //    actually stale (they missed beacons while detached or down) cost a
   //    relayed install message.
   for (sim::NodeId root : delta.reattached) {
-    views_[root].last_sent.clear();
-    views_[root].cached.clear();
+    last_sent_[root].clear();
+    child_view_[root].clear();
     if (!tree.attached(root) || !net_->NodeAlive(root)) continue;  // gone again
     std::vector<sim::NodeId> stack = {root};
     while (!stack.empty()) {

@@ -167,14 +167,10 @@ class MintViews : public EpochAlgorithm {
   /// beacons while away (a real install message is charged).
   uint32_t tau_version_ = 0;
   std::vector<uint32_t> tau_version_at_;
-  /// Per node: the V'_i its parent currently caches, as the node knows it
-  /// (what it last sent) and as the parent maintains it from the node's
-  /// deltas.
-  struct NodeViews {
-    agg::GroupView last_sent;
-    agg::GroupView cached;
-  };
-  std::vector<NodeViews> views_;
+  /// Per node: the V'_i its parent currently caches (what was last sent).
+  std::vector<agg::GroupView> last_sent_;
+  /// Per node: cached views of its children, maintained from deltas.
+  std::vector<agg::GroupView> child_view_;
 
   /// Reusable wave state (inboxes, the sink's view) — allocated once,
   /// reused every epoch.

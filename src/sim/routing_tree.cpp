@@ -235,8 +235,8 @@ size_t RoutingTree::SubtreeSize(NodeId id) const {
   return count;
 }
 
-const WaveSplit& RoutingTree::SplitWave(size_t lanes) const {
-  if (wave_split_ != nullptr && wave_split_->lanes.size() == lanes) return *wave_split_;
+std::shared_ptr<const WaveSplit> RoutingTree::SplitWave(size_t lanes) const {
+  if (wave_split_ != nullptr && wave_split_->lane_size.size() == lanes) return wave_split_;
   const size_t n = parents_.size();
   std::vector<uint32_t> size(n, 0);
   for (NodeId node : post_order_) {
@@ -280,20 +280,18 @@ const WaveSplit& RoutingTree::SplitWave(size_t lanes) const {
     const NodeId parent = parents_[node];
     if (split->lane_of[node] == 0 && parent != kNoNode) split->lane_of[node] = split->lane_of[parent];
   }
-  split->lanes.resize(lanes);
-  for (NodeId node : wave_order_) {
-    if (split->lane_of[node] != 0) split->lanes[split->lane_of[node] - 1].push_back(node);
-  }
-  for (NodeId node : wave_order_) {
-    const uint16_t lane = split->lane_of[node];
-    if (lane != 0 && !split->walk.empty() && split->walk.back().lane == lane) {
-      ++split->walk.back().count;
+  split->lane_size.assign(lanes, 0);
+  for (uint32_t pos = 0; pos < wave_order_.size(); ++pos) {
+    const uint16_t lane = split->lane_of[wave_order_[pos]];
+    if (lane != 0) ++split->lane_size[lane - 1];
+    if (!split->runs.empty() && split->runs.back().lane == lane) {
+      split->runs.back().end = pos + 1;
     } else {
-      split->walk.push_back({lane, 1, node});
+      split->runs.push_back({pos, pos + 1, lane});
     }
   }
   wave_split_ = std::move(split);
-  return *wave_split_;
+  return wave_split_;
 }
 
 }  // namespace kspot::sim

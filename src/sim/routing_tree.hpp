@@ -78,16 +78,17 @@ struct WaveSplit {
   /// Per node: 1 + the lane that runs it; 0 above the frontier and for
   /// detached nodes.
   std::vector<uint16_t> lane_of;
-  /// Per lane: its nodes, in wave order.
-  std::vector<std::vector<NodeId>> lanes;
-  /// The calling thread's walk after the lanes: the wave order as runs of
-  /// consecutive nodes of one lane and single nodes above the frontier.
-  struct Step {
-    uint16_t lane = 0;  ///< 1 + the run's lane; 0 for a node above the frontier.
-    uint32_t count = 0; ///< Nodes in the run.
-    NodeId node = kNoNode;  ///< The node above the frontier.
+  /// Nodes per lane.
+  std::vector<uint32_t> lane_size;
+  /// The wave order cut into runs of consecutive nodes of one lane (or all
+  /// above the frontier): a lane runs its runs in order, and the calling
+  /// thread then walks them all.
+  struct Run {
+    uint32_t begin = 0;  ///< First position in RoutingTree::wave_order().
+    uint32_t end = 0;    ///< One past the last.
+    uint16_t lane = 0;   ///< 1 + the lane; 0 above the frontier.
   };
-  std::vector<Step> walk;
+  std::vector<Run> runs;
 };
 
 /// Sink-rooted routing tree over a topology.
@@ -180,8 +181,9 @@ class RoutingTree {
   /// longest-first deal of the subtrees puts no lane more than 1/16 above an
   /// even share, or 1/16 of the nodes sit above the frontier. Computed on
   /// first use and cached until the tree changes; callers on several threads
-  /// must serialize (UpWave calls it holding the pool it splits on).
-  const WaveSplit& SplitWave(size_t lanes) const;
+  /// must serialize (UpWave calls it holding the pool it splits on). The
+  /// returned split stays valid after the cache moves on.
+  std::shared_ptr<const WaveSplit> SplitWave(size_t lanes) const;
 
  private:
   std::vector<NodeId> parents_;

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <queue>
@@ -62,10 +63,10 @@ class UpWave {
   /// writes its journal's end pointers.
   struct alignas(64) Lane {
     ChargeLedger ledger;
-    /// The ledger's mark() after each of the lane's runs (WaveSplit::walk).
+    /// The ledger's mark() after each of the lane's runs (WaveSplit::runs).
     std::vector<uint32_t> marks;
-    /// Messages the lane's frontier roots delivered, in wave order, with
-    /// the root's position in the lane.
+    /// Messages the lane's frontier roots delivered, with the root's
+    /// position in the wave order.
     std::vector<std::pair<uint32_t, Msg>> outbox;
   };
 
@@ -106,7 +107,7 @@ class UpWave {
     TimeUs base = net.events().now();
     const size_t depth_cap = WaveDepthCap(net);
     if (depth_cap > 0) net.ApplyWaveDepthBudget(static_cast<int>(depth_cap));
-    const WaveSplit* split = nullptr;
+    std::shared_ptr<const WaveSplit> split;
     if constexpr (kLaneAware<ProduceFn>) split = MaybeRunLanes(net, produce, wire_bytes, ws);
     // One node of the serial wave (or above a split wave's frontier).
     auto visit = [&](NodeId node) {
@@ -130,30 +131,29 @@ class UpWave {
       size_t bytes = wire_bytes(*out);
       if (net.UnicastToParent(node, bytes)) ws.inbox[tree.parent(node)].push_back(std::move(*out));
     };
+    const std::vector<NodeId>& order = tree.wave_order();
     if (split == nullptr) {
-      for (NodeId node : tree.wave_order()) visit(node);
+      for (NodeId node : order) visit(node);
     } else {
-      // The lanes joined: walk the wave order, replaying each run of lane
-      // nodes' bookings and delivering its frontier roots' messages, and
+      // The lanes joined: walk the runs in wave order, replaying each lane
+      // run's bookings and delivering its frontier roots' messages, and
       // visiting the nodes above the frontier.
       obs::ScopedSpan replay_span(ReplaySpan());
-      const size_t lanes = split->lanes.size();
+      const size_t lanes = split->lane_size.size();
       std::vector<ChargeLedger::Cursor> cursors(lanes);
-      std::vector<size_t> runs(lanes, 0);
-      std::vector<size_t> done(lanes, 0);
+      std::vector<size_t> replayed(lanes, 0);
       std::vector<size_t> delivered(lanes, 0);
-      for (const WaveSplit::Step& step : split->walk) {
-        if (step.lane == 0) {
-          visit(step.node);
+      for (const WaveSplit::Run& run : split->runs) {
+        if (run.lane == 0) {
+          for (uint32_t pos = run.begin; pos < run.end; ++pos) visit(order[pos]);
           continue;
         }
-        const size_t l = step.lane - 1;
+        const size_t l = run.lane - 1;
         Lane& lane = ws.lanes[l];
-        done[l] += step.count;
-        net.ReplayBookings(lane.ledger, cursors[l], lane.marks[runs[l]++]);
-        for (size_t& d = delivered[l]; d < lane.outbox.size() && lane.outbox[d].first < done[l];
+        net.ReplayBookings(lane.ledger, cursors[l], lane.marks[replayed[l]++]);
+        for (size_t& d = delivered[l]; d < lane.outbox.size() && lane.outbox[d].first < run.end;
              ++d) {
-          const NodeId root = split->lanes[l][lane.outbox[d].first];
+          const NodeId root = order[lane.outbox[d].first];
           ws.inbox[tree.parent(root)].push_back(std::move(lane.outbox[d].second));
         }
       }
@@ -187,8 +187,8 @@ class UpWave {
   /// Runs the lanes of a split wave and returns the split, or returns
   /// nullptr having done nothing when the wave may not split.
   template <typename ProduceFn, typename WireFn>
-  static const WaveSplit* MaybeRunLanes(Network& net, ProduceFn& produce, WireFn& wire_bytes,
-                                        Workspace& ws) {
+  static std::shared_ptr<const WaveSplit> MaybeRunLanes(Network& net, ProduceFn& produce,
+                                                         WireFn& wire_bytes, Workspace& ws) {
     util::SharedTaskPool* shared = net.BoundPool();
     if (shared == nullptr || shared->pool.thread_count() < 2 || !net.CanJournalCharges()) {
       return nullptr;
@@ -196,30 +196,31 @@ class UpWave {
     std::unique_lock<std::mutex> pool_lock(shared->busy, std::try_to_lock);
     if (!pool_lock.owns_lock()) return nullptr;
     const RoutingTree& tree = net.tree();
-    const WaveSplit& split = tree.SplitWave(shared->pool.thread_count());
-    if (ws.lanes.size() < split.lanes.size()) ws.lanes.resize(split.lanes.size());
-    for (size_t l = 0; l < split.lanes.size(); ++l) {
+    std::shared_ptr<const WaveSplit> shared_split = tree.SplitWave(shared->pool.thread_count());
+    const WaveSplit& split = *shared_split;
+    const size_t lanes = split.lane_size.size();
+    if (ws.lanes.size() < lanes) ws.lanes.resize(lanes);
+    for (size_t l = 0; l < lanes; ++l) {
       // A lossless unicast charges the sender and the parent once each.
-      ws.lanes[l].ledger.Clear(2 * split.lanes[l].size());
+      ws.lanes[l].ledger.Clear(2 * split.lane_size[l]);
       ws.lanes[l].marks.clear();
       ws.lanes[l].outbox.clear();
     }
-    shared->pool.RunPerThread(split.lanes.size(), [&](size_t l) {
+    const std::vector<NodeId>& order = tree.wave_order();
+    shared->pool.RunPerThread(lanes, [&](size_t l) {
       Lane& lane = ws.lanes[l];
       Network::LedgerScope scope(net, &lane.ledger);
-      const std::vector<NodeId>& nodes = split.lanes[l];
-      size_t i = 0;
-      for (const WaveSplit::Step& step : split.walk) {
-        if (step.lane != l + 1) continue;
-        for (const size_t end = i + step.count; i < end; ++i) {
-          const NodeId node = nodes[i];
+      for (const WaveSplit::Run& run : split.runs) {
+        if (run.lane != l + 1) continue;
+        for (uint32_t pos = run.begin; pos < run.end; ++pos) {
+          const NodeId node = order[pos];
           std::vector<Msg>& in = ws.inbox[node];
           if (net.NodeAlive(node)) {
             std::optional<Msg> out = produce(node, std::move(in), l);
             if (out.has_value() && net.UnicastToParent(node, wire_bytes(*out))) {
               const NodeId parent = tree.parent(node);
               if (split.lane_of[parent] == 0) {
-                lane.outbox.emplace_back(static_cast<uint32_t>(i), std::move(*out));
+                lane.outbox.emplace_back(pos, std::move(*out));
               } else {
                 ws.inbox[parent].push_back(std::move(*out));
               }
@@ -234,7 +235,7 @@ class UpWave {
       static obs::Counter& splits = obs::Registry().counter("sim.wave.split");
       splits.Add(1);
     }
-    return &split;
+    return shared_split;
   }
 
   /// Span around a split wave's walk on the calling thread: the serial

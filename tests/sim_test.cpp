@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <set>
 #include <thread>
@@ -439,16 +440,18 @@ TEST(ChargeLedgerTest, LaneLedgersReplayedPerBookingInWaveOrderMatchDirectCharge
     if (node != kSinkId) direct.net->UnicastToParent(node, bytes(node));
   }
 
-  const WaveSplit& split = tree.SplitWave(3);
-  ASSERT_EQ(split.lanes.size(), 3u);
+  const std::shared_ptr<const WaveSplit> split_ptr = tree.SplitWave(3);
+  const WaveSplit& split = *split_ptr;
+  ASSERT_EQ(split.lane_size.size(), 3u);
   std::vector<ChargeLedger> ledgers(3);
   std::vector<std::vector<size_t>> marks(3);  // after each lane node
   std::vector<std::thread> lanes;
   for (size_t l = 0; l < 3; ++l) {
-    ASSERT_FALSE(split.lanes[l].empty());
+    ASSERT_GT(split.lane_size[l], 0u);
     lanes.emplace_back([&, l] {
       Network::LedgerScope scope(*journaled.net, &ledgers[l]);
-      for (NodeId node : split.lanes[l]) {
+      for (NodeId node : tree.wave_order()) {
+        if (split.lane_of[node] != l + 1) continue;
         journaled.net->UnicastToParent(node, bytes(node));
         marks[l].push_back(ledgers[l].mark());
       }
