@@ -3,18 +3,21 @@
 /// The production shape of a long-lived KSpot service is U subscribers over
 /// Q distinct queries with U >> Q: the CompatKey dedupe collapses the Q
 /// queries to G operator groups (one converge-cast per group per epoch), and
-/// the FanOutHub fans each group's single materialized result out to every
-/// subscriber for constant per-subscriber work. This scenario measures that
-/// funnel end to end: a session steps the shared data plane while the hub
-/// publishes to U = 10^3 / 10^5 / 10^6 subscribers spread round-robin over
-/// Q = 4 / 16 / 64 queries (a 16-variant top-k pool, so Q = 64 exercises
-/// 4-way operator sharing).
+/// the FanOutHub publishes each group's single materialized result to its
+/// member queries' feeds: O(member queries) per epoch, with every
+/// subscriber's deliveries derived on read from its feed's publish count and
+/// its subscribe-time offset. This scenario measures that funnel end to end:
+/// a session steps the shared data plane while the hub publishes to
+/// U = 10^3 / 10^5 / 10^6 subscribers spread round-robin over Q = 4 / 16 / 64
+/// queries (a 16-variant top-k pool, so Q = 64 exercises 4-way operator
+/// sharing).
 ///
 /// Metrics: deliveries_per_sec (subscriber deliveries over the serving
 /// loop's wall clock — the acceptance bar is >= 1e5 at U = 10^6),
 /// p99_delivery_ms (p99 per-epoch publish latency: how long the slowest
 /// fan-out pass kept subscribers waiting after the converge-cast), plus the
-/// funnel's shape (subscribers, operators, deliveries).
+/// funnel's shape (subscribers, operators, deliveries). The run aborts unless
+/// the subscribers' own delivery counts sum to the hub's total, U x epochs.
 ///
 /// Wall-clock metrics are machine-dependent: the scenario is excluded from
 /// bit-determinism checks, CI runs it quick with --threads 1, and
@@ -77,11 +80,14 @@ runner::MetricList RunFanoutThroughput(const FanoutThroughputConfig& cfg) {
     admitted.push_back(id.value());
   }
 
-  // U subscription handles, round-robin over the Q query handles — the
-  // skew-free worst case for the hub's routing slabs.
+  // U subscription handles, round-robin over the Q query handles.
   system::FanOutHub hub(&coordinator);
+  std::vector<system::SubscriberId> subs;
+  subs.reserve(cfg.subscribers);
   for (size_t u = 0; u < cfg.subscribers; ++u) {
-    if (!hub.Subscribe(admitted[u % admitted.size()]).ok()) std::abort();
+    auto id = hub.Subscribe(admitted[u % admitted.size()]);
+    if (!id.ok()) std::abort();
+    subs.push_back(id.value());
   }
 
   if (!coordinator.Open().ok()) std::abort();
@@ -100,10 +106,18 @@ runner::MetricList RunFanoutThroughput(const FanoutThroughputConfig& cfg) {
   if (!report.ok()) std::abort();
 
   // Conservation: every subscriber must have been delivered every epoch
-  // (all queries run every epoch here) — a miscount is a harness bug, not a
-  // slow run, so fail loudly rather than report a wrong rate.
+  // (all queries run every epoch here), by the hub's total and by the
+  // per-subscriber counts derived from it — a miscount is a harness or hub
+  // bug, not a slow run, so fail loudly rather than report a wrong rate.
   uint64_t expected = static_cast<uint64_t>(cfg.subscribers) * cfg.epochs;
   if (hub.total_deliveries() != expected) std::abort();
+  uint64_t per_subscriber = 0;
+  for (system::SubscriberId id : subs) {
+    auto stats = hub.Stats(id);
+    if (!stats.ok()) std::abort();
+    per_subscriber += stats.value().deliveries;
+  }
+  if (per_subscriber != expected) std::abort();
 
   double deliveries = static_cast<double>(hub.total_deliveries());
   util::DistSummary publish = publish_ms.Summary();

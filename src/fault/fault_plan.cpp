@@ -8,6 +8,7 @@
 #include <queue>
 #include <tuple>
 
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace kspot::fault {
@@ -76,6 +77,8 @@ FaultPlan FaultPlan::Generate(const sim::Topology& topology, const FaultPlanOpti
     std::fprintf(stderr, "FaultPlan::Generate: max_down_fraction must lie in [0, 1]\n");
     std::abort();
   }
+  static const uint32_t kSpan = obs::GlobalTracer().InternName("fault.plan_generate");
+  obs::ScopedSpan span(kSpan);
   FaultPlan plan;
   plan.seed = seed;
   size_t n = topology.num_nodes();

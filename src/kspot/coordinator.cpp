@@ -503,6 +503,10 @@ util::Status QueryCoordinator::BindToSession(size_t admitted_index) {
     return util::Status::Ok();
   }
 
+  // Operator construction; a vertical bind's window and TJA run have their
+  // own spans.
+  static const uint32_t kOperatorSpan = obs::GlobalTracer().InternName("coord.admit.operator");
+  obs::ScopedSpan operator_span(plan.kind == OpKind::kVertical ? 0 : kOperatorSpan);
   size_t n = deployment_->topology.num_nodes();
   OpGroup group;
   group.plan = plan;

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "agg/aggregate.hpp"
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace kspot::system {
@@ -53,6 +54,8 @@ std::unique_ptr<data::DataGenerator> SessionGenerator(const Deployment& deployme
 
 sim::Network SessionNetwork(const Deployment& deployment, const sim::RoutingTree* tree,
                             const DeploymentConfig& config) {
+  static const uint32_t kSpan = obs::GlobalTracer().InternName("sim.network_build");
+  obs::ScopedSpan span(kSpan);
   sim::NetworkOptions opts;
   opts.loss_prob = config.loss_prob;
   opts.max_retries = config.max_retries;

@@ -15,13 +15,9 @@ util::StatusOr<SubscriberId> FanOutHub::Subscribe(QueryId query) {
     return util::Status::Error("cannot subscribe: no active query with id " +
                                std::to_string(query));
   }
-  Subscriber sub;
-  sub.query = query;
-  sub.live = true;
   QueryFeed& feed = feeds_[query];
-  sub.slot = static_cast<uint32_t>(feed.routing.size());
-  feed.routing.push_back(static_cast<uint32_t>(subs_.size()));
-  subs_.push_back(sub);
+  ++feed.live;
+  subs_.push_back(Subscriber{query, feed.publishes, true});
   ++live_subscribers_;
   return static_cast<SubscriberId>(subs_.size());  // ids are 1-based
 }
@@ -32,12 +28,7 @@ util::Status FanOutHub::Unsubscribe(SubscriberId id) {
   }
   Subscriber& sub = subs_[id - 1];
   sub.live = false;
-  // Swap-pop out of the routing slab so Publish never scans dead entries.
-  QueryFeed& feed = feeds_[sub.query];
-  uint32_t moved = feed.routing.back();
-  feed.routing[sub.slot] = moved;
-  subs_[moved].slot = sub.slot;
-  feed.routing.pop_back();
+  --feeds_.at(sub.query).live;
   --live_subscribers_;
   return util::Status::Ok();
 }
@@ -55,12 +46,9 @@ size_t FanOutHub::Publish(const EpochUpdate& update) {
       QueryFeed& feed = it->second;
       feed.latest = group.result;
       feed.latest_rows = group.rows;
-      for (uint32_t index : feed.routing) {
-        Subscriber& sub = subs_[index];
-        ++sub.deliveries;
-        sub.last_delivery_epoch = update.epoch;
-      }
-      delivered += feed.routing.size();
+      ++feed.publishes;
+      feed.last_epoch = update.epoch;
+      delivered += feed.live;
     }
   }
   total_deliveries_ += delivered;
@@ -84,17 +72,13 @@ const FanOutHub::Subscriber* FanOutHub::Find(SubscriberId id) const {
 
 std::shared_ptr<const core::TopKResult> FanOutHub::Latest(SubscriberId id) const {
   const Subscriber* sub = Find(id);
-  if (sub == nullptr) return nullptr;
-  auto it = feeds_.find(sub->query);
-  return it == feeds_.end() ? nullptr : it->second.latest;
+  return sub == nullptr ? nullptr : feeds_.at(sub->query).latest;
 }
 
 std::shared_ptr<const std::vector<core::SelectTuple>> FanOutHub::LatestRows(
     SubscriberId id) const {
   const Subscriber* sub = Find(id);
-  if (sub == nullptr) return nullptr;
-  auto it = feeds_.find(sub->query);
-  return it == feeds_.end() ? nullptr : it->second.latest_rows;
+  return sub == nullptr ? nullptr : feeds_.at(sub->query).latest_rows;
 }
 
 util::StatusOr<SubscriberStats> FanOutHub::Stats(SubscriberId id) const {
@@ -102,21 +86,19 @@ util::StatusOr<SubscriberStats> FanOutHub::Stats(SubscriberId id) const {
   if (sub == nullptr) {
     return util::Status::Error("no live subscriber with id " + std::to_string(id));
   }
+  const QueryFeed& feed = feeds_.at(sub->query);
   SubscriberStats stats;
   stats.query = sub->query;
-  stats.deliveries = sub->deliveries;
-  stats.last_delivery_epoch = sub->last_delivery_epoch;
+  stats.deliveries = feed.publishes - sub->offset;
+  if (stats.deliveries > 0) stats.last_delivery_epoch = feed.last_epoch;
   if (published_) {
-    if (sub->deliveries == 0) {
+    if (stats.deliveries == 0) {
       stats.staleness = last_epoch_ + 1;  // never delivered: the whole history
     } else {
-      stats.staleness = last_epoch_ - sub->last_delivery_epoch;
+      stats.staleness = last_epoch_ - stats.last_delivery_epoch;
     }
   }
-  auto it = feeds_.find(sub->query);
-  if (it != feeds_.end() && it->second.latest) {
-    stats.completeness = it->second.latest->completeness;
-  }
+  if (feed.latest) stats.completeness = feed.latest->completeness;
   return stats;
 }
 

@@ -39,11 +39,13 @@ struct SubscriberStats {
 ///
 /// The hub is the result side of that funnel. Each StepEpoch's EpochUpdate
 /// carries one materialized result per group (a shared_ptr — materialized
-/// once, referenced everywhere); Publish() routes it to every subscriber of
-/// every member query for constant per-subscriber work (a delivery-counter
-/// bump and an epoch stamp — no copy, no per-subscriber allocation). That
-/// keeps delivery throughput decoupled from result size and is what E18
-/// (`fanout_throughput`) measures at U up to 10^6.
+/// once, referenced everywhere). The hub keeps it like a topic with offsets:
+/// each query's feed holds the latest result, a publish count and the epoch
+/// it was last published, and a subscriber records only its feed's count
+/// when it subscribes. Publish() therefore costs O(member queries of the
+/// groups that ran), whatever the subscriber count, and a subscriber's
+/// deliveries are derived on read (feed count − subscribe-time count). E18
+/// (`fanout_throughput`) measures the funnel at U up to 10^6.
 ///
 /// The hub tracks the admitted set through the updates themselves: queries
 /// admitted mid-run start delivering the epoch their group first runs for
@@ -62,9 +64,10 @@ class FanOutHub {
   /// already-unsubscribed handles are clean errors.
   util::Status Unsubscribe(SubscriberId id);
 
-  /// Fans one epoch's group updates out to every subscriber; returns the
-  /// number of deliveries made (sum over ran groups of their subscriber
-  /// counts). Call once per StepEpoch with its EpochUpdate.
+  /// Publishes one epoch's group updates to the feeds of their member
+  /// queries, touching no subscriber: O(member queries of the groups that
+  /// ran). Returns the deliveries this makes (the live subscriber counts of
+  /// the fed queries, summed). Call once per StepEpoch with its EpochUpdate.
   size_t Publish(const EpochUpdate& update);
 
   /// The subscriber's current view: the last materialized ranked result of
@@ -74,6 +77,8 @@ class FanOutHub {
   /// Tuple-select counterpart of Latest().
   std::shared_ptr<const std::vector<core::SelectTuple>> LatestRows(SubscriberId id) const;
 
+  /// The subscriber's counters, derived from its feed and its subscribe-time
+  /// offset. Error for unknown or unsubscribed handles.
   util::StatusOr<SubscriberStats> Stats(SubscriberId id) const;
 
   size_t subscribers() const { return live_subscribers_; }
@@ -83,15 +88,13 @@ class FanOutHub {
  private:
   struct Subscriber {
     QueryId query = 0;
-    uint64_t deliveries = 0;
-    sim::Epoch last_delivery_epoch = 0;
+    uint64_t offset = 0;  ///< Its feed's publish count when it subscribed.
     bool live = false;
-    uint32_t slot = 0;  ///< Index in its query's routing vector.
   };
   struct QueryFeed {
-    /// Indices into subs_ of this query's live subscribers (contiguous, so
-    /// the Publish inner loop is a linear slab walk).
-    std::vector<uint32_t> routing;
+    uint64_t publishes = 0;
+    sim::Epoch last_epoch = 0;  ///< Valid when publishes > 0.
+    size_t live = 0;            ///< Live subscribers.
     std::shared_ptr<const core::TopKResult> latest;
     std::shared_ptr<const std::vector<core::SelectTuple>> latest_rows;
   };

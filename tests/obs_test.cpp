@@ -3,7 +3,8 @@
 /// quantile math, registry handle identity and snapshot/JSON shape, and the
 /// tracer's interning, ring wrap-around, and Chrome trace export — plus the
 /// coordinator's concurrent-epoch counter and its worker-thread spans, and
-/// the set-up spans around a vertical bind.
+/// the set-up spans: network build, fault-plan generation, operator
+/// construction, and a vertical bind's window and TJA run.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -500,6 +501,29 @@ TEST(ObsTest, VerticalBindRecordsWindowAndTjaSpans) {
   EXPECT_EQ(window_spans, 1u);
   EXPECT_EQ(tja_spans, 1u);
   ASSERT_TRUE(coordinator.Close().ok());
+}
+
+TEST(ObsTest, ChurnSessionRecordsSetupSpansWithoutChangingAnswers) {
+  ObsFlagGuard guard;
+  SetMetricsEnabled(false);
+  SetTracingEnabled(false);
+  const std::string dark = RunGroupBed(GroupBed::kChurn);
+
+  SetTracingEnabled(true);
+  GlobalTracer().Clear();
+  EXPECT_EQ(RunGroupBed(GroupBed::kChurn), dark);
+  size_t network = 0;
+  size_t plan = 0;
+  size_t operators = 0;
+  for (const TraceSpan& span : GlobalTracer().Spans()) {
+    std::string name = GlobalTracer().Name(span.name_id);
+    network += name == "sim.network_build" ? 1 : 0;
+    plan += name == "fault.plan_generate" ? 1 : 0;
+    operators += name == "coord.admit.operator" ? 1 : 0;
+  }
+  EXPECT_EQ(network, 1u);
+  EXPECT_EQ(plan, 1u);
+  EXPECT_EQ(operators, 5u);  // MINT twice, TAG, SELECT, MINT+history
 }
 
 }  // namespace
