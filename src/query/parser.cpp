@@ -21,9 +21,7 @@ class ParserImpl {
     if (!ExpectKeyword("SELECT")) return Error("expected SELECT");
     if (PeekKeyword("TOP")) {
       Advance();
-      if (Peek().kind != TokenKind::kNumber) return Error("expected number after TOP");
-      q.top_k = static_cast<int>(Peek().number);
-      Advance();
+      if (util::Status count = ParseCount("TOP", &q.top_k); !count.ok()) return count;
     }
     // Select list.
     for (;;) {
@@ -78,9 +76,7 @@ class ParserImpl {
     if (PeekKeyword("WITH")) {
       Advance();
       if (!ExpectKeyword("HISTORY")) return Error("expected HISTORY after WITH");
-      if (Peek().kind != TokenKind::kNumber) return Error("expected number after WITH HISTORY");
-      q.history = static_cast<int>(Peek().number);
-      Advance();
+      if (util::Status count = ParseCount("WITH HISTORY", &q.history); !count.ok()) return count;
     }
     if (Peek().kind != TokenKind::kEnd) {
       return Error("unexpected trailing input '" + Peek().text + "'");
@@ -103,6 +99,18 @@ class ParserImpl {
     if (!PeekKeyword(kw)) return false;
     Advance();
     return true;
+  }
+  /// Reads the integer after `clause` into `out`: 1 to 65535, the wire
+  /// codec's u16 group field, which also carries TJA's window positions.
+  util::Status ParseCount(const std::string& clause, int* out) {
+    if (Peek().kind != TokenKind::kNumber) return Error("expected number after " + clause);
+    const double value = Peek().number;
+    if (!(value >= 1 && value <= 65535) || value != static_cast<int>(value)) {
+      return Error(clause + " must be an integer from 1 to 65535, got '" + Peek().text + "'");
+    }
+    *out = static_cast<int>(value);
+    Advance();
+    return util::Status::Ok();
   }
   util::Status Error(const std::string& message) const {
     return util::Status::Error(message + " (at offset " + std::to_string(Peek().offset) + ")");

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "query/lexer.hpp"
 #include "query/parser.hpp"
 
@@ -116,6 +118,33 @@ TEST(ParserTest, SyntaxErrors) {
   EXPECT_FALSE(Parse("SELECT roomid FROM sensors GROUP roomid").ok());
   EXPECT_FALSE(Parse("SELECT roomid FROM sensors trailing junk").ok());
   EXPECT_FALSE(Parse("SELECT sound FROM sensors EPOCH DURATION 5 hours").ok());
+}
+
+TEST(ParserTest, CountsMustBeIntegersTheWireCanCarry) {
+  // TOP k and WITH HISTORY W are integers from 1 to 65535 (the u16 group
+  // field); anything else is an error, not a truncation or an overflow.
+  const char* top = "SELECT TOP %s roomid, AVG(sound) FROM sensors GROUP BY roomid";
+  const char* history =
+      "SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY %s";
+  for (const char* pattern : {top, history}) {
+    for (const char* bad : {"0", "-1", "2.7", "0.5", "65536", "99999999999"}) {
+      char sql[160];
+      std::snprintf(sql, sizeof sql, pattern, bad);
+      SCOPED_TRACE(sql);
+      auto r = Parse(sql);
+      ASSERT_FALSE(r.ok());
+      EXPECT_NE(r.status().message().find("must be an integer from 1 to 65535"),
+                std::string::npos);
+    }
+  }
+  auto widest = Parse(
+      "SELECT TOP 65535 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 65535");
+  ASSERT_TRUE(widest.ok());
+  EXPECT_EQ(widest.value().top_k, 65535);
+  EXPECT_EQ(widest.value().history, 65535);
+  auto whole = Parse("SELECT TOP 2.0 roomid, AVG(sound) FROM sensors GROUP BY roomid");
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ(whole.value().top_k, 2);
 }
 
 TEST(ParserTest, ErrorsCarryOffsets) {
