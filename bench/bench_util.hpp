@@ -88,8 +88,8 @@ struct Bed {
 /// per-sensor noise). Hot time instances are shared across nodes — the
 /// regime historic top-k queries target (a handful of loud minutes in
 /// months of quiet). Returns the materialized per-node windows.
-inline core::GeneratorHistory MakeEventHistory(const Bed& bed, size_t window, uint64_t seed,
-                                               double event_prob = 0.06) {
+inline core::RingHistory MakeEventHistory(const Bed& bed, size_t window, uint64_t seed,
+                                          double event_prob = 0.06) {
   util::Rng rng(seed * 1315423911ULL + 17);
   size_t n = bed.topology.num_nodes();
   std::vector<std::vector<double>> matrix(window, std::vector<double>(n, 0.0));
@@ -101,7 +101,7 @@ inline core::GeneratorHistory MakeEventHistory(const Bed& bed, size_t window, ui
     }
   }
   data::TraceGenerator gen(std::move(matrix), data::Modality::kSound);
-  return core::GeneratorHistory(&gen, n, 0, window);
+  return core::RingHistory(&gen, n, 0, window);
 }
 
 /// Per-epoch rate with the zero-epoch guard — the "x / epochs" every

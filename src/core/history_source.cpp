@@ -10,22 +10,4 @@ std::vector<double> HistorySource::MaterializeWindow(sim::NodeId id) const {
   return out;
 }
 
-GeneratorHistory::GeneratorHistory(data::DataGenerator* gen, size_t num_nodes,
-                                   sim::Epoch first_epoch, size_t window)
-    : window_(window), windows_(num_nodes) {
-  // Generators advance epoch-major, so fill epoch-by-epoch.
-  for (auto& w : windows_) w.assign(window, 0.0);
-  for (size_t t = 0; t < window; ++t) {
-    for (size_t id = 1; id < num_nodes; ++id) {
-      windows_[id][t] = gen->Value(static_cast<sim::NodeId>(id),
-                                   first_epoch + static_cast<sim::Epoch>(t));
-    }
-  }
-}
-
-WindowSpan GeneratorHistory::Window(sim::NodeId id) const {
-  if (id >= windows_.size()) return {};
-  return WindowSpan(std::span<const double>(windows_[id]));
-}
-
 }  // namespace kspot::core

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "data/generators.hpp"
+#include "data/windowed.hpp"
 #include "sim/types.hpp"
 
 namespace kspot::core {
@@ -64,22 +66,33 @@ class HistorySource {
   std::vector<double> MaterializeWindow(sim::NodeId id) const;
 };
 
-/// Materializes a window by sampling a data generator over
-/// epochs [first_epoch, first_epoch + window): position i holds epoch
-/// first_epoch + i. The serving path's one source of pre-history — one-shot
-/// historic queries and the server's TAG-H baseline rank these windows.
-class GeneratorHistory : public HistorySource {
+/// The last `window` epochs of a data::ReadingRing, position 0 the oldest:
+/// the windows historic (TJA) queries rank.
+class RingHistory : public HistorySource {
  public:
-  GeneratorHistory(data::DataGenerator* gen, size_t num_nodes, sim::Epoch first_epoch,
-                   size_t window);
+  /// Borrows `ring`, which must hold at least `window` epochs and take no
+  /// epoch while this is read: how a session ranks a mid-session audit.
+  RingHistory(const data::ReadingRing& ring, size_t window) : ring_(&ring), window_(window) {}
+  /// Draws epochs [first_epoch, first_epoch + window) of `gen`, whose next
+  /// draw is at or before first_epoch, into a ring of its own.
+  RingHistory(data::DataGenerator* gen, size_t num_nodes, sim::Epoch first_epoch, size_t window)
+      : owned_(std::in_place, num_nodes, window, first_epoch, gen, window),
+        ring_(&*owned_),
+        window_(window) {}
+  RingHistory(const RingHistory&) = delete;
+  RingHistory& operator=(const RingHistory&) = delete;
 
-  WindowSpan Window(sim::NodeId id) const override;
+  WindowSpan Window(sim::NodeId id) const override {
+    auto [oldest, newest] = ring_->Last(id, window_);
+    return WindowSpan(oldest, newest);
+  }
   size_t window_size() const override { return window_; }
-  size_t num_nodes() const override { return windows_.size(); }
+  size_t num_nodes() const override { return ring_->num_nodes(); }
 
  private:
+  std::optional<data::ReadingRing> owned_;
+  const data::ReadingRing* ring_;
   size_t window_;
-  std::vector<std::vector<double>> windows_;
 };
 
 }  // namespace kspot::core

@@ -8,61 +8,114 @@
 
 namespace kspot::data {
 
-WindowAggregateGenerator::WindowAggregateGenerator(DataGenerator* inner, size_t num_nodes,
-                                                   size_t window, agg::AggKind agg,
-                                                   sim::Epoch first)
-    : inner_(inner),
-      num_nodes_(num_nodes),
-      window_(window == 0 ? 1 : window),
-      agg_(agg),
-      ring_(num_nodes * window_, 0),
-      sum_fx_(num_nodes, 0),
-      next_epoch_(first) {}
+namespace {
 
-void WindowAggregateGenerator::Push(DataGenerator& source, sim::Epoch epoch) {
+/// A window of no epoch has no aggregate; clamping it would answer a query
+/// nobody asked.
+size_t CheckedWindow(size_t window, const char* who) {
+  if (window == 0) {
+    std::fprintf(stderr, "%s: a window must hold at least one epoch\n", who);
+    std::abort();
+  }
+  return window;
+}
+
+}  // namespace
+
+ReadingRing::ReadingRing(size_t num_nodes, size_t rows, sim::Epoch first, DataGenerator* source,
+                         size_t count)
+    : num_nodes_(num_nodes),
+      rows_(CheckedWindow(rows, "ReadingRing")),
+      slots_(num_nodes * count, 0.0),
+      held_(count),
+      next_epoch_(first + count) {
+  for (size_t t = 0; t < count; ++t) {
+    source->PrepareEpoch(first + t);
+    for (size_t id = 1; id < num_nodes_; ++id) {
+      slots_[id * count + t] = source->Value(static_cast<sim::NodeId>(id), first + t);
+    }
+  }
+}
+
+void ReadingRing::Push(DataGenerator& source, sim::Epoch epoch) {
   if (epoch != next_epoch_) {
-    std::fprintf(stderr, "WindowAggregateGenerator::Push: epoch %llu pushed, expected %llu\n",
+    std::fprintf(stderr, "ReadingRing::Push: epoch %llu pushed, expected %llu\n",
                  static_cast<unsigned long long>(epoch),
                  static_cast<unsigned long long>(next_epoch_));
     std::abort();
   }
   source.PrepareEpoch(epoch);
-  const bool evict = filled_ == window_;
-  for (size_t id = 1; id < num_nodes_; ++id) {
-    int32_t fx = util::fixed_point::Encode(source.Value(static_cast<sim::NodeId>(id), epoch));
-    int32_t& slot = ring_[id * window_ + head_];
-    if (evict) sum_fx_[id] -= slot;
-    slot = fx;
-    sum_fx_[id] += fx;
+  size_t slot = head_;
+  if (held_ < rows_) {
+    // Still filling, so no row has wrapped: widen each by the new slot.
+    std::vector<double> wider(num_nodes_ * (held_ + 1), 0.0);
+    for (size_t id = 0; id < num_nodes_; ++id) {
+      std::copy_n(slots_.data() + id * held_, held_, wider.data() + id * (held_ + 1));
+    }
+    slots_.swap(wider);
+    slot = held_++;
+  } else {
+    head_ = head_ + 1 == held_ ? 0 : head_ + 1;
   }
-  if (!evict) ++filled_;
-  head_ = head_ + 1 == window_ ? 0 : head_ + 1;
+  for (size_t id = 1; id < num_nodes_; ++id) {
+    slots_[id * held_ + slot] = source.Value(static_cast<sim::NodeId>(id), epoch);
+  }
   next_epoch_ = epoch + 1;
 }
 
-void WindowAggregateGenerator::AdvanceTo(sim::Epoch epoch) {
-  if (epoch + 1 < next_epoch_) {
-    std::fprintf(stderr,
-                 "WindowAggregateGenerator: epoch %llu asked after the window moved on to "
-                 "epoch %llu\n",
+ReadingRing::Segments ReadingRing::Last(sim::NodeId id, size_t count) const {
+  if (id >= num_nodes_ || count == 0) return {};
+  const double* row = slots_.data() + id * held_;
+  size_t start = head_ + held_ - count;  // < 2 * held_: the oldest of them
+  if (start >= held_) start -= held_;
+  if (start + count <= held_) return {{row + start, count}, {}};
+  return {{row + start, held_ - start}, {row, start + count - held_}};
+}
+
+WindowAggregateGenerator::WindowAggregateGenerator(DataGenerator* inner, size_t num_nodes,
+                                                   size_t window, agg::AggKind agg)
+    : WindowAggregateGenerator(nullptr, window, agg, inner->modality()) {
+  inner_ = inner;
+  owned_ = std::make_unique<ReadingRing>(num_nodes, window);
+  ring_ = owned_.get();
+}
+
+WindowAggregateGenerator::WindowAggregateGenerator(const ReadingRing* ring, size_t window,
+                                                   agg::AggKind agg, const ModalityInfo& modality)
+    : ring_(ring),
+      window_(CheckedWindow(window, "WindowAggregateGenerator")),
+      agg_(agg),
+      modality_(&modality) {}
+
+void WindowAggregateGenerator::PrepareEpoch(sim::Epoch epoch) {
+  while (inner_ != nullptr && owned_->next_epoch() <= epoch) {
+    owned_->Push(*inner_, owned_->next_epoch());
+  }
+  if (epoch + 1 != ring_->next_epoch()) {
+    std::fprintf(stderr, "WindowAggregateGenerator: epoch %llu asked %s epoch %llu\n",
                  static_cast<unsigned long long>(epoch),
-                 static_cast<unsigned long long>(next_epoch_ - 1));
+                 epoch < ring_->next_epoch() ? "after the window moved on to"
+                                             : "before its ring took it; the ring ends at",
+                 static_cast<unsigned long long>(ring_->next_epoch() - 1));
     std::abort();
   }
-  while (next_epoch_ <= epoch) Push(*inner_, next_epoch_);
 }
 
 double WindowAggregateGenerator::Value(sim::NodeId id, sim::Epoch epoch) {
-  AdvanceTo(epoch);
-  if (id == 0 || id >= num_nodes_ || filled_ == 0) return 0.0;
+  PrepareEpoch(epoch);
+  const size_t count = std::min(window_, ring_->held());
+  if (id == 0 || id >= ring_->num_nodes() || count == 0) return 0.0;
+  auto [oldest, newest] = ring_->Last(id, count);
   agg::PartialAgg partial;
-  partial.sum_fx = sum_fx_[id];
-  partial.count = static_cast<uint32_t>(filled_);
-  if (agg_ == agg::AggKind::kMin || agg_ == agg::AggKind::kMax) {
-    const int32_t* slots = &ring_[id * window_];
-    auto [lo, hi] = std::minmax_element(slots, slots + filled_);
-    partial.min_fx = *lo;
-    partial.max_fx = *hi;
+  partial.count = static_cast<uint32_t>(count);
+  partial.min_fx = partial.max_fx = util::fixed_point::Encode(oldest[0]);
+  for (std::span<const double> run : {oldest, newest}) {
+    for (double v : run) {
+      const int32_t fx = util::fixed_point::Encode(v);
+      partial.sum_fx += fx;
+      partial.min_fx = std::min(partial.min_fx, fx);
+      partial.max_fx = std::max(partial.max_fx, fx);
+    }
   }
   // Quantize so downstream fixed-point transport is lossless.
   return util::fixed_point::Quantize(partial.Final(agg_));

@@ -2,12 +2,51 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "agg/aggregate.hpp"
 #include "data/generators.hpp"
 
 namespace kspot::data {
+
+/// Every node's readings of the last `rows` epochs (Section III-B's local
+/// history), node-major: each node's row is oldest first from slot `head_`,
+/// wrapping once full. Until then each push widens every row by one slot,
+/// so the ring never holds more rows than epochs it was given.
+class ReadingRing {
+ public:
+  /// Two contiguous runs of one node's readings, oldest first.
+  using Segments = std::pair<std::span<const double>, std::span<const double>>;
+
+  /// Keeps at most `rows` (>= 1) epochs. It starts out holding epochs
+  /// [first, first + count) (count <= rows) of `source`, whose next draw is
+  /// at or before `first`; the first push is epoch first + count.
+  ReadingRing(size_t num_nodes, size_t rows, sim::Epoch first = 0,
+              DataGenerator* source = nullptr, size_t count = 0);
+
+  /// Appends every node's reading of `source` at `epoch`, which must be
+  /// next_epoch(), evicting the oldest once `rows` epochs are held.
+  void Push(DataGenerator& source, sim::Epoch epoch);
+
+  /// Node `id`'s readings of the last `count` (<= held()) epochs; empty for
+  /// ids outside the ring. Invalidated by the next Push.
+  Segments Last(sim::NodeId id, size_t count) const;
+
+  size_t num_nodes() const { return num_nodes_; }
+  size_t rows() const { return rows_; }
+  size_t held() const { return held_; }
+  sim::Epoch next_epoch() const { return next_epoch_; }
+
+ private:
+  size_t num_nodes_;
+  size_t rows_;
+  std::vector<double> slots_;  ///< slots_[id * held_ + slot].
+  size_t held_;
+  size_t head_ = 0;
+  sim::Epoch next_epoch_;
+};
 
 /// Adapter for *horizontally fragmented* historic queries (Section III-B,
 /// first case): presents each node's sliding-window aggregate of an
@@ -20,48 +59,32 @@ namespace kspot::data {
 /// With every node holding the same window length W, per-room AVG over the
 /// adapter equals the paper's AVG over all buffered tuples of the room
 /// (equal weights), so results stay exact against an oracle over the same
-/// adapter.
-///
-/// The window is one flat node-major ring of fixed-point readings plus each
-/// node's running fixed-point sum: integer arithmetic, so AVG/SUM/COUNT cost
-/// O(1) per read and equal a merge of every buffered reading bit for bit;
-/// MIN/MAX scan the node's W slots.
+/// adapter. The window at epoch e is the last W epochs up to e that a
+/// ReadingRing holds (fewer while it holds fewer), merged in fixed point, so
+/// AVG/SUM/COUNT equal a merge of every buffered reading bit for bit.
 class WindowAggregateGenerator : public DataGenerator {
  public:
-  /// `inner` must outlive the adapter. `window` is W (>=1); the window
-  /// starts at epoch `first`, and until W epochs have passed it aggregates
-  /// over however many readings exist so far. Reading epoch e appends, from
-  /// `inner`, every epoch not buffered yet up to e.
+  /// Owns a ring of `window` (>= 1) epochs, which reading epoch e fills from
+  /// `inner` (which must outlive the adapter) up to e.
   WindowAggregateGenerator(DataGenerator* inner, size_t num_nodes, size_t window,
-                           agg::AggKind agg, sim::Epoch first = 0);
+                           agg::AggKind agg);
 
-  /// Appends every node's reading of `source` at `epoch`, the next epoch the
-  /// window lacks, evicting the oldest once W are buffered: how an owner
-  /// feeds the window from another generator than `inner`, or while it
-  /// reads no value.
-  void Push(DataGenerator& source, sim::Epoch epoch);
+  /// A view over `ring`, which its owner fills: epoch e is read after the
+  /// ring takes it and before it takes e + 1. `modality` is its source's.
+  WindowAggregateGenerator(const ReadingRing* ring, size_t window, agg::AggKind agg,
+                           const ModalityInfo& modality);
 
   double Value(sim::NodeId id, sim::Epoch epoch) override;
-  void PrepareEpoch(sim::Epoch epoch) override { AdvanceTo(epoch); }
-  const ModalityInfo& modality() const override { return inner_->modality(); }
-
-  /// Window length W.
-  size_t window() const { return window_; }
+  void PrepareEpoch(sim::Epoch epoch) override;
+  const ModalityInfo& modality() const override { return *modality_; }
 
  private:
-  DataGenerator* inner_;
-  size_t num_nodes_;
+  DataGenerator* inner_ = nullptr;  ///< Null for a view.
+  std::unique_ptr<ReadingRing> owned_;
+  const ReadingRing* ring_;
   size_t window_;
   agg::AggKind agg_;
-  /// ring_[id * window_ + slot]: node id's buffered fixed-point readings.
-  std::vector<int32_t> ring_;
-  /// Each node's sum over its buffered readings.
-  std::vector<int64_t> sum_fx_;
-  size_t filled_ = 0;  ///< Readings buffered per node (<= window_).
-  size_t head_ = 0;    ///< Slot the next push writes.
-  sim::Epoch next_epoch_;
-
-  void AdvanceTo(sim::Epoch epoch);
+  const ModalityInfo* modality_;
 };
 
 }  // namespace kspot::data

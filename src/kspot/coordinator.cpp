@@ -29,10 +29,10 @@ constexpr sim::Epoch kNoEpoch = std::numeric_limits<sim::Epoch>::max();
 /// Smallest deployment whose epochs step operator groups concurrently.
 constexpr size_t kMinConcurrentNodes = 2048;
 
-/// Epochs between two checkpoints of a session's shared generator. A window
-/// that starts at epoch f replays from the last checkpoint at or before f,
-/// so rebuilding it draws at most kCheckpointEvery - 1 + W epochs however
-/// old the session is; each checkpoint costs the generator's process state
+/// Epochs between two checkpoints of a session's shared generator. A ring
+/// growth that starts at epoch f replays from the last checkpoint at or
+/// before f, so it draws at most kCheckpointEvery - 1 + W epochs however old
+/// the session is; each checkpoint costs the generator's process state
 /// (O(rooms) for the default walk).
 constexpr sim::Epoch kCheckpointEvery = 16;
 
@@ -144,8 +144,8 @@ struct OpGroup {
   std::unique_ptr<core::EpochAlgorithm> algo;
   /// ... or the tuple-collection path of ungrouped selects.
   std::unique_ptr<core::BasicSelect> select;
-  /// Horizontal historic operators own their window adapter over the
-  /// session's shared generator.
+  /// Horizontal historic operators read their windows through a view over
+  /// the session's reading ring.
   std::unique_ptr<data::WindowAggregateGenerator> window_gen;
 
   /// Cached tracer name id for this operator's per-epoch span
@@ -222,7 +222,7 @@ util::SharedTaskPool& SharedGroupPool() {
   return shared;
 }
 
-/// Span around filling or replaying a window at admission.
+/// Span around growing the reading ring at admission.
 uint32_t AdmitWindowSpan() {
   static const uint32_t id = obs::GlobalTracer().InternName("coord.admit.window");
   return id;
@@ -236,12 +236,15 @@ struct QueryCoordinator::Session {
   sim::RoutingTree tree;
   sim::Network net;
   /// The one source of readings: every operator reads it at the current
-  /// epoch, every horizontal window buffers it, and every window
-  /// rebuilt at admission replays it from one of its checkpoints.
+  /// epoch, the reading ring buffers it, and the ring's growth replays it
+  /// from one of its checkpoints.
   std::unique_ptr<data::DataGenerator> shared_gen;
   /// shared_gen before epochs 0, kCheckpointEvery, 2 * kCheckpointEvery, ...
   /// (empty when the generator hands out no checkpoint).
   std::vector<data::GeneratorCheckpoint> checkpoints;
+  /// shared_gen's readings of the last R epochs, R the largest window a
+  /// horizontal group or mid-session audit asked for (empty until one does).
+  std::optional<data::ReadingRing> ring;
   std::unique_ptr<fault::ChurnEngine> churn;
 
   std::vector<OpGroup> groups;
@@ -285,6 +288,22 @@ struct QueryCoordinator::Session {
     }
     for (sim::Epoch e = from; e < first; ++e) gen->PrepareEpoch(e);
     return gen;
+  }
+
+  /// The reading ring, grown first to hold the last `rows` epochs. Growth is
+  /// the only place past epochs are drawn again: it replays the last
+  /// min(rows, epoch) of them through GeneratorAt, into the same object, so
+  /// the views over it stay valid.
+  const data::ReadingRing& RingOf(size_t rows, const Deployment& deployment,
+                                  const DeploymentConfig& config) {
+    if (!ring || ring->rows() < rows) {
+      obs::ScopedSpan window_span(AdmitWindowSpan());
+      const size_t held = static_cast<size_t>(std::min<sim::Epoch>(rows, epoch));
+      std::unique_ptr<data::DataGenerator> gen;
+      if (held > 0) gen = GeneratorAt(epoch - held, deployment, config);
+      ring = data::ReadingRing(deployment.topology.num_nodes(), rows, epoch - held, gen.get(), held);
+    }
+    return *ring;
   }
 
   /// The pool a converge-cast on this session's network may split across
@@ -529,30 +548,27 @@ util::Status QueryCoordinator::BindToSession(size_t admitted_index) {
       group.algorithm = group.algo->name();
       break;
     case OpKind::kHorizontal: {
-      // The window reads shared_gen from the join on. A mid-session admit
-      // first buffers the readings that already exist, up to W - 1 of them.
-      const sim::Epoch held = std::min(session.epoch, static_cast<sim::Epoch>(plan.window - 1));
+      // The window at epoch e is [max(0, e - W + 1), e] whatever the join
+      // epoch: the ring's last min(W, e + 1) epochs.
       group.window_gen = std::make_unique<data::WindowAggregateGenerator>(
-          session.shared_gen.get(), n, plan.window, plan.spec.agg, session.epoch - held);
-      if (held > 0) {
-        obs::ScopedSpan window_span(AdmitWindowSpan());
-        auto gen = session.GeneratorAt(session.epoch - held, *deployment_, options_);
-        for (sim::Epoch e = session.epoch - held; e < session.epoch; ++e) {
-          group.window_gen->Push(*gen, e);
-        }
-      }
+          &session.RingOf(plan.window, *deployment_, options_), plan.window, plan.spec.agg,
+          session.shared_gen->modality());
       group.algo =
           std::make_unique<core::MintViews>(&session.net, group.window_gen.get(), plan.spec);
       group.algorithm = "MINT+history";
       break;
     }
     case OpKind::kVertical: {
-      // One-shot historic: ranks the plan's window, replayed from the
-      // shared generator's nearest checkpoint, on the same network — its
+      // One-shot historic: ranks the plan's window on the same network — its
       // traffic drains the same batteries the continuous queries live off.
-      // Mid-session admits run theirs at admission.
-      std::optional<core::GeneratorHistory> source;
-      {
+      // A mid-session admit reads its window from the reading ring; one
+      // bound before the first step replays the pre-history [0, W).
+      std::optional<core::RingHistory> source;
+      if (session.epoch > 0) {
+        source.emplace(session.RingOf(static_cast<size_t>(entry.parsed.history), *deployment_,
+                                      options_),
+                       plan.window);
+      } else {
         obs::ScopedSpan window_span(AdmitWindowSpan());
         auto gen = session.GeneratorAt(plan.first, *deployment_, options_);
         source.emplace(gen.get(), n, plan.first, plan.window);
@@ -648,11 +664,12 @@ util::StatusOr<EpochUpdate> QueryCoordinator::StepEpoch() {
   static const uint32_t kWavesSpan = obs::GlobalTracer().InternName("coord.waves");
   const uint64_t waves_start = obs::TracingOn() ? obs::NowMicros() : 0;
   // Checkpoint the generator before it draws a checkpoint epoch. Then draw
-  // the epoch's readings once, so the groups only read them.
+  // the epoch's readings once, into the ring too, so the groups only read.
   if (!session.checkpoints.empty() && epoch % kCheckpointEvery == 0 && epoch > 0) {
     session.checkpoints.push_back(*session.shared_gen->Checkpoint());
   }
   session.shared_gen->PrepareEpoch(epoch);
+  if (session.ring) session.ring->Push(*session.shared_gen, epoch);
   // Every live epoch-driven group reports, in creation order (admission
   // order). Epoch-driven groups carry an algorithm or a select pipeline;
   // vertical (TJA) groups carry neither: they ran at bind time.
@@ -668,10 +685,6 @@ util::StatusOr<EpochUpdate> QueryCoordinator::StepEpoch() {
       }
     }
     gu.ran = group_eligible[gi] != 0;
-    // A horizontal window that steps reads the epoch from shared_gen in its
-    // own step; one rate-limited out of the epoch gets it pushed, so its
-    // window never misses an epoch.
-    if (!gu.ran && group.window_gen) group.window_gen->Push(*session.shared_gen, epoch);
     if (!gu.ran && topology_changed) {
       // Rate-limited out of this epoch. Operators keep caches keyed against
       // the tree; remember to evict them if it changed while we slept.

@@ -73,8 +73,8 @@ sim::TrafficCounters TagHistoricBaseline(const Deployment& deployment,
                                          const DeploymentConfig& config,
                                          const query::ParsedQuery& parsed) {
   auto gen = SessionGenerator(deployment, config);
-  core::GeneratorHistory source(gen.get(), deployment.topology.num_nodes(), 0,
-                                static_cast<size_t>(parsed.history));
+  core::RingHistory source(gen.get(), deployment.topology.num_nodes(), 0,
+                           static_cast<size_t>(parsed.history));
   core::HistoricOptions opts;
   opts.k = std::max(1, parsed.top_k);
   const query::SelectItem* agg_item = parsed.FirstAggregate();

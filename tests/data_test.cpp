@@ -329,26 +329,105 @@ TEST(GeneratorEpochOrderDeathTest, WindowsAbortWhenReadBackwardsOrPushedOutOfOrd
   EXPECT_DEATH(
       {
         TraceGenerator inner(m, Modality::kSound);
-        WindowAggregateGenerator gen(&inner, 2, 2, agg::AggKind::kAvg, /*first=*/4);
-        gen.Push(inner, 4);
-        gen.Push(inner, 6);
+        ReadingRing ring(2, 2, /*first=*/4);
+        ring.Push(inner, 4);
+        ring.Push(inner, 6);
       },
       "epoch 6 pushed, expected 5");
+  EXPECT_DEATH(
+      {
+        // A view reads only the epoch its ring took last.
+        TraceGenerator inner(m, Modality::kSound);
+        ReadingRing ring(2, 2);
+        ring.Push(inner, 0);
+        WindowAggregateGenerator view(&ring, 2, agg::AggKind::kAvg, inner.modality());
+        view.Value(1, 1);
+      },
+      "epoch 1 asked before its ring took it");
+}
+
+TEST(GeneratorEpochOrderDeathTest, WindowsOfNoEpochAbort) {
+  std::vector<std::vector<double>> m = {{0, 10}, {0, 20}};
+  EXPECT_DEATH({ ReadingRing ring(2, 0); }, "ReadingRing: a window must hold at least one epoch");
+  EXPECT_DEATH(
+      {
+        TraceGenerator inner(m, Modality::kSound);
+        WindowAggregateGenerator gen(&inner, 2, 0, agg::AggKind::kAvg);
+      },
+      "WindowAggregateGenerator: a window must hold at least one epoch");
+  EXPECT_DEATH(
+      {
+        TraceGenerator inner(m, Modality::kSound);
+        ReadingRing ring(2, 2);
+        WindowAggregateGenerator view(&ring, 0, agg::AggKind::kAvg, inner.modality());
+      },
+      "WindowAggregateGenerator: a window must hold at least one epoch");
 }
 
 TEST(WindowAggregateGeneratorTest, PushedWindowMatchesPulledWindow) {
-  // A window started at epoch 9 and pushed from there equals one pulled
-  // from epoch 0 once that has forgotten everything before epoch 9.
+  // A view over a ring started at epoch 9 and pushed from there equals a
+  // window pulled from epoch 0 once that has forgotten everything before
+  // epoch 9.
   for (agg::AggKind kind : {agg::AggKind::kAvg, agg::AggKind::kMin, agg::AggKind::kMax}) {
     RoomCorrelatedGenerator pull_inner = PinnedRoomGenerator();
     RoomCorrelatedGenerator push_inner = PinnedRoomGenerator();
     WindowAggregateGenerator pulled(&pull_inner, 200, 4, kind);
-    WindowAggregateGenerator pushed(&push_inner, 200, 4, kind, /*first=*/9);
+    ReadingRing ring(200, 4, /*first=*/9);
+    WindowAggregateGenerator pushed(&ring, 4, kind, push_inner.modality());
     for (sim::Epoch e = 0; e < 30; ++e) {
       push_inner.PrepareEpoch(e);
-      if (e >= 9) pushed.Push(push_inner, e);
+      if (e >= 9) ring.Push(push_inner, e);
       if (e < 12) continue;
       for (sim::NodeId id = 0; id < 200; ++id) EXPECT_EQ(pushed.Value(id, e), pulled.Value(id, e));
+    }
+  }
+}
+
+/// Node `id`'s readings in `ring`'s last `count` epochs, oldest first.
+std::vector<double> LastReadings(const ReadingRing& ring, sim::NodeId id, size_t count) {
+  auto [oldest, newest] = ring.Last(id, count);
+  std::vector<double> out(oldest.begin(), oldest.end());
+  out.insert(out.end(), newest.begin(), newest.end());
+  return out;
+}
+
+TEST(ReadingRingTest, HoldsTheLastRowsEpochsAndNeverMoreThanPushed) {
+  std::vector<std::vector<double>> m;
+  for (int e = 0; e < 9; ++e) m.push_back({0, 10.0 + e, 20.0 + e});
+  TraceGenerator inner(m, Modality::kSound);
+  ReadingRing ring(3, 4);
+  for (sim::Epoch e = 0; e < 9; ++e) {
+    ring.Push(inner, e);
+    EXPECT_EQ(ring.held(), std::min<size_t>(e + 1, 4));
+    EXPECT_EQ(ring.next_epoch(), e + 1);
+  }
+  // Epochs 5..8, wrapped in storage; any suffix reads oldest first.
+  EXPECT_EQ(LastReadings(ring, 1, 4), (std::vector<double>{15, 16, 17, 18}));
+  EXPECT_EQ(LastReadings(ring, 2, 2), (std::vector<double>{27, 28}));
+  EXPECT_EQ(LastReadings(ring, 0, 3), (std::vector<double>{0, 0, 0}));
+  EXPECT_TRUE(LastReadings(ring, 3, 2).empty());
+}
+
+TEST(ReadingRingTest, RingStartedFromAGeneratorMatchesAPushedOne) {
+  // A ring that starts out holding epochs [first, first + count) of a
+  // generator, as a grown session ring or a pre-history does, equals one
+  // pushed through the same epochs, and keeps equal once both take more.
+  for (size_t count : {size_t{0}, size_t{3}, size_t{8}}) {
+    SCOPED_TRACE("count " + std::to_string(count));
+    RoomCorrelatedGenerator inner = PinnedRoomGenerator();
+    RoomCorrelatedGenerator reference_inner = PinnedRoomGenerator();
+    ReadingRing ring(200, 8, /*first=*/5, &inner, count);
+    ReadingRing reference(200, 8, /*first=*/5);
+    for (sim::Epoch e = 5; e < 5 + count; ++e) reference.Push(reference_inner, e);
+    EXPECT_EQ(ring.held(), count);
+    EXPECT_EQ(ring.next_epoch(), 5 + count);
+    for (sim::Epoch e = 5 + count; e < 20; ++e) {
+      ring.Push(inner, e);
+      reference.Push(reference_inner, e);
+      for (sim::NodeId id = 0; id < 200; ++id) {
+        EXPECT_EQ(LastReadings(ring, id, ring.held()),
+                  LastReadings(reference, id, reference.held()));
+      }
     }
   }
 }

@@ -11,7 +11,10 @@
 ///     buffered window at bind time;
 ///  5. a one-shot vertical query ranks the window it names: [0, W) when bound
 ///     before the first step, the W epochs before its admit epoch otherwise
-///     (fewer when fewer exist), checked against a brute-force ranking.
+///     (fewer when fewer exist), checked against a brute-force ranking;
+///  6. audits and horizontal windows admitted around a growth of the
+///     session's reading ring answer as that replay oracle does, whether or
+///     not the generator hands out checkpoints.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +24,8 @@
 
 #include "bench_util.hpp"
 #include "core/historic_stream.hpp"
+#include "core/oracle.hpp"
+#include "data/windowed.hpp"
 #include "kspot/coordinator.hpp"
 #include "kspot/scenario_config.hpp"
 #include "util/fixed_point.hpp"
@@ -284,6 +289,101 @@ TEST(HistoricAuditWindowTest, LateAndBoundaryAdmitsEqualFullReplay) {
     SCOPED_TRACE("admit " + std::to_string(admits[i]));
     EXPECT_EQ(items[i], OracleTopK(admits[i] - 16, admits[i], 3));
   }
+}
+
+// ------------------------------------------------- reading-ring growth
+
+/// The deployment's default readings from a generator that hands out no
+/// checkpoint, so every replay starts over from epoch 0.
+class UncheckpointedGenerator : public data::DataGenerator {
+ public:
+  explicit UncheckpointedGenerator(std::unique_ptr<data::DataGenerator> inner)
+      : inner_(std::move(inner)) {}
+  double Value(sim::NodeId id, sim::Epoch epoch) override { return inner_->Value(id, epoch); }
+  void PrepareEpoch(sim::Epoch epoch) override { inner_->PrepareEpoch(epoch); }
+  const data::ModalityInfo& modality() const override { return inner_->modality(); }
+
+ private:
+  std::unique_ptr<data::DataGenerator> inner_;
+};
+
+constexpr const char* kWideVerticalSql =
+    "SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 40";
+constexpr const char* kHorizontalSql =
+    "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid WITH HISTORY 24";
+
+/// A W = 16 audit at epoch 40 sizes the session's reading ring; at 300 a
+/// W = 40 audit grows it, at 301 a W = 16 audit reads the newest 16 of its
+/// 40 rows, and at 302 a period-3 W = 24 horizontal group joins. Every
+/// answer is checked against an oracle that replays the generator from
+/// epoch 0.
+void CheckGrowthBoundary(bool checkpointed) {
+  const system::Scenario scenario = system::Scenario::ConferenceFloor(4, 3, 5);
+  const system::Deployment deployment(scenario, kAuditSeed);
+  system::QueryCoordinator::Options opt;
+  opt.epochs = 320;
+  opt.seed = kAuditSeed;
+  if (!checkpointed) {
+    opt.make_generator = [&deployment](const system::Scenario&, uint64_t seed) {
+      return std::unique_ptr<data::DataGenerator>(
+          std::make_unique<UncheckpointedGenerator>(deployment.DefaultGenerator(seed)));
+    };
+  }
+  system::QueryCoordinator coordinator(scenario, opt);
+  ASSERT_TRUE(
+      coordinator.Admit("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid").ok());
+  ASSERT_TRUE(coordinator.Open().ok());
+  system::AdmitOptions every3;
+  every3.period = 3;
+  for (sim::Epoch e = 0; e < opt.epochs; ++e) {
+    if (e == 40) {
+      ASSERT_TRUE(coordinator.Admit(kVerticalSql).ok());
+    }
+    if (e == 300) {
+      ASSERT_TRUE(coordinator.Admit(kWideVerticalSql).ok());
+    }
+    if (e == 301) {
+      ASSERT_TRUE(coordinator.Admit(kVerticalSql).ok());
+    }
+    if (e == 302) {
+      ASSERT_TRUE(coordinator.Admit(kHorizontalSql, every3).ok());
+    }
+    ASSERT_TRUE(coordinator.StepEpoch().ok());
+  }
+  auto report = coordinator.Close();
+  ASSERT_TRUE(report.ok());
+  const auto& outcomes = report.value().outcomes;
+  ASSERT_EQ(outcomes.size(), 5u);
+  EXPECT_EQ(outcomes[1].historic.items, OracleTopK(24, 40, 3));
+  EXPECT_EQ(outcomes[2].historic.items, OracleTopK(260, 300, 3));
+  EXPECT_EQ(outcomes[3].historic.items, OracleTopK(285, 301, 3));
+
+  const system::QueryOutcome& horizontal = outcomes[4];
+  EXPECT_EQ(horizontal.algorithm, "MINT+history");
+  auto gen = deployment.DefaultGenerator(kAuditSeed);
+  data::WindowAggregateGenerator windows(gen.get(), deployment.topology.num_nodes(), 24,
+                                         agg::AggKind::kAvg);
+  auto parsed = query::Parse(kHorizontalSql);
+  ASSERT_TRUE(parsed.ok());
+  core::Oracle oracle(&deployment.topology, &windows,
+                      system::SpecFromQuery(parsed.value(), scenario));
+  ASSERT_EQ(horizontal.per_epoch.size(), 6u);  // epochs 302, 305, ..., 317
+  size_t next = 0;
+  for (sim::Epoch e = 0; e < opt.epochs; ++e) {
+    core::TopKResult truth = oracle.TopK(e);
+    if (next < horizontal.per_epoch.size() && e == 302 + 3 * next) {
+      SCOPED_TRACE("epoch " + std::to_string(e));
+      EXPECT_EQ(horizontal.per_epoch[next].epoch, e);
+      EXPECT_EQ(horizontal.per_epoch[next].items, truth.items);
+      ++next;
+    }
+  }
+}
+
+TEST(HistoricAuditWindowTest, RingGrowthMatchesReplayOracle) { CheckGrowthBoundary(true); }
+
+TEST(HistoricAuditWindowTest, RingGrowthWithoutCheckpointsMatchesReplayOracle) {
+  CheckGrowthBoundary(false);
 }
 
 }  // namespace
