@@ -12,6 +12,10 @@ Gated scenarios:
   E17 server_throughput  metric coord_qps
   E18 fanout_throughput  metric deliveries_per_sec
 
+Several --baseline and --current files are paired in order, and each sweep
+point is gated on the median of its per-pair ratios: the CI obs-overhead gates
+interleave off/on runs, so one run slowed by a shared host cannot fail them.
+
 Only the gated metric can fail the build, but every numeric metric the two
 runs share is printed per sweep row (baseline -> current, ratio) on pass as
 well as fail, so CI logs carry the whole perf trajectory.
@@ -62,6 +66,9 @@ always alongside intentional perf-trade commits.
 
 Usage:
   python3 bench/check_regression.py --current bench-json-e16/BENCH_throughput.json
+  python3 bench/check_regression.py --tolerance 0.03 \
+      --baseline obs_off_1.json obs_off_2.json obs_off_3.json \
+      --current obs_on_1.json obs_on_2.json obs_on_3.json
   python3 bench/check_regression.py --metric coord_qps \
       --baseline bench/baseline/BENCH_E17_server_throughput.json \
       --current bench-json-e17/BENCH_server_throughput.json
@@ -81,6 +88,7 @@ import glob
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 
@@ -482,6 +490,88 @@ def check_e20(path):
     return 1 if failures else 0
 
 
+def check_gated(baselines, currents, metric, tolerance):
+    """Gates the current runs against the baseline runs, paired in order: at
+    every sweep point, the median over the pairs of current / baseline must
+    not fall below 1 - tolerance. One pair compares two runs directly; several
+    interleaved pairs keep one run slowed by a shared host from deciding the
+    gate. Returns the exit code."""
+    if len(baselines) != len(currents):
+        print(f"error: {len(baselines)} baseline file(s) but {len(currents)} current "
+              "file(s); pass them in pairs", file=sys.stderr)
+        return 2
+    pairs = []
+    try:
+        for base_path, cur_path in zip(baselines, currents):
+            pairs.append((load_points(base_path, metric), load_points(cur_path, metric)))
+    except BenchFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for (base_path, cur_path), ((baseline, _), (current, _)) in zip(zip(baselines, currents),
+                                                                    pairs):
+        if not baseline:
+            print(f"error: no usable trials in baseline {base_path}", file=sys.stderr)
+            return 2
+        if not current:
+            print(f"error: no usable trials in {cur_path}", file=sys.stderr)
+            return 2
+
+    failures = []
+    missing = []
+    compared = 0
+    for key in sorted(pairs[0][0][0]):
+        ratios = []
+        for (base_path, _), ((baseline, baseline_metrics), (current, current_metrics)) in zip(
+                zip(baselines, currents), pairs):
+            if key not in baseline or key not in current:
+                missing.append((base_path, key))
+                continue
+            base_eps, cur_eps = baseline[key], current[key]
+            ratios.append(cur_eps / base_eps if base_eps > 0 else float("inf"))
+            print(
+                f"{dict(key)}: baseline {base_eps:.1f} {metric}, "
+                f"current {cur_eps:.1f} ({ratios[-1]:.2f}x)"
+            )
+            print_metric_deltas(baseline_metrics.get(key, {}), current_metrics.get(key, {}),
+                                metric)
+        if len(ratios) < len(pairs):
+            continue
+        compared += 1
+        ratio = statistics.median(ratios)
+        status = "ok"
+        if ratio < 1.0 - tolerance:
+            status = "REGRESSION"
+            failures.append((key, ratio))
+        if len(pairs) > 1:
+            print(f"  median of {len(pairs)} pairs: {ratio:.2f}x {status}")
+        elif status != "ok":
+            print(f"  {status}")
+
+    if missing:
+        print(
+            f"error: {len(missing)} baseline sweep point(s) missing from a paired "
+            "run (sweep changed? refresh the baseline):",
+            file=sys.stderr,
+        )
+        for path, key in missing:
+            print(f"  {path}: {dict(key)}", file=sys.stderr)
+        return 2
+    if compared == 0:
+        print("error: no comparable sweep points; gate would be vacuous", file=sys.stderr)
+        return 2
+    if failures:
+        print(
+            f"\n{len(failures)} point(s) regressed by more than "
+            f"{tolerance:.0%} {metric} (median over {len(pairs)} pair(s)):",
+            file=sys.stderr,
+        )
+        for key, ratio in failures:
+            print(f"  {dict(key)}: {ratio:.2f}x", file=sys.stderr)
+        return 1
+    print(f"\nno {metric} regression beyond tolerance")
+    return 0
+
+
 def print_metric_deltas(base_metrics, cur_metrics, gated_metric):
     """One indented line per non-gated metric both runs share: the perf
     trajectory CI logs show on pass as well as fail."""
@@ -514,6 +604,21 @@ def self_test():
              "--baseline", baseline_path, "--current", current_path],
             capture_output=True, text=True,
         )
+
+    def run_pairs(baselines, currents):
+        return subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--tolerance", "0.03",
+             "--baseline", *baselines, "--current", *currents],
+            capture_output=True, text=True,
+        )
+
+    def eps_file(tmp, name, eps):
+        path = os.path.join(tmp, name)
+        doc = {"trials": [{"ok": True, "params": [["case", "ref"]],
+                           "metrics": [["epochs_per_sec", eps]]}]}
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        return path
 
     def run_mode(flag, *paths, cwd=None):
         return subprocess.run(
@@ -660,8 +765,15 @@ def self_test():
         with open(os.path.join(results_garbage, "BENCH_loss.json"), "w") as fh:
             fh.write("{not json")
 
+        offs = [eps_file(tmp, f"off{i}.json", 100.0) for i in range(3)]
+        one_slow = [eps_file(tmp, f"on{i}.json", eps) for i, eps in enumerate((90.0, 99.0, 101.0))]
+        two_slow = [eps_file(tmp, f"slow{i}.json", eps)
+                    for i, eps in enumerate((90.0, 96.0, 101.0))]
         cases = [
             ("missing baseline", run(missing_path, good_path), 2),
+            ("pairs: one slow run of three", run_pairs(offs, one_slow), 0),
+            ("pairs: median regressed", run_pairs(offs, two_slow), 1),
+            ("pairs: unpaired files", run_pairs(offs, one_slow[:2]), 2),
             ("garbage baseline", run(garbage_path, good_path), 2),
             ("missing current", run(good_path, missing_path), 2),
             ("identical runs", run(good_path, good_path), 0),
@@ -752,6 +864,7 @@ def self_test():
             print(f"self-test FAILED: {failure}", file=sys.stderr)
         return 1
     print("self-test ok: error paths exit 2 with one-line errors, no traceback; "
+          "paired runs gate on the median ratio; "
           "servebench gate passes only correct, failure-free, full-recall runs; "
           "E17 gate passes only a present >= 1.5x speedup point; "
           "E18 gate passes only three U=1e6 points at >= 1e5 deliveries/sec; "
@@ -766,8 +879,12 @@ def self_test():
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline", default="bench/baseline/BENCH_E16_throughput.json")
-    parser.add_argument("--current", default=None)
+    parser.add_argument("--baseline", nargs="+",
+                        default=["bench/baseline/BENCH_E16_throughput.json"],
+                        help="baseline bench JSON(s), paired in order with --current")
+    parser.add_argument("--current", nargs="+", default=None,
+                        help="current bench JSON(s); with several pairs the gate takes "
+                             "each sweep point's median ratio")
     parser.add_argument(
         "--metric",
         default="epochs_per_sec",
@@ -853,66 +970,7 @@ def main():
                      "--e17-gate, --e18-gate, --e19-gate, --e20-gate, --bench-dir, "
                      "--same-results or --tracked-baselines)")
 
-    try:
-        baseline, baseline_metrics = load_points(args.baseline, args.metric)
-        current, current_metrics = load_points(args.current, args.metric)
-    except BenchFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not baseline:
-        print(f"error: no usable trials in baseline {args.baseline}", file=sys.stderr)
-        return 2
-    if not current:
-        print(f"error: no usable trials in {args.current}", file=sys.stderr)
-        return 2
-
-    failures = []
-    missing = []
-    compared = 0
-    for key, base_eps in sorted(baseline.items()):
-        if key not in current:
-            missing.append(key)
-            continue
-        compared += 1
-        cur_eps = current[key]
-        ratio = cur_eps / base_eps if base_eps > 0 else float("inf")
-        status = "ok"
-        if ratio < 1.0 - args.tolerance:
-            status = "REGRESSION"
-            failures.append((key, base_eps, cur_eps, ratio))
-        print(
-            f"{dict(key)}: baseline {base_eps:.1f} {args.metric}, "
-            f"current {cur_eps:.1f} ({ratio:.2f}x) {status}"
-        )
-        print_metric_deltas(baseline_metrics.get(key, {}), current_metrics.get(key, {}),
-                            args.metric)
-
-    if missing:
-        print(
-            f"error: {len(missing)} baseline sweep point(s) missing from the "
-            f"current run (sweep changed? refresh {args.baseline}):",
-            file=sys.stderr,
-        )
-        for key in missing:
-            print(f"  {dict(key)}", file=sys.stderr)
-        return 2
-    if compared == 0:
-        print("error: no comparable sweep points; gate would be vacuous", file=sys.stderr)
-        return 2
-    if failures:
-        print(
-            f"\n{len(failures)} point(s) regressed by more than "
-            f"{args.tolerance:.0%} {args.metric}:",
-            file=sys.stderr,
-        )
-        for key, base_eps, cur_eps, ratio in failures:
-            print(
-                f"  {dict(key)}: {base_eps:.1f} -> {cur_eps:.1f} eps ({ratio:.2f}x)",
-                file=sys.stderr,
-            )
-        return 1
-    print(f"\nno {args.metric} regression beyond tolerance")
-    return 0
+    return check_gated(args.baseline, args.current, args.metric, args.tolerance)
 
 
 if __name__ == "__main__":
