@@ -13,6 +13,7 @@
 #include "core/oracle.hpp"
 #include "core/tag.hpp"
 #include "data/generators.hpp"
+#include "data/windowed.hpp"
 #include "runner/scenario.hpp"
 #include "sim/network.hpp"
 #include "sim/routing_tree.hpp"
@@ -101,7 +102,7 @@ inline core::RingHistory MakeEventHistory(const Bed& bed, size_t window, uint64_
     }
   }
   data::TraceGenerator gen(std::move(matrix), data::Modality::kSound);
-  return core::RingHistory(&gen, n, 0, window);
+  return core::RingHistory(data::DrawnRing(gen, n, 0, window), window);
 }
 
 /// Per-epoch rate with the zero-epoch guard — the "x / epochs" every

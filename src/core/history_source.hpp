@@ -1,6 +1,5 @@
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -66,33 +65,21 @@ class HistorySource {
   std::vector<double> MaterializeWindow(sim::NodeId id) const;
 };
 
-/// The last `window` epochs of a data::ReadingRing, position 0 the oldest:
-/// the windows historic (TJA) queries rank.
+/// The last `window` (1..ring.held()) epochs of a data::ReadingRing, copied
+/// node-major, position 0 the oldest: the windows historic (TJA) queries
+/// rank.
 class RingHistory : public HistorySource {
  public:
-  /// Borrows `ring`, which must hold at least `window` epochs and take no
-  /// epoch while this is read: how a session ranks a mid-session audit.
-  RingHistory(const data::ReadingRing& ring, size_t window) : ring_(&ring), window_(window) {}
-  /// Draws epochs [first_epoch, first_epoch + window) of `gen`, whose next
-  /// draw is at or before first_epoch, into a ring of its own.
-  RingHistory(data::DataGenerator* gen, size_t num_nodes, sim::Epoch first_epoch, size_t window)
-      : owned_(std::in_place, num_nodes, window, first_epoch, gen, window),
-        ring_(&*owned_),
-        window_(window) {}
-  RingHistory(const RingHistory&) = delete;
-  RingHistory& operator=(const RingHistory&) = delete;
+  RingHistory(const data::ReadingRing& ring, size_t window);
 
-  WindowSpan Window(sim::NodeId id) const override {
-    auto [oldest, newest] = ring_->Last(id, window_);
-    return WindowSpan(oldest, newest);
-  }
+  WindowSpan Window(sim::NodeId id) const override;
   size_t window_size() const override { return window_; }
-  size_t num_nodes() const override { return ring_->num_nodes(); }
+  size_t num_nodes() const override { return num_nodes_; }
 
  private:
-  std::optional<data::ReadingRing> owned_;
-  const data::ReadingRing* ring_;
   size_t window_;
+  size_t num_nodes_;
+  std::vector<double> windows_;  ///< windows_[id * window_ + position].
 };
 
 }  // namespace kspot::core

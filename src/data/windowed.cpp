@@ -22,20 +22,11 @@ size_t CheckedWindow(size_t window, const char* who) {
 
 }  // namespace
 
-ReadingRing::ReadingRing(size_t num_nodes, size_t rows, sim::Epoch first, DataGenerator* source,
-                         size_t count)
+ReadingRing::ReadingRing(size_t num_nodes, size_t rows, sim::Epoch first)
     : num_nodes_(num_nodes),
       rows_(CheckedWindow(rows, "ReadingRing")),
-      slots_(num_nodes * count, 0.0),
-      held_(count),
-      next_epoch_(first + count) {
-  for (size_t t = 0; t < count; ++t) {
-    source->PrepareEpoch(first + t);
-    for (size_t id = 1; id < num_nodes_; ++id) {
-      slots_[id * count + t] = source->Value(static_cast<sim::NodeId>(id), first + t);
-    }
-  }
-}
+      evicted_(num_nodes, 0),
+      next_epoch_(first) {}
 
 void ReadingRing::Push(DataGenerator& source, sim::Epoch epoch) {
   if (epoch != next_epoch_) {
@@ -45,31 +36,37 @@ void ReadingRing::Push(DataGenerator& source, sim::Epoch epoch) {
     std::abort();
   }
   source.PrepareEpoch(epoch);
-  size_t slot = head_;
-  if (held_ < rows_) {
-    // Still filling, so no row has wrapped: widen each by the new slot.
-    std::vector<double> wider(num_nodes_ * (held_ + 1), 0.0);
-    for (size_t id = 0; id < num_nodes_; ++id) {
-      std::copy_n(slots_.data() + id * held_, held_, wider.data() + id * (held_ + 1));
-    }
-    slots_.swap(wider);
-    slot = held_++;
-  } else {
-    head_ = head_ + 1 == held_ ? 0 : head_ + 1;
+  const bool evict = held_ == rows_;
+  if (!evict) {
+    readings_.resize((held_ + 1) * num_nodes_);
+    sums_.resize((held_ + 1) * num_nodes_);
   }
+  const size_t at = (evict ? head_ : held_) * num_nodes_;
+  const int64_t* before = held_ == 0 ? evicted_.data() : &sums_[Slot(held_ - 1) * num_nodes_];
   for (size_t id = 1; id < num_nodes_; ++id) {
-    slots_[id * held_ + slot] = source.Value(static_cast<sim::NodeId>(id), epoch);
+    const int64_t sum = before[id];
+    if (evict) evicted_[id] = sums_[at + id];
+    readings_[at + id] = source.Value(static_cast<sim::NodeId>(id), epoch);
+    sums_[at + id] = sum + util::fixed_point::Encode(readings_[at + id]);
+  }
+  if (evict) {
+    head_ = head_ + 1 == held_ ? 0 : head_ + 1;
+  } else {
+    ++held_;
   }
   next_epoch_ = epoch + 1;
 }
 
-ReadingRing::Segments ReadingRing::Last(sim::NodeId id, size_t count) const {
-  if (id >= num_nodes_ || count == 0) return {};
-  const double* row = slots_.data() + id * held_;
-  size_t start = head_ + held_ - count;  // < 2 * held_: the oldest of them
-  if (start >= held_) start -= held_;
-  if (start + count <= held_) return {{row + start, count}, {}};
-  return {{row + start, held_ - start}, {row, start + count - held_}};
+int64_t ReadingRing::SumFx(sim::NodeId id, size_t count) const {
+  const int64_t before =
+      count == held_ ? evicted_[id] : sums_[Slot(held_ - count - 1) * num_nodes_ + id];
+  return sums_[Slot(held_ - 1) * num_nodes_ + id] - before;
+}
+
+ReadingRing DrawnRing(DataGenerator& source, size_t num_nodes, sim::Epoch first, size_t count) {
+  ReadingRing ring(num_nodes, count, first);
+  for (sim::Epoch e = first; e < first + count; ++e) ring.Push(source, e);
+  return ring;
 }
 
 WindowAggregateGenerator::WindowAggregateGenerator(DataGenerator* inner, size_t num_nodes,
@@ -105,14 +102,14 @@ double WindowAggregateGenerator::Value(sim::NodeId id, sim::Epoch epoch) {
   PrepareEpoch(epoch);
   const size_t count = std::min(window_, ring_->held());
   if (id == 0 || id >= ring_->num_nodes() || count == 0) return 0.0;
-  auto [oldest, newest] = ring_->Last(id, count);
   agg::PartialAgg partial;
   partial.count = static_cast<uint32_t>(count);
-  partial.min_fx = partial.max_fx = util::fixed_point::Encode(oldest[0]);
-  for (std::span<const double> run : {oldest, newest}) {
-    for (double v : run) {
-      const int32_t fx = util::fixed_point::Encode(v);
-      partial.sum_fx += fx;
+  partial.sum_fx = ring_->SumFx(id, count);
+  if (agg_ == agg::AggKind::kMin || agg_ == agg::AggKind::kMax) {
+    partial.min_fx = INT32_MAX;
+    partial.max_fx = INT32_MIN;
+    for (size_t age = ring_->held() - count; age < ring_->held(); ++age) {
+      const int32_t fx = util::fixed_point::Encode(ring_->Row(age)[id]);
       partial.min_fx = std::min(partial.min_fx, fx);
       partial.max_fx = std::max(partial.max_fx, fx);
     }

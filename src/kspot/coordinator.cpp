@@ -242,8 +242,9 @@ struct QueryCoordinator::Session {
   /// shared_gen before epochs 0, kCheckpointEvery, 2 * kCheckpointEvery, ...
   /// (empty when the generator hands out no checkpoint).
   std::vector<data::GeneratorCheckpoint> checkpoints;
-  /// shared_gen's readings of the last R epochs, R the largest window a
-  /// horizontal group or mid-session audit asked for (empty until one does).
+  /// shared_gen's readings of the last R epochs, R the largest W of a
+  /// horizontal group or min(W, a) of an audit admitted at epoch a > 0
+  /// (empty until one asks).
   std::optional<data::ReadingRing> ring;
   std::unique_ptr<fault::ChurnEngine> churn;
 
@@ -298,10 +299,11 @@ struct QueryCoordinator::Session {
                                   const DeploymentConfig& config) {
     if (!ring || ring->rows() < rows) {
       obs::ScopedSpan window_span(AdmitWindowSpan());
-      const size_t held = static_cast<size_t>(std::min<sim::Epoch>(rows, epoch));
-      std::unique_ptr<data::DataGenerator> gen;
-      if (held > 0) gen = GeneratorAt(epoch - held, deployment, config);
-      ring = data::ReadingRing(deployment.topology.num_nodes(), rows, epoch - held, gen.get(), held);
+      const sim::Epoch first = epoch - std::min<sim::Epoch>(rows, epoch);
+      ring = data::ReadingRing(deployment.topology.num_nodes(), rows, first);
+      if (first == epoch) return *ring;
+      auto gen = GeneratorAt(first, deployment, config);
+      for (sim::Epoch e = first; e < epoch; ++e) ring->Push(*gen, e);
     }
     return *ring;
   }
@@ -490,6 +492,9 @@ size_t QueryCoordinator::active_operators() const {
 }
 
 const sim::Network& QueryCoordinator::session_network() const { return session_->net; }
+const data::ReadingRing* QueryCoordinator::session_ring() const {
+  return session_->ring ? &*session_->ring : nullptr;
+}
 
 /// Binds admitted_[admitted_index] to the open session: piggyback on an
 /// existing compatible group or create the operator, and run one-shot
@@ -561,17 +566,15 @@ util::Status QueryCoordinator::BindToSession(size_t admitted_index) {
     case OpKind::kVertical: {
       // One-shot historic: ranks the plan's window on the same network — its
       // traffic drains the same batteries the continuous queries live off.
-      // A mid-session admit reads its window from the reading ring; one
+      // A mid-session admit copies [first, epoch) from the reading ring; one
       // bound before the first step replays the pre-history [0, W).
       std::optional<core::RingHistory> source;
-      if (session.epoch > 0) {
-        source.emplace(session.RingOf(static_cast<size_t>(entry.parsed.history), *deployment_,
-                                      options_),
-                       plan.window);
-      } else {
+      if (session.epoch == 0) {
         obs::ScopedSpan window_span(AdmitWindowSpan());
         auto gen = session.GeneratorAt(plan.first, *deployment_, options_);
-        source.emplace(gen.get(), n, plan.first, plan.window);
+        source.emplace(data::DrawnRing(*gen, n, plan.first, plan.window), plan.window);
+      } else {
+        source.emplace(session.RingOf(plan.window, *deployment_, options_), plan.window);
       }
       static const uint32_t kTjaSpan = obs::GlobalTracer().InternName("coord.admit.tja");
       obs::ScopedSpan tja_span(kTjaSpan);

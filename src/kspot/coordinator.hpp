@@ -9,6 +9,7 @@
 #include "core/select.hpp"
 #include "core/tja.hpp"
 #include "data/generators.hpp"
+#include "data/windowed.hpp"
 #include "fault/fault_plan.hpp"
 #include "kspot/deployment.hpp"
 #include "kspot/scenario_config.hpp"
@@ -201,6 +202,10 @@ class QueryCoordinator {
   /// The open session's shared network: per-node battery ledgers, per-phase
   /// counters and the simulated clock, read-only. Requires session_open().
   const sim::Network& session_network() const;
+  /// The open session's reading ring (the epochs horizontal windows and
+  /// mid-session audits read), or nullptr before one asked. Requires
+  /// session_open().
+  const data::ReadingRing* session_ring() const;
 
   /// Advances the shared data plane one epoch: churn/repair once for
   /// everyone, then every eligible operator group in creation order. When

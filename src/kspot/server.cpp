@@ -73,8 +73,9 @@ sim::TrafficCounters TagHistoricBaseline(const Deployment& deployment,
                                          const DeploymentConfig& config,
                                          const query::ParsedQuery& parsed) {
   auto gen = SessionGenerator(deployment, config);
-  core::RingHistory source(gen.get(), deployment.topology.num_nodes(), 0,
-                           static_cast<size_t>(parsed.history));
+  const size_t window = static_cast<size_t>(parsed.history);
+  core::RingHistory source(data::DrawnRing(*gen, deployment.topology.num_nodes(), 0, window),
+                           window);
   core::HistoricOptions opts;
   opts.k = std::max(1, parsed.top_k);
   const query::SelectItem* agg_item = parsed.FirstAggregate();

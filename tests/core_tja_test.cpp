@@ -39,7 +39,7 @@ TEST(TjaTest, ExactOnRandomWindows) {
   for (uint64_t seed = 0; seed < 8; ++seed) {
     auto bed = TestBed::Grid(25, 4, 400 + seed);
     data::UniformGenerator gen(25, data::Modality::kTemperature, util::Rng(seed));
-    RingHistory history(&gen, 25, 0, 32);
+    RingHistory history(data::DrawnRing(gen, 25, 0, 32), 32);
     HistoricOptions opt;
     opt.k = 4;
     Tja tja(bed.net.get(), &history, opt);
@@ -54,7 +54,7 @@ TEST(TjaTest, ExactWithBloomCompression) {
   for (uint64_t seed = 0; seed < 4; ++seed) {
     auto bed = TestBed::Grid(25, 4, 430 + seed);
     data::UniformGenerator gen(25, data::Modality::kSound, util::Rng(77 + seed));
-    RingHistory history(&gen, 25, 0, 64);
+    RingHistory history(data::DrawnRing(gen, 25, 0, 64), 64);
     HistoricOptions opt;
     opt.k = 5;
     opt.use_bloom = true;
@@ -74,7 +74,7 @@ TEST(TjaTest, ConstantDataStaysExactViaTieExtension) {
   // trace[t][id] layout for TraceGenerator: epochs x nodes.
   data::TraceGenerator gen(std::vector<std::vector<double>>(16, std::vector<double>(16, 42.0)),
                            data::Modality::kSound);
-  RingHistory history(&gen, 16, 0, 16);
+  RingHistory history(data::DrawnRing(gen, 16, 0, 16), 16);
   HistoricOptions opt;
   opt.k = 2;
   Tja tja(bed.net.get(), &history, opt);
@@ -90,7 +90,7 @@ TEST(TjaTest, ConstantDataStaysExactViaTieExtension) {
 TEST(TjaTest, PhaseAccountingCoversLbAndHj) {
   auto bed = TestBed::Grid(25, 4, 449);
   data::UniformGenerator gen(25, data::Modality::kSound, util::Rng(83));
-  RingHistory history(&gen, 25, 0, 32);
+  RingHistory history(data::DrawnRing(gen, 25, 0, 32), 32);
   HistoricOptions opt;
   opt.k = 3;
   Tja tja(bed.net.get(), &history, opt);
@@ -113,7 +113,7 @@ TEST(TjaTest, CheaperThanCentralizedBaselines) {
     std::vector<sim::GroupId> rooms(49, 0);
     data::RoomCorrelatedGenerator gen(rooms, data::Modality::kSound, /*room_sigma=*/4.0,
                                       /*noise_sigma=*/1.0, util::Rng(seed));
-    return RingHistory(&gen, 49, 0, 64);
+    return RingHistory(data::DrawnRing(gen, 49, 0, 64), 64);
   };
   RingHistory h1 = make_history(91);
   RingHistory h2 = make_history(91);
@@ -137,7 +137,7 @@ TEST(TjaTest, MaxAggregateFallsBackToExactFullCoverage) {
   // window (one round, Lsink = window) and still rank exactly.
   auto bed = TestBed::Grid(16, 4, 471);
   data::UniformGenerator gen(16, data::Modality::kSound, util::Rng(43));
-  RingHistory history(&gen, 16, 0, 24);
+  RingHistory history(data::DrawnRing(gen, 16, 0, 24), 24);
   HistoricOptions opt;
   opt.k = 3;
   opt.agg = agg::AggKind::kMax;
@@ -162,7 +162,7 @@ TEST(TjaTest, LsinkGrowsWithK) {
   auto run_lsink = [&](int k) {
     auto bed = TestBed::Grid(25, 4, 461);
     data::UniformGenerator gen(25, data::Modality::kSound, util::Rng(97));
-    RingHistory history(&gen, 25, 0, 64);
+    RingHistory history(data::DrawnRing(gen, 25, 0, 64), 64);
     HistoricOptions opt;
     opt.k = k;
     Tja tja(bed.net.get(), &history, opt);
@@ -174,7 +174,7 @@ TEST(TjaTest, LsinkGrowsWithK) {
 TEST(CjaTest, ShipsEntireWindows) {
   auto bed = TestBed::Grid(16, 4, 467);
   data::UniformGenerator gen(16, data::Modality::kSound, util::Rng(101));
-  RingHistory history(&gen, 16, 0, 32);
+  RingHistory history(data::DrawnRing(gen, 16, 0, 32), 32);
   HistoricOptions opt;
   opt.k = 2;
   Cja cja(bed.net.get(), &history, opt);
@@ -200,7 +200,7 @@ TEST(TjaTest, SplitWavesMatchSerialBitForBit) {
       data::RoomCorrelatedGenerator gen(rooms, data::Modality::kSound, 0.4, 0.3,
                                         util::Rng(59 + k), /*global_sigma=*/1.0,
                                         /*quantize_step=*/1.0);
-      RingHistory history(&gen, 601, 0, 32);
+      RingHistory history(data::DrawnRing(gen, 601, 0, 32), 32);
       HistoricOptions opt;
       opt.k = static_cast<int>(k);
       opt.use_bloom = bloom;

@@ -35,7 +35,7 @@ TEST(TputTest, ExactAcrossSeedsAndK) {
     for (int k : {1, 3, 8}) {
       auto bed = TestBed::Grid(25, 4, 500 + seed);
       data::UniformGenerator gen(25, data::Modality::kSound, util::Rng(seed * 7 + 1));
-      RingHistory history(&gen, 25, 0, 32);
+      RingHistory history(data::DrawnRing(gen, 25, 0, 32), 32);
       HistoricOptions opt;
       opt.k = k;
       Tput tput(bed.net.get(), &history, opt);
@@ -49,7 +49,7 @@ TEST(TputTest, ExactAcrossSeedsAndK) {
 TEST(TputTest, KLargerThanWindowReturnsEverything) {
   auto bed = TestBed::Grid(16, 4, 521);
   data::UniformGenerator gen(16, data::Modality::kSound, util::Rng(11));
-  RingHistory history(&gen, 16, 0, 8);
+  RingHistory history(data::DrawnRing(gen, 16, 0, 8), 8);
   HistoricOptions opt;
   opt.k = 20;  // > window
   Tput tput(bed.net.get(), &history, opt);
@@ -62,7 +62,7 @@ TEST(TputTest, KLargerThanWindowReturnsEverything) {
 TEST(TputTest, PhaseStructureAccounted) {
   auto bed = TestBed::Grid(25, 4, 523);
   data::UniformGenerator gen(25, data::Modality::kSound, util::Rng(13));
-  RingHistory history(&gen, 25, 0, 32);
+  RingHistory history(data::DrawnRing(gen, 25, 0, 32), 32);
   HistoricOptions opt;
   opt.k = 3;
   Tput tput(bed.net.get(), &history, opt);
@@ -79,8 +79,8 @@ TEST(TputTest, TjaBeatsTputInBytesOnSkewedData) {
   auto tput_bed = TestBed::Grid(49, 4, 541);
   data::SpikeGenerator g1(49, data::Modality::kSound, 20.0, 0.05, util::Rng(17));
   data::SpikeGenerator g2(49, data::Modality::kSound, 20.0, 0.05, util::Rng(17));
-  RingHistory h1(&g1, 49, 0, 64);
-  RingHistory h2(&g2, 49, 0, 64);
+  RingHistory h1(data::DrawnRing(g1, 49, 0, 64), 64);
+  RingHistory h2(data::DrawnRing(g2, 49, 0, 64), 64);
   HistoricOptions opt;
   opt.k = 5;
   Tja tja(tja_bed.net.get(), &h1, opt);
@@ -94,7 +94,7 @@ TEST(TputTest, TjaBeatsTputInBytesOnSkewedData) {
 TEST(TputTest, CandidateSetContainsAtLeastK) {
   auto bed = TestBed::Grid(25, 4, 547);
   data::GaussianGenerator gen(25, data::Modality::kSound, 5.0, util::Rng(19));
-  RingHistory history(&gen, 25, 0, 32);
+  RingHistory history(data::DrawnRing(gen, 25, 0, 32), 32);
   HistoricOptions opt;
   opt.k = 4;
   Tput tput(bed.net.get(), &history, opt);

@@ -385,9 +385,8 @@ TEST(WindowAggregateGeneratorTest, PushedWindowMatchesPulledWindow) {
 
 /// Node `id`'s readings in `ring`'s last `count` epochs, oldest first.
 std::vector<double> LastReadings(const ReadingRing& ring, sim::NodeId id, size_t count) {
-  auto [oldest, newest] = ring.Last(id, count);
-  std::vector<double> out(oldest.begin(), oldest.end());
-  out.insert(out.end(), newest.begin(), newest.end());
+  std::vector<double> out;
+  for (size_t age = ring.held() - count; age < ring.held(); ++age) out.push_back(ring.Row(age)[id]);
   return out;
 }
 
@@ -405,29 +404,41 @@ TEST(ReadingRingTest, HoldsTheLastRowsEpochsAndNeverMoreThanPushed) {
   EXPECT_EQ(LastReadings(ring, 1, 4), (std::vector<double>{15, 16, 17, 18}));
   EXPECT_EQ(LastReadings(ring, 2, 2), (std::vector<double>{27, 28}));
   EXPECT_EQ(LastReadings(ring, 0, 3), (std::vector<double>{0, 0, 0}));
-  EXPECT_TRUE(LastReadings(ring, 3, 2).empty());
 }
 
-TEST(ReadingRingTest, RingStartedFromAGeneratorMatchesAPushedOne) {
-  // A ring that starts out holding epochs [first, first + count) of a
-  // generator, as a grown session ring or a pre-history does, equals one
-  // pushed through the same epochs, and keeps equal once both take more.
-  for (size_t count : {size_t{0}, size_t{3}, size_t{8}}) {
-    SCOPED_TRACE("count " + std::to_string(count));
-    RoomCorrelatedGenerator inner = PinnedRoomGenerator();
-    RoomCorrelatedGenerator reference_inner = PinnedRoomGenerator();
-    ReadingRing ring(200, 8, /*first=*/5, &inner, count);
-    ReadingRing reference(200, 8, /*first=*/5);
-    for (sim::Epoch e = 5; e < 5 + count; ++e) reference.Push(reference_inner, e);
-    EXPECT_EQ(ring.held(), count);
-    EXPECT_EQ(ring.next_epoch(), 5 + count);
-    for (sim::Epoch e = 5 + count; e < 20; ++e) {
-      ring.Push(inner, e);
-      reference.Push(reference_inner, e);
-      for (sim::NodeId id = 0; id < 200; ++id) {
-        EXPECT_EQ(LastReadings(ring, id, ring.held()),
-                  LastReadings(reference, id, reference.held()));
+TEST(ReadingRingTest, SumsEqualAMergeOfTheLastReadings) {
+  // Every suffix of every node's readings, while the ring fills and after
+  // it wraps.
+  RoomCorrelatedGenerator inner = PinnedRoomGenerator();
+  ReadingRing ring(200, 5);
+  for (sim::Epoch e = 0; e < 13; ++e) {
+    ring.Push(inner, e);
+    for (sim::NodeId id = 0; id < 200; ++id) {
+      for (size_t count = 1; count <= ring.held(); ++count) {
+        int64_t merged = 0;
+        for (double v : LastReadings(ring, id, count)) merged += util::fixed_point::Encode(v);
+        EXPECT_EQ(ring.SumFx(id, count), merged) << "epoch " << e << " node " << id;
       }
+    }
+  }
+}
+
+TEST(ReadingRingTest, DrawnRingMatchesAPushedOne) {
+  // A ring drawn from epochs [first, first + count) of a generator, as a
+  // pre-history is, equals one pushed through the same epochs, and keeps
+  // equal once both take more.
+  RoomCorrelatedGenerator inner = PinnedRoomGenerator();
+  RoomCorrelatedGenerator reference_inner = PinnedRoomGenerator();
+  ReadingRing ring = DrawnRing(inner, 200, /*first=*/5, /*count=*/8);
+  ReadingRing reference(200, 8, /*first=*/5);
+  for (sim::Epoch e = 5; e < 13; ++e) reference.Push(reference_inner, e);
+  EXPECT_EQ(ring.held(), 8u);
+  EXPECT_EQ(ring.next_epoch(), 13u);
+  for (sim::Epoch e = 13; e < 20; ++e) {
+    ring.Push(inner, e);
+    reference.Push(reference_inner, e);
+    for (sim::NodeId id = 0; id < 200; ++id) {
+      EXPECT_EQ(LastReadings(ring, id, 8), LastReadings(reference, id, 8));
     }
   }
 }

@@ -509,7 +509,7 @@ TEST(GoldenEquivalenceTest, PhaseCountersMatchPreInterningDigests) {
   {  // TJA: lb/hj (plus cl when deepening fires).
     DigestBed bed = MakeDigestBed(25, 4, 17);
     auto gen = RoomGen(bed.topology, 17);
-    core::RingHistory history(gen.get(), bed.topology.num_nodes(), 0, 32);
+    core::RingHistory history(data::DrawnRing(*gen, bed.topology.num_nodes(), 0, 32), 32);
     core::HistoricOptions opt;
     opt.k = 3;
     core::Tja tja(bed.net.get(), &history, opt);

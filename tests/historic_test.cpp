@@ -18,13 +18,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "core/historic_stream.hpp"
-#include "core/oracle.hpp"
 #include "data/windowed.hpp"
 #include "kspot/coordinator.hpp"
 #include "kspot/scenario_config.hpp"
@@ -358,24 +358,41 @@ void CheckGrowthBoundary(bool checkpointed) {
   EXPECT_EQ(outcomes[2].historic.items, OracleTopK(260, 300, 3));
   EXPECT_EQ(outcomes[3].historic.items, OracleTopK(285, 301, 3));
 
+  // The horizontal oracle shares no code with the view: each room's AVG over
+  // every reading its nodes took in [max(0, e - 23), e], from a plain replay.
   const system::QueryOutcome& horizontal = outcomes[4];
   EXPECT_EQ(horizontal.algorithm, "MINT+history");
-  auto gen = deployment.DefaultGenerator(kAuditSeed);
-  data::WindowAggregateGenerator windows(gen.get(), deployment.topology.num_nodes(), 24,
-                                         agg::AggKind::kAvg);
-  auto parsed = query::Parse(kHorizontalSql);
-  ASSERT_TRUE(parsed.ok());
-  core::Oracle oracle(&deployment.topology, &windows,
-                      system::SpecFromQuery(parsed.value(), scenario));
   ASSERT_EQ(horizontal.per_epoch.size(), 6u);  // epochs 302, 305, ..., 317
-  size_t next = 0;
+  auto gen = deployment.DefaultGenerator(kAuditSeed);
+  const size_t n = deployment.topology.num_nodes();
+  std::vector<std::vector<double>> readings(opt.epochs, std::vector<double>(n, 0.0));
   for (sim::Epoch e = 0; e < opt.epochs; ++e) {
-    core::TopKResult truth = oracle.TopK(e);
-    if (next < horizontal.per_epoch.size() && e == 302 + 3 * next) {
-      SCOPED_TRACE("epoch " + std::to_string(e));
-      EXPECT_EQ(horizontal.per_epoch[next].epoch, e);
-      EXPECT_EQ(horizontal.per_epoch[next].items, truth.items);
-      ++next;
+    for (sim::NodeId id = 1; id < n; ++id) readings[e][id] = gen->Value(id, e);
+  }
+  for (size_t i = 0; i < horizontal.per_epoch.size(); ++i) {
+    const sim::Epoch e = 302 + 3 * i;
+    SCOPED_TRACE("epoch " + std::to_string(e));
+    std::map<sim::GroupId, std::pair<double, size_t>> rooms;  // sum, readings
+    for (sim::Epoch t = e - 23; t <= e; ++t) {
+      for (sim::NodeId id = 1; id < n; ++id) {
+        auto& [sum, count] = rooms[deployment.topology.room(id)];
+        sum += readings[t][id];
+        ++count;
+      }
+    }
+    // Node windows are quantized to 1/256 before the rooms average them.
+    const double tolerance = 1.0 / util::fixed_point::kScale;
+    const auto& items = horizontal.per_epoch[i].items;
+    EXPECT_EQ(horizontal.per_epoch[i].epoch, e);
+    ASSERT_EQ(items.size(), 2u);
+    for (const agg::RankedItem& item : items) {
+      const auto& [sum, count] = rooms.at(item.group);
+      EXPECT_NEAR(item.value, sum / static_cast<double>(count), tolerance);
+    }
+    EXPECT_GE(items[0].value, items[1].value);
+    for (const auto& [room, total] : rooms) {
+      if (room == items[0].group || room == items[1].group) continue;
+      EXPECT_LE(total.first / static_cast<double>(total.second), items[1].value + tolerance);
     }
   }
 }
@@ -384,6 +401,48 @@ TEST(HistoricAuditWindowTest, RingGrowthMatchesReplayOracle) { CheckGrowthBounda
 
 TEST(HistoricAuditWindowTest, RingGrowthWithoutCheckpointsMatchesReplayOracle) {
   CheckGrowthBoundary(false);
+}
+
+TEST(HistoricAuditWindowTest, WideWindowsKeepTheRingToTheEpochsDrawn) {
+  // A W = 65535 audit at epoch 10 ranks the 10 epochs that exist and sizes
+  // the reading ring to them, not to W. A W = 65535 horizontal group at
+  // epoch 20 grows it to W rows, of which it holds one per epoch drawn.
+  system::QueryCoordinator::Options opt;
+  opt.epochs = 60;
+  opt.seed = kAuditSeed;
+  system::QueryCoordinator coordinator(system::Scenario::ConferenceFloor(4, 3, 5), opt);
+  ASSERT_TRUE(
+      coordinator.Admit("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid").ok());
+  ASSERT_TRUE(coordinator.Open().ok());
+  EXPECT_EQ(coordinator.session_ring(), nullptr);
+  for (sim::Epoch e = 0; e < opt.epochs; ++e) {
+    if (e == 10) {
+      ASSERT_TRUE(coordinator
+                      .Admit("SELECT TOP 3 epoch, AVG(sound) FROM sensors GROUP BY epoch "
+                             "WITH HISTORY 65535")
+                      .ok());
+      ASSERT_NE(coordinator.session_ring(), nullptr);
+    }
+    if (e == 20) {
+      ASSERT_TRUE(coordinator
+                      .Admit("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY roomid "
+                             "WITH HISTORY 65535")
+                      .ok());
+    }
+    if (const data::ReadingRing* ring = coordinator.session_ring()) {
+      SCOPED_TRACE("epoch " + std::to_string(e));
+      EXPECT_EQ(ring->rows(), e < 20 ? 10u : 65535u);
+      EXPECT_EQ(ring->held(), e < 20 ? 10u : e);
+      EXPECT_EQ(ring->next_epoch(), e);
+    }
+    ASSERT_TRUE(coordinator.StepEpoch().ok());
+  }
+  EXPECT_EQ(coordinator.session_ring()->held(), opt.epochs);
+  auto report = coordinator.Close();
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report.value().outcomes.size(), 3u);
+  EXPECT_EQ(report.value().outcomes[1].historic.items, OracleTopK(0, 10, 3));
+  EXPECT_EQ(report.value().outcomes[2].per_epoch.size(), 40u);
 }
 
 }  // namespace

@@ -88,7 +88,7 @@ TEST_P(TjaPropertyTest, ExactTopKTimeInstances) {
   auto bed = TestBed::Grid(36, 4, seed + 9000);
   data::RandomWalkGenerator gen(36, data::Modality::kTemperature, 0.8,
                                 util::Rng(seed * 131 + 3));
-  RingHistory history(&gen, 36, 0, window);
+  RingHistory history(data::DrawnRing(gen, 36, 0, window), window);
   HistoricOptions opt;
   opt.k = k;
   opt.use_bloom = bloom;
@@ -125,7 +125,7 @@ TEST_P(TputPropertyTest, ExactTopKTimeInstances) {
   auto [k, seed] = GetParam();
   auto bed = TestBed::Grid(36, 4, seed + 7000);
   data::GaussianGenerator gen(36, data::Modality::kSound, 4.0, util::Rng(seed * 17 + 11));
-  RingHistory history(&gen, 36, 0, 48);
+  RingHistory history(data::DrawnRing(gen, 36, 0, 48), 48);
   HistoricOptions opt;
   opt.k = k;
   Tput tput(bed.net.get(), &history, opt);
