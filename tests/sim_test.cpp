@@ -336,6 +336,63 @@ TEST(NetworkDeathTest, NegativeRetriesAbort) {
   EXPECT_DEATH(Network(&topology, &tree, opt, util::Rng(1)), "max_retries -1 is negative");
 }
 
+/// Unicasts, a broadcast and a control handshake of payloads on both sides
+/// of each 29-byte frame boundary, then FNV-1a over every counter of the
+/// total, every node's tx/rx energy bits and send count, and the clock.
+uint64_t FrameBoundaryChargeDigest(NetworkOptions options) {
+  auto bed = kspot::testing::TestBed::Grid(25, 4, 11, options);
+  Network& net = *bed.net;
+  const auto last = static_cast<NodeId>(bed.tree.num_nodes() - 1);
+  const NodeId hop = bed.tree.children(kSinkId).front();
+  for (size_t bytes : {0, 1, 29, 30, 58, 59, 300}) {
+    net.UnicastToParent(last, bytes);
+    net.UnicastUpPath(last, bytes);
+    net.UnicastDownPath(last, bytes);
+    net.BroadcastToChildren(kSinkId, bytes);
+    net.BroadcastToChildren(hop, bytes);
+    net.DeliverControl(hop, kSinkId, bytes);
+  }
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  auto mix_double = [&mix](double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    mix(bits);
+  };
+  const TrafficCounters& c = net.total();
+  for (uint64_t v : {c.messages, c.frames, c.payload_bytes, c.onair_bytes, c.retries,
+                     c.backoff_us}) {
+    mix(v);
+  }
+  mix_double(c.tx_energy_j);
+  mix_double(c.rx_energy_j);
+  for (NodeId id = 0; id < bed.tree.num_nodes(); ++id) {
+    mix_double(net.meter(id).tx_joules());
+    mix_double(net.meter(id).rx_joules());
+    mix(net.MessagesSentBy(id));
+  }
+  mix(net.events().now());
+  return h;
+}
+
+TEST(NetworkChargePinTest, FrameBoundaryChargesMatchRecordedDigests) {
+  EXPECT_EQ(FrameBoundaryChargeDigest({}), 0x23df826101ec567dULL);
+  // Lossy links under the flat ARQ loop and under the adaptive policy pin
+  // the retry, backoff and partial-delivery charges as well.
+  NetworkOptions flat;
+  flat.loss_prob = 0.2;
+  flat.max_retries = 2;
+  EXPECT_EQ(FrameBoundaryChargeDigest(flat), 0x5b9ccbbb2cc2f285ULL);
+  NetworkOptions adaptive = flat;
+  adaptive.reliability.enabled = true;
+  EXPECT_EQ(FrameBoundaryChargeDigest(adaptive), 0x2572f3d66359eb73ULL);
+}
+
 // -------------------------------------------------------------------- Waves
 
 // ------------------------------------------------------------ ChargeLedger
