@@ -36,8 +36,8 @@ struct HistoricConfig {
   size_t epochs = 256;
   uint64_t seed = 201;
   bool incremental = true;
-  /// Archive evicted readings to simulated flash AND charge the I/O into
-  /// the energy ledger (both halves of the flash-aware path).
+  /// Archive evicted readings to simulated flash; the flash columns read
+  /// the stores' own I/O counters.
   bool flash = false;
   bool suppression = false;
   double suppression_eps = 0.5;
@@ -64,7 +64,6 @@ HistoricStats RunHistoric(const HistoricConfig& cfg) {
   hopt.window = cfg.window;
   hopt.incremental = cfg.incremental;
   hopt.archive_to_flash = cfg.flash;
-  hopt.flash_accounting = cfg.flash;
   hopt.suppression = cfg.suppression;
   hopt.suppression_eps = cfg.suppression_eps;
   core::HistoricStream stream(bed.net.get(), gen.get(), hopt);
@@ -101,7 +100,7 @@ void RegisterHistoricThroughput(runner::ScenarioRegistry& registry) {
   s.notes =
       "epochs_per_sec is wall-clock simulator speed (compare with --threads 1, like\n"
       "E16); delta and scratch rows answer identically — only cost differs. Flash\n"
-      "rows archive evicted readings through MicroHash and charge the I/O; the\n"
+      "rows archive evicted readings through MicroHash and count the I/O; the\n"
       "suppression row reports traffic_reduction vs its unsuppressed twin and the\n"
       "observed max reconstruction error (<= eps by construction).\n"
       "bench/check_regression.py gates CI on this scenario's JSON.";

@@ -32,7 +32,6 @@ HistoricStream::HistoricStream(sim::Network* net, data::DataGenerator* gen,
     stores_.emplace_back(options_.window, options_.archive_to_flash, info.min_value,
                          info.max_value);
   }
-  charged_.assign(n, {});
   value_now_.assign(n, 0.0);
   if (options_.suppression) {
     head_of_.assign(n, sim::kNoNode);
@@ -77,8 +76,7 @@ double HistoricStream::suppression_ratio() const {
 TopKResult HistoricStream::RunEpoch(sim::Epoch epoch) {
   gen_->PrepareEpoch(epoch);
   size_t n = stores_.size();
-  // Local sampling and buffering: radio-silent, but flash archiving (when on)
-  // is charged into each node's energy ledger as storage I/O.
+  // Local sampling and buffering (and flash archiving, when on): radio-silent.
   net_->SetPhase(kPhaseStore);
   last_delta_ = storage::WindowDelta{};
   for (size_t id = 1; id < n; ++id) {
@@ -86,14 +84,6 @@ TopKResult HistoricStream::RunEpoch(sim::Epoch epoch) {
     double v = gen_->Value(node, epoch);
     value_now_[id] = v;
     last_delta_ = stores_[id].Append(epoch, v);
-    if (options_.flash_accounting) {
-      storage::IoCounters now = stores_[id].io();
-      storage::IoCounters delta = now.Since(charged_[id]);
-      if (delta.reads != 0 || delta.writes != 0) {
-        net_->ChargeStorageIo(node, delta.reads, delta.writes, delta.bytes, delta.energy_j);
-        charged_[id] = now;
-      }
-    }
   }
   return options_.incremental ? RunDeltaEpoch(epoch) : RunScratchEpoch(epoch);
 }

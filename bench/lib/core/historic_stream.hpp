@@ -25,10 +25,9 @@ struct HistoricStreamOptions {
   /// the measurable strawman.
   bool incremental = true;
   /// Archive readings evicted from the SRAM window to simulated flash
-  /// through the MicroHash index.
+  /// through the MicroHash index. The stores count their own I/O
+  /// (FlashIoTotal); the network charges radio only.
   bool archive_to_flash = false;
-  /// Charge flash I/O into the network's energy ledger / traffic counters.
-  bool flash_accounting = false;
   /// Cluster-neighbor predictive suppression (delta mode only): a sensor
   /// stays silent when its reading is within `suppression_eps` of the last
   /// value it transmitted; its room's head re-injects that predictor, so the
@@ -76,8 +75,6 @@ class HistoricStream : public EpochAlgorithm {
 
   HistoricStreamOptions options_;
   std::vector<storage::HistoryStore> stores_;
-  /// Flash I/O already charged to the network, per node (flash accounting).
-  std::vector<storage::IoCounters> charged_;
   /// The sink's materialized window view (delta mode): one entry per
   /// buffered epoch, maintained by ApplyWindowDelta.
   agg::GroupView window_view_;

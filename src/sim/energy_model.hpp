@@ -4,24 +4,26 @@
 
 namespace kspot::sim {
 
-/// First-order MICA2 energy model (3 V supply; CC1000 currents from the
-/// MICA2 datasheet, the same model used in the TAG / TinyDB evaluations).
+/// First-order MICA2 energy model, fixed like the radio model (3 V supply;
+/// CC1000 currents from the MICA2 datasheet, the same model used in the TAG /
+/// TinyDB evaluations).
 struct EnergyModel {
   /// Supply voltage, volts.
-  double voltage = 3.0;
+  static constexpr double voltage = 3.0;
   /// Radio transmit current, amperes (CC1000 at ~5 dBm).
-  double tx_current_a = 0.027;
+  static constexpr double tx_current_a = 0.027;
   /// Radio receive/listen current, amperes.
-  double rx_current_a = 0.010;
+  static constexpr double rx_current_a = 0.010;
 
   /// Energy to transmit for `airtime_s` seconds, joules.
-  double TxEnergy(double airtime_s) const { return voltage * tx_current_a * airtime_s; }
+  static constexpr double TxEnergy(double airtime_s) { return voltage * tx_current_a * airtime_s; }
   /// Energy to receive for `airtime_s` seconds, joules.
-  double RxEnergy(double airtime_s) const { return voltage * rx_current_a * airtime_s; }
+  static constexpr double RxEnergy(double airtime_s) { return voltage * rx_current_a * airtime_s; }
 };
 
-/// Per-node energy ledger with an optional battery budget; when the budget is
-/// exhausted the node is considered dead (used for network-lifetime studies).
+/// Per-node radio energy ledger with an optional battery budget; when the
+/// budget is exhausted the node is considered dead (used for network-lifetime
+/// studies).
 class EnergyMeter {
  public:
   /// Creates a meter with `battery_j` joules of budget; <= 0 means unlimited.
@@ -31,17 +33,13 @@ class EnergyMeter {
   void AddTx(double joules) { tx_j_ += joules; }
   /// Records receive energy.
   void AddRx(double joules) { rx_j_ += joules; }
-  /// Records local storage (flash) I/O energy.
-  void AddStorage(double joules) { storage_j_ += joules; }
 
   /// Joules spent transmitting.
   double tx_joules() const { return tx_j_; }
   /// Joules spent receiving.
   double rx_joules() const { return rx_j_; }
-  /// Joules spent on local storage (flash) I/O.
-  double storage_joules() const { return storage_j_; }
   /// Total joules spent.
-  double total_joules() const { return tx_j_ + rx_j_ + storage_j_; }
+  double total_joules() const { return tx_j_ + rx_j_; }
 
   /// True while the node has battery left (or has no budget).
   bool alive() const { return battery_j_ <= 0.0 || total_joules() < battery_j_; }
@@ -51,7 +49,6 @@ class EnergyMeter {
  private:
   double tx_j_ = 0.0;
   double rx_j_ = 0.0;
-  double storage_j_ = 0.0;
   double battery_j_ = 0.0;
 };
 

@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "sim/radio_model.hpp"
+
 namespace kspot::sim {
 
 namespace {
@@ -32,20 +34,6 @@ thread_local ChargeLedger* t_bound_ledger = nullptr;
 /// The pool the calling thread's PoolScope bound, and to which network.
 thread_local util::SharedTaskPool* t_bound_pool = nullptr;
 thread_local const Network* t_pool_net = nullptr;
-
-/// Adds the integer fields of `from` to `to` (the float fields replay from
-/// the journal in charge order).
-void AddCounts(TrafficCounters& to, const TrafficCounters& from) {
-  to.messages += from.messages;
-  to.frames += from.frames;
-  to.payload_bytes += from.payload_bytes;
-  to.onair_bytes += from.onair_bytes;
-  to.retries += from.retries;
-  to.backoff_us += from.backoff_us;
-  to.flash_reads += from.flash_reads;
-  to.flash_writes += from.flash_writes;
-  to.flash_bytes += from.flash_bytes;
-}
 
 /// EWMA smoothing factor of the adaptive ARQ's per-link loss estimator.
 constexpr double kEwmaAlpha = 0.25;
@@ -208,23 +196,20 @@ void Network::ReplayBookings(const ChargeLedger& ledger, ChargeLedger::Cursor& a
   // The energy sums of the total and the current phase are added in
   // registers, in booking order, and stored back on a phase switch and at
   // the end: the same additions in the same order as booking them in place.
-  double total[3] = {state_.total.tx_energy_j, state_.total.rx_energy_j,
-                     state_.total.flash_energy_j};
-  double in_phase[3];
+  double total[2] = {state_.total.tx_energy_j, state_.total.rx_energy_j};
+  double in_phase[2];
   auto load = [&] {
     const TrafficCounters& c = state_.by_phase[phase];
     in_phase[0] = c.tx_energy_j;
     in_phase[1] = c.rx_energy_j;
-    in_phase[2] = c.flash_energy_j;
   };
   auto store = [&] {
     TrafficCounters& c = state_.by_phase[phase];
     c.tx_energy_j = in_phase[0];
     c.rx_energy_j = in_phase[1];
-    c.flash_energy_j = in_phase[2];
   };
   load();
-  double delta[3] = {0.0, 0.0, 0.0};  // energy of the booking in progress
+  double delta[2] = {0.0, 0.0};  // energy of the booking in progress
   const double* joules = ledger.joules_.data() + at.joule_;
   for (; at.word_ < until; ++at.word_) {
     const uint32_t word = ledger.words_[at.word_];
@@ -246,13 +231,9 @@ void Network::ReplayBookings(const ChargeLedger& ledger, ChargeLedger::Cursor& a
         state_.meters[id].AddRx(*joules);
         delta[1] += *joules++;
         break;
-      case ChargeLedger::kStorage:
-        state_.meters[id].AddStorage(*joules);
-        delta[2] += *joules++;
-        break;
     }
     if ((word & ChargeLedger::kEndsBooking) == 0) continue;
-    for (int f = 0; f < 3; ++f) {
+    for (int f = 0; f < 2; ++f) {
       total[f] += delta[f];
       in_phase[f] += delta[f];
       delta[f] = 0.0;
@@ -261,19 +242,18 @@ void Network::ReplayBookings(const ChargeLedger& ledger, ChargeLedger::Cursor& a
   store();
   state_.total.tx_energy_j = total[0];
   state_.total.rx_energy_j = total[1];
-  state_.total.flash_energy_j = total[2];
   at.joule_ = static_cast<size_t>(joules - ledger.joules_.data());
 }
 
 void Network::ReplayCounts(const ChargeLedger& ledger) {
   const PhaseId inherited = phase_id_;
-  AddCounts(state_.total, ledger.inherited_counts_);
-  AddCounts(state_.by_phase[inherited], ledger.inherited_counts_);
+  state_.total.AddCounts(ledger.inherited_counts_);
+  state_.by_phase[inherited].AddCounts(ledger.inherited_counts_);
   for (PhaseId id = 0; id < ledger.phase_touched_.size(); ++id) {
     if (!ledger.phase_touched_[id]) continue;
     TouchPhase(id);
-    AddCounts(state_.total, ledger.phase_counts_[id]);
-    AddCounts(state_.by_phase[id], ledger.phase_counts_[id]);
+    state_.total.AddCounts(ledger.phase_counts_[id]);
+    state_.by_phase[id].AddCounts(ledger.phase_counts_[id]);
   }
   clock_.JumpTo(clock_.now() + ledger.clock_.now());
   if (ledger.phase_ != ChargeLedger::kInheritedPhase) SetPhase(ledger.phase_);
@@ -376,10 +356,19 @@ int Network::PlannedAttempts(double ewma_loss) const {
   return static_cast<int>(std::ceil(need));
 }
 
+Network::MessageCost::MessageCost(size_t bytes)
+    : payload_bytes(bytes),
+      frames(RadioModel::FramesForPayload(bytes)),
+      onair_bytes(RadioModel::OnAirBytes(bytes)),
+      airtime_s(RadioModel::AirtimeSeconds(bytes)),
+      airtime_us(RadioModel::AirtimeMicros(bytes)),
+      tx_j(EnergyModel::TxEnergy(airtime_s)),
+      rx_j(EnergyModel::RxEnergy(airtime_s)) {}
+
 bool Network::ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot,
-                              size_t payload_bytes, TrafficCounters& delta) {
+                              const MessageCost& cost, TrafficCounters& delta) {
   const ReliabilityOptions& rel = options_.reliability;
-  size_t frames = options_.radio.FramesForPayload(payload_bytes);
+  const size_t frames = cost.frames;
   double link_loss = LinkLossProb(sender, receiver);
   // The EWMA samples *message*-level outcomes, so planning works at message
   // level too: a message dies when any of its frames does.
@@ -412,41 +401,37 @@ bool Network::ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot,
                              : std::min(kBackoffCapUs, kBackoffBaseUs << (attempt - 1));
       // The radio idles in receive mode while it waits out the backoff, so
       // the wait is charged at the rx draw (idle-listen energy).
-      double idle_j = options_.energy.RxEnergy(1e-6 * static_cast<double>(backoff));
+      double idle_j = EnergyModel::RxEnergy(1e-6 * static_cast<double>(backoff));
       ChargeRx(sender, idle_j, delta);
       delta.retries += 1;
       delta.backoff_us += backoff;
     }
-    ChargeTx(sender, payload_bytes, delta);
+    ChargeTx(sender, cost, delta);
     bool lost = false;
     for (size_t f = 0; f < frames && !lost; ++f) {
       lost = rng_.NextBernoulli(link_loss);
     }
     est.ewma = kEwmaAlpha * (lost ? 1.0 : 0.0) + (1.0 - kEwmaAlpha) * est.ewma;
     if (!lost && NodeAlive(receiver)) {
-      double rx_j = options_.energy.RxEnergy(options_.radio.AirtimeSeconds(payload_bytes));
-      ChargeRx(receiver, rx_j, delta);
+      ChargeRx(receiver, cost.rx_j, delta);
       delivered = true;
     }
   }
   return delivered;
 }
 
-void Network::ChargeTx(NodeId sender, size_t payload_bytes, TrafficCounters& counters) {
-  const RadioModel& radio = options_.radio;
-  double airtime = radio.AirtimeSeconds(payload_bytes);
-  double tx_j = options_.energy.TxEnergy(airtime);
+void Network::ChargeTx(NodeId sender, const MessageCost& cost, TrafficCounters& delta) {
   if (ChargeLedger* ledger = BoundLedger()) {
-    ledger->Charge(ChargeLedger::kTx, sender, tx_j);
+    ledger->Charge(ChargeLedger::kTx, sender, cost.tx_j);
   } else {
-    state_.meters[sender].AddTx(tx_j);
+    state_.meters[sender].AddTx(cost.tx_j);
     state_.sent_by[sender] += 1;
   }
-  counters.messages += 1;
-  counters.frames += radio.FramesForPayload(payload_bytes);
-  counters.payload_bytes += payload_bytes;
-  counters.onair_bytes += radio.OnAirBytes(payload_bytes);
-  counters.tx_energy_j += tx_j;
+  delta.messages += 1;
+  delta.frames += cost.frames;
+  delta.payload_bytes += cost.payload_bytes;
+  delta.onair_bytes += cost.onair_bytes;
+  delta.tx_energy_j += cost.tx_j;
 }
 
 void Network::ChargeRx(NodeId node, double joules, TrafficCounters& delta) {
@@ -458,15 +443,6 @@ void Network::ChargeRx(NodeId node, double joules, TrafficCounters& delta) {
   delta.rx_energy_j += joules;
 }
 
-void Network::ChargeStorage(NodeId node, double joules, TrafficCounters& delta) {
-  if (ChargeLedger* ledger = BoundLedger()) {
-    ledger->Charge(ChargeLedger::kStorage, node, joules);
-  } else {
-    state_.meters[node].AddStorage(joules);
-  }
-  delta.flash_energy_j += joules;
-}
-
 void Network::Book(const TrafficCounters& delta) {
   ChargeLedger* ledger = BoundLedger();
   if (ledger == nullptr) {
@@ -475,9 +451,9 @@ void Network::Book(const TrafficCounters& delta) {
     return;
   }
   const PhaseId phase = ledger->phase_;
-  AddCounts(phase == ChargeLedger::kInheritedPhase ? ledger->inherited_counts_
-                                                   : ledger->phase_counts_[phase],
-            delta);
+  TrafficCounters& counts = phase == ChargeLedger::kInheritedPhase ? ledger->inherited_counts_
+                                                                  : ledger->phase_counts_[phase];
+  counts.AddCounts(delta);
   // A delta without charges carries no energy; its counters are summed above.
   if (ledger->words_.size() > ledger->booked_) {
     ledger->words_.back() |= ChargeLedger::kEndsBooking;
@@ -485,21 +461,19 @@ void Network::Book(const TrafficCounters& delta) {
   }
 }
 
-bool Network::FlatUnicast(NodeId sender, NodeId receiver, size_t payload_bytes,
+bool Network::FlatUnicast(NodeId sender, NodeId receiver, const MessageCost& cost,
                           TrafficCounters& delta) {
   // Per-frame loss: the message survives an attempt only if every fragment does.
-  size_t frames = options_.radio.FramesForPayload(payload_bytes);
   double link_loss = LinkLossProb(sender, receiver);
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
     if (!NodeAlive(sender)) return false;
-    ChargeTx(sender, payload_bytes, delta);
+    ChargeTx(sender, cost, delta);
     bool lost = false;
-    for (size_t f = 0; f < frames && !lost; ++f) {
+    for (size_t f = 0; f < cost.frames && !lost; ++f) {
       lost = rng_.NextBernoulli(link_loss);
     }
     if (!lost && NodeAlive(receiver)) {
-      double rx_j = options_.energy.RxEnergy(options_.radio.AirtimeSeconds(payload_bytes));
-      ChargeRx(receiver, rx_j, delta);
+      ChargeRx(receiver, cost.rx_j, delta);
       return true;
     }
   }
@@ -507,15 +481,15 @@ bool Network::FlatUnicast(NodeId sender, NodeId receiver, size_t payload_bytes,
 }
 
 bool Network::UnicastHop(NodeId sender, NodeId receiver, NodeId link_slot,
-                         size_t payload_bytes) {
+                         const MessageCost& cost) {
   TrafficCounters delta;
   bool delivered = options_.reliability.enabled
-                       ? ReliableUnicast(sender, receiver, link_slot, payload_bytes, delta)
-                       : FlatUnicast(sender, receiver, payload_bytes, delta);
+                       ? ReliableUnicast(sender, receiver, link_slot, cost, delta)
+                       : FlatUnicast(sender, receiver, cost, delta);
   Book(delta);
   // backoff_us is zero unless the reliability layer waited out retries.
   Clock& clock = events();
-  clock.AdvanceTo(clock.now() + options_.radio.AirtimeMicros(payload_bytes) + delta.backoff_us);
+  clock.AdvanceTo(clock.now() + cost.airtime_us + delta.backoff_us);
   return delivered;
 }
 
@@ -523,7 +497,7 @@ bool Network::UnicastToParent(NodeId child, size_t payload_bytes) {
   NodeId parent = tree_->parent(child);
   if (parent == kNoNode) return false;
   if (!NodeAlive(child)) return false;
-  return UnicastHop(child, parent, child, payload_bytes);
+  return UnicastHop(child, parent, child, MessageCost(payload_bytes));
 }
 
 bool Network::UnicastUpPath(NodeId from, size_t payload_bytes) {
@@ -545,11 +519,12 @@ bool Network::UnicastDownPath(NodeId target, size_t payload_bytes) {
   // path = [target, ..., sink]; walk it top-down. Down traffic shares the
   // child-endpoint estimator slot with up traffic (the link is the same;
   // LinkLossProb is symmetric).
+  const MessageCost cost(payload_bytes);
   for (size_t i = path.size(); i-- > 1;) {
     NodeId sender = path[i];
     NodeId receiver = path[i - 1];
     if (!NodeAlive(sender)) return false;
-    if (!UnicastHop(sender, receiver, receiver, payload_bytes)) return false;
+    if (!UnicastHop(sender, receiver, receiver, cost)) return false;
   }
   return true;
 }
@@ -559,46 +534,34 @@ std::vector<NodeId> Network::BroadcastToChildren(NodeId node, size_t payload_byt
   const auto& kids = tree_->children(node);
   if (kids.empty()) return delivered;
   if (!NodeAlive(node)) return delivered;
+  const MessageCost cost(payload_bytes);
   TrafficCounters delta;
-  ChargeTx(node, payload_bytes, delta);
-  size_t frames = options_.radio.FramesForPayload(payload_bytes);
-  double rx_airtime = options_.radio.AirtimeSeconds(payload_bytes);
+  ChargeTx(node, cost, delta);
   for (NodeId child : kids) {
     if (!NodeAlive(child)) continue;
     bool lost = false;
     double link_loss = LinkLossProb(node, child);
-    for (size_t f = 0; f < frames && !lost; ++f) {
+    for (size_t f = 0; f < cost.frames && !lost; ++f) {
       lost = rng_.NextBernoulli(link_loss);
     }
     // Listening children pay receive energy whether or not the CRC passes.
-    double rx_j = options_.energy.RxEnergy(rx_airtime);
-    ChargeRx(child, rx_j, delta);
+    ChargeRx(child, cost.rx_j, delta);
     if (!lost) delivered.push_back(child);
   }
   Book(delta);
   Clock& clock = events();
-  clock.AdvanceTo(clock.now() + options_.radio.AirtimeMicros(payload_bytes));
+  clock.AdvanceTo(clock.now() + cost.airtime_us);
   return delivered;
 }
 
-void Network::ChargeStorageIo(NodeId node, uint64_t reads, uint64_t writes, uint64_t bytes,
-                              double energy_j) {
-  TrafficCounters delta;
-  ChargeStorage(node, energy_j, delta);
-  delta.flash_reads = reads;
-  delta.flash_writes = writes;
-  delta.flash_bytes = bytes;
-  Book(delta);
-}
-
 void Network::DeliverControl(NodeId from, NodeId to, size_t payload_bytes) {
+  const MessageCost cost(payload_bytes);
   TrafficCounters delta;
-  ChargeTx(from, payload_bytes, delta);
-  double rx_j = options_.energy.RxEnergy(options_.radio.AirtimeSeconds(payload_bytes));
-  ChargeRx(to, rx_j, delta);
+  ChargeTx(from, cost, delta);
+  ChargeRx(to, cost.rx_j, delta);
   Book(delta);
   Clock& clock = events();
-  clock.AdvanceTo(clock.now() + options_.radio.AirtimeMicros(payload_bytes));
+  clock.AdvanceTo(clock.now() + cost.airtime_us);
 }
 
 }  // namespace kspot::sim

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sim/energy_model.hpp"
-#include "sim/radio_model.hpp"
 #include "sim/routing_tree.hpp"
 #include "sim/network_state.hpp"
 #include "sim/topology.hpp"
@@ -80,8 +79,7 @@ class ChargeLedger {
   // A phase word records a SetPhase.
   static constexpr uint32_t kTx = 0u << 30;
   static constexpr uint32_t kRx = 1u << 30;
-  static constexpr uint32_t kStorage = 2u << 30;
-  static constexpr uint32_t kPhase = 3u << 30;
+  static constexpr uint32_t kPhase = 2u << 30;
   static constexpr uint32_t kKindMask = 3u << 30;
   static constexpr uint32_t kEndsBooking = 1u << 29;
   static constexpr uint32_t kIdMask = kEndsBooking - 1;
@@ -154,18 +152,15 @@ struct NetworkOptions {
   int max_retries = 0;
   /// Per-node battery budget, joules; <= 0 means unlimited.
   double battery_j = 0.0;
-  /// Radio cost model.
-  RadioModel radio;
-  /// Energy cost model.
-  EnergyModel energy;
   /// Adaptive retry/backoff, epoch deadlines and completeness accounting;
   /// disabled by default (and then bit-inert).
   ReliabilityOptions reliability;
 };
 
 /// The simulated radio network: delivers messages along the routing tree,
-/// charges energy to both endpoints, applies losses, and maintains the
-/// traffic counters (globally and attributed to named protocol phases).
+/// charges radio energy to both endpoints under the fixed MICA2 models
+/// (RadioModel, EnergyModel), applies losses, and maintains the traffic
+/// counters (globally and attributed to named protocol phases).
 ///
 /// All per-epoch mutable state lives in one value-type NetworkState, so a
 /// Network is freely copyable: copies evolve independently.
@@ -292,14 +287,6 @@ class Network {
   /// Messages transmitted by each node (for hotspot analysis near the sink).
   uint64_t MessagesSentBy(NodeId id) const { return state_.sent_by[id]; }
 
-  /// Charges local flash I/O performed by `node` into its energy ledger and
-  /// folds the operation/byte counts into the traffic counters (grand total
-  /// and current phase). Storage I/O is radio-silent: no frames, no airtime,
-  /// no clock movement. Plain scalars keep sim/ independent of storage/; the
-  /// caller snapshots storage::IoCounters deltas.
-  void ChargeStorageIo(NodeId node, uint64_t reads, uint64_t writes, uint64_t bytes,
-                       double energy_j);
-
   /// The simulated clock transmissions advance (the calling thread's
   /// ledger's, when bound).
   Clock& events();
@@ -308,8 +295,6 @@ class Network {
   const Topology& topology() const { return *topology_; }
   /// Routing tree under simulation.
   const RoutingTree& tree() const { return *tree_; }
-  /// Radio model in use.
-  const RadioModel& radio() const { return options_.radio; }
   /// Network options in use.
   const NetworkOptions& options() const { return options_; }
   /// Loss / fading RNG (exposed for tests).
@@ -388,6 +373,19 @@ class Network {
   /// nullptr only before the constructor's initial SetPhase.
   const std::string* phase_name_ = nullptr;
 
+  /// What one transmission of a message costs: computed once per send and
+  /// handed to every charge of that send.
+  struct MessageCost {
+    explicit MessageCost(size_t payload_bytes);
+    size_t payload_bytes;
+    size_t frames;
+    size_t onair_bytes;
+    double airtime_s;
+    TimeUs airtime_us;
+    double tx_j;  ///< The sender's energy per attempt.
+    double rx_j;  ///< Each listening receiver's energy.
+  };
+
   /// The ledger the calling thread bound to this network, or nullptr.
   ChargeLedger* BoundLedger() const;
   /// Sizes the per-phase arrays for `id` and marks it visited.
@@ -395,24 +393,24 @@ class Network {
   /// Per-node energy charges, into the bound ledger or the meters; each also
   /// adds its energy to `delta`, so a delta's energy is the in-order sum of
   /// its charges (what a ledger's replay relies on).
-  void ChargeTx(NodeId sender, size_t payload_bytes, TrafficCounters& delta);
+  void ChargeTx(NodeId sender, const MessageCost& cost, TrafficCounters& delta);
   void ChargeRx(NodeId node, double joules, TrafficCounters& delta);
-  void ChargeStorage(NodeId node, double joules, TrafficCounters& delta);
   /// Books one delta into the total and the current phase.
   void Book(const TrafficCounters& delta);
   /// Adaptive-ARQ unicast core (ReliabilityOptions::enabled): EWMA-scheduled
   /// attempts, exponential backoff charged as idle listening, per-epoch
   /// retry budget. `link_slot` is the child endpoint of the link (its
   /// LinkEstimator slot).
-  bool ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot, size_t payload_bytes,
+  bool ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot, const MessageCost& cost,
                        TrafficCounters& delta);
   /// Flat-ARQ unicast core (reliability off): up to max_retries + 1
   /// attempts, each drawing per-frame losses; a sender that dies stops
   /// before its next attempt.
-  bool FlatUnicast(NodeId sender, NodeId receiver, size_t payload_bytes, TrafficCounters& delta);
+  bool FlatUnicast(NodeId sender, NodeId receiver, const MessageCost& cost,
+                   TrafficCounters& delta);
   /// One hop `sender -> receiver` under the active ARQ policy, booked into
   /// the totals, the current phase and the clock.
-  bool UnicastHop(NodeId sender, NodeId receiver, NodeId link_slot, size_t payload_bytes);
+  bool UnicastHop(NodeId sender, NodeId receiver, NodeId link_slot, const MessageCost& cost);
   /// Attempts the adaptive policy schedules for a link estimated at
   /// `ewma_loss`: the smallest A with ewma^A <= residual_target, in
   /// [1, reliability.max_retries + 1]. Deterministic.

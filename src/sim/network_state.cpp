@@ -2,35 +2,41 @@
 
 namespace kspot::sim {
 
+namespace {
+
+// The one list of TrafficCounters' integer fields: Add, AddCounts and Since
+// all apply `op` through it. A field added to the struct must be added here,
+// which the size check below enforces.
+static_assert(sizeof(TrafficCounters) == 6 * sizeof(uint64_t) + 2 * sizeof(double),
+              "TrafficCounters changed: update ForEachCount");
+
+template <typename Op>
+void ForEachCount(TrafficCounters& to, const TrafficCounters& from, Op op) {
+  op(to.messages, from.messages);
+  op(to.frames, from.frames);
+  op(to.payload_bytes, from.payload_bytes);
+  op(to.onair_bytes, from.onair_bytes);
+  op(to.retries, from.retries);
+  op(to.backoff_us, from.backoff_us);
+}
+
+}  // namespace
+
+void TrafficCounters::AddCounts(const TrafficCounters& other) {
+  ForEachCount(*this, other, [](uint64_t& a, uint64_t b) { a += b; });
+}
+
 void TrafficCounters::Add(const TrafficCounters& other) {
-  messages += other.messages;
-  frames += other.frames;
-  payload_bytes += other.payload_bytes;
-  onair_bytes += other.onair_bytes;
-  retries += other.retries;
-  backoff_us += other.backoff_us;
-  flash_reads += other.flash_reads;
-  flash_writes += other.flash_writes;
-  flash_bytes += other.flash_bytes;
+  AddCounts(other);
   tx_energy_j += other.tx_energy_j;
   rx_energy_j += other.rx_energy_j;
-  flash_energy_j += other.flash_energy_j;
 }
 
 TrafficCounters TrafficCounters::Since(const TrafficCounters& earlier) const {
-  TrafficCounters d;
-  d.messages = messages - earlier.messages;
-  d.frames = frames - earlier.frames;
-  d.payload_bytes = payload_bytes - earlier.payload_bytes;
-  d.onair_bytes = onair_bytes - earlier.onair_bytes;
-  d.retries = retries - earlier.retries;
-  d.backoff_us = backoff_us - earlier.backoff_us;
-  d.flash_reads = flash_reads - earlier.flash_reads;
-  d.flash_writes = flash_writes - earlier.flash_writes;
-  d.flash_bytes = flash_bytes - earlier.flash_bytes;
-  d.tx_energy_j = tx_energy_j - earlier.tx_energy_j;
-  d.rx_energy_j = rx_energy_j - earlier.rx_energy_j;
-  d.flash_energy_j = flash_energy_j - earlier.flash_energy_j;
+  TrafficCounters d = *this;
+  ForEachCount(d, earlier, [](uint64_t& a, uint64_t b) { a -= b; });
+  d.tx_energy_j -= earlier.tx_energy_j;
+  d.rx_energy_j -= earlier.rx_energy_j;
   return d;
 }
 

@@ -19,20 +19,18 @@ struct TrafficCounters {
   uint64_t onair_bytes = 0;   ///< Bytes on the air incl. headers + preambles.
   uint64_t retries = 0;       ///< Adaptive-ARQ retransmissions (reliability layer).
   uint64_t backoff_us = 0;    ///< Idle-listen backoff time spent before retries.
-  uint64_t flash_reads = 0;   ///< Local flash page reads (historic archiving).
-  uint64_t flash_writes = 0;  ///< Local flash page writes.
-  uint64_t flash_bytes = 0;   ///< Payload bytes moved across the flash bus.
   double tx_energy_j = 0.0;   ///< Sender-side radio energy, joules.
   double rx_energy_j = 0.0;   ///< Receiver-side radio energy, joules.
-  double flash_energy_j = 0.0;///< Local flash I/O energy, joules.
 
   /// Element-wise accumulate.
   void Add(const TrafficCounters& other);
+  /// Accumulates the integer fields only (a charge ledger replays the energy
+  /// fields from its journal, in charge order).
+  void AddCounts(const TrafficCounters& other);
   /// Element-wise difference (this - other); counters must be monotone.
   TrafficCounters Since(const TrafficCounters& earlier) const;
-  /// Total energy charged (radio + flash; flash is zero unless a deployment
-  /// opts into flash accounting).
-  double energy_j() const { return tx_energy_j + rx_energy_j + flash_energy_j; }
+  /// Total radio energy charged.
+  double energy_j() const { return tx_energy_j + rx_energy_j; }
 };
 
 /// Interned identifier of a protocol-phase label ("mint.update", "tja.lb").

@@ -137,36 +137,29 @@ TEST(HistoricStreamTest, SuppressionBoundsErrorAndCutsTraffic) {
   EXPECT_EQ(off.max_recon_err, 0.0);
 }
 
-// ---------------------------------------------------------- flash accounting
+// ----------------------------------------------------------- flash archiving
 
-TEST(HistoricStreamTest, FlashAccountingChargesLedgerWithoutPerturbingAnswers) {
+TEST(HistoricStreamTest, FlashArchivingLeavesAnswersAndRadioUntouched) {
   const size_t epochs = 80;  // window 4: enough evictions to flush pages
   core::HistoricStreamOptions hopt;
   hopt.k = 2;
   hopt.window = 4;
   StreamRun base = RunStream(hopt, 25, 4, epochs, 31);
   EXPECT_EQ(base.flash_io.writes, 0u);
-  EXPECT_EQ(base.total.flash_writes, 0u);
-  EXPECT_EQ(base.total.flash_energy_j, 0.0);
 
   hopt.archive_to_flash = true;
-  hopt.flash_accounting = true;
   StreamRun flash = RunStream(hopt, 25, 4, epochs, 31);
   EXPECT_GT(flash.flash_io.writes, 0u) << "no pages flushed; test bed too small";
   EXPECT_GT(flash.flash_io.bytes, 0u);
-  // Every byte of store I/O lands in the network's traffic ledger.
-  EXPECT_EQ(flash.total.flash_writes, flash.flash_io.writes);
-  EXPECT_EQ(flash.total.flash_bytes, flash.flash_io.bytes);
-  EXPECT_NEAR(flash.total.flash_energy_j, flash.flash_io.energy_j, 1e-12);
-  EXPECT_GT(flash.total.energy_j(), base.total.energy_j());
 
-  // Archiving + accounting never touch an answer bit or a radio byte.
+  // Archiving never touches an answer bit, a radio byte or a radio joule.
   ASSERT_EQ(flash.per_epoch.size(), base.per_epoch.size());
   for (size_t e = 0; e < base.per_epoch.size(); ++e) {
     EXPECT_EQ(flash.per_epoch[e].items, base.per_epoch[e].items);
   }
   EXPECT_EQ(flash.total.payload_bytes, base.total.payload_bytes);
   EXPECT_EQ(flash.total.messages, base.total.messages);
+  EXPECT_EQ(flash.total.energy_j(), base.total.energy_j());
 }
 
 // ------------------------------------------------------- coordinator serving

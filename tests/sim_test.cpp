@@ -398,8 +398,8 @@ TEST(NetworkChargePinTest, FrameBoundaryChargesMatchRecordedDigests) {
 // ------------------------------------------------------------ ChargeLedger
 
 /// One operator group's worth of traffic: a dissemination wave charged
-/// before the group names its phase, then a converge-cast, a path relay, a
-/// control handshake and a flash write.
+/// before the group names its phase, then a converge-cast, a path relay and
+/// a control handshake.
 void GroupTraffic(Network& net, int salt) {
   DownWave<int>::Run(
       net, [&](NodeId, const int* in) -> std::optional<int> { return in ? *in : salt; },
@@ -415,7 +415,6 @@ void GroupTraffic(Network& net, int salt) {
       [](int v) { return static_cast<size_t>(4 + v % 37); });
   net.UnicastUpPath(static_cast<NodeId>(net.tree().num_nodes() - 1), 9 + salt);
   net.DeliverControl(net.tree().children(kSinkId).front(), kSinkId, 5);
-  net.ChargeStorageIo(3, 1, 2, 64, 1e-4 * (salt + 1));
 }
 
 uint64_t Bits(double v) {
@@ -429,12 +428,8 @@ void ExpectSameCounters(const TrafficCounters& a, const TrafficCounters& b) {
   EXPECT_EQ(a.frames, b.frames);
   EXPECT_EQ(a.payload_bytes, b.payload_bytes);
   EXPECT_EQ(a.onair_bytes, b.onair_bytes);
-  EXPECT_EQ(a.flash_reads, b.flash_reads);
-  EXPECT_EQ(a.flash_writes, b.flash_writes);
-  EXPECT_EQ(a.flash_bytes, b.flash_bytes);
   EXPECT_EQ(Bits(a.tx_energy_j), Bits(b.tx_energy_j));
   EXPECT_EQ(Bits(a.rx_energy_j), Bits(b.rx_energy_j));
-  EXPECT_EQ(Bits(a.flash_energy_j), Bits(b.flash_energy_j));
 }
 
 TEST(ChargeLedgerTest, ReplayInOrderMatchesDirectChargesBitForBit) {
@@ -472,8 +467,6 @@ TEST(ChargeLedgerTest, ReplayInOrderMatchesDirectChargesBitForBit) {
   for (NodeId id = 0; id < direct.tree.num_nodes(); ++id) {
     EXPECT_EQ(Bits(journaled.net->meter(id).tx_joules()), Bits(direct.net->meter(id).tx_joules()));
     EXPECT_EQ(Bits(journaled.net->meter(id).rx_joules()), Bits(direct.net->meter(id).rx_joules()));
-    EXPECT_EQ(Bits(journaled.net->meter(id).storage_joules()),
-              Bits(direct.net->meter(id).storage_joules()));
     EXPECT_EQ(journaled.net->MessagesSentBy(id), direct.net->MessagesSentBy(id));
   }
   EXPECT_EQ(journaled.net->events().now(), direct.net->events().now());

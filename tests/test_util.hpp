@@ -99,12 +99,11 @@ inline uint64_t ChargeDigest(const sim::Network& net) {
   };
   auto mix_counters = [&](const sim::TrafficCounters& c) {
     for (uint64_t v : {c.messages, c.frames, c.payload_bytes, c.onair_bytes, c.retries,
-                       c.backoff_us, c.flash_reads, c.flash_writes, c.flash_bytes}) {
+                       c.backoff_us}) {
       mix(v);
     }
     mix_double(c.tx_energy_j);
     mix_double(c.rx_energy_j);
-    mix_double(c.flash_energy_j);
   };
   mix_counters(net.total());
   for (const auto& [phase, counters] : net.by_phase()) {
@@ -114,7 +113,6 @@ inline uint64_t ChargeDigest(const sim::Network& net) {
   for (sim::NodeId id = 0; id < net.topology().num_nodes(); ++id) {
     mix_double(net.meter(id).tx_joules());
     mix_double(net.meter(id).rx_joules());
-    mix_double(net.meter(id).storage_joules());
     mix(net.MessagesSentBy(id));
   }
   mix(net.events().now());
