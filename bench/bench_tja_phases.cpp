@@ -36,7 +36,6 @@ void RegisterTjaPhases(runner::ScenarioRegistry& registry) {
           core::HistoricOptions hopt;
           hopt.k = k;
           hopt.use_bloom = bloom;
-          hopt.bloom_fpr = 0.05;
           core::Tja tja(bed.net.get(), &history, hopt);
           auto result = tja.Run();
           return {{"lb_bytes", static_cast<double>(bed.net->PhaseTotal("tja.lb").payload_bytes)},

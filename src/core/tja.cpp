@@ -12,6 +12,8 @@ namespace kspot::core {
 namespace {
 
 constexpr double kCertEps = 1e-9;
+/// Target false-positive rate of the Lsink Bloom filter.
+constexpr double kBloomFpr = 0.05;
 
 // Interned once per process; the Clean-Up deepening loop re-enters the
 // phases, so re-interning per round would be wasted lookups.
@@ -110,7 +112,7 @@ agg::GroupView Tja::HierarchicalJoinPhase(const std::vector<sim::GroupId>& lsink
   DownMsg seed;
   seed.use_bloom = options_.use_bloom;
   if (options_.use_bloom) {
-    seed.bloom = util::BloomFilter::WithExpectedItems(lsink.size(), options_.bloom_fpr);
+    seed.bloom = util::BloomFilter::WithExpectedItems(lsink.size(), kBloomFpr);
     for (sim::GroupId key : lsink) seed.bloom.Insert(static_cast<uint64_t>(key));
   } else {
     seed.keys = lsink;

@@ -23,11 +23,9 @@ struct HistoricOptions {
   /// kinds; TPUT's sink state is sum-based and cannot honor them.
   agg::AggKind agg = agg::AggKind::kAvg;
   /// Compress the Lsink dissemination with a Bloom filter (the optimization
-  /// of the original TJA paper). False positives cost bytes, not
-  /// correctness.
+  /// of the original TJA paper), sized for a 5% false-positive rate. False
+  /// positives cost bytes, not correctness.
   bool use_bloom = false;
-  /// Target false-positive rate for the Bloom filter.
-  double bloom_fpr = 0.05;
 };
 
 /// Result of a historic top-k run, with algorithm-visibility counters the

@@ -58,7 +58,6 @@ TEST(TjaTest, ExactWithBloomCompression) {
     HistoricOptions opt;
     opt.k = 5;
     opt.use_bloom = true;
-    opt.bloom_fpr = 0.05;
     Tja tja(bed.net.get(), &history, opt);
     HistoricResult got = tja.Run();
     auto want = HistoricOracle(history, opt.agg, 5);
