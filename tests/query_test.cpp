@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "query/lexer.hpp"
 #include "query/parser.hpp"
+#include "util/rng.hpp"
 
 namespace kspot::query {
 namespace {
@@ -195,6 +198,74 @@ TEST(ValidatorTest, GroupByMustBeMeta) {
   auto q = Parse("SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY sound");
   ASSERT_TRUE(q.ok());
   EXPECT_FALSE(Validate(q.value()).ok());
+}
+
+// ------------------------------------------------------------- Robustness
+
+TEST(ParserRobustnessTest, MutatedQueriesNeverCrash) {
+  // The SQL text this suite parses, each mutated by a seeded run of byte
+  // flips, inserts, deletes and truncations. Parse must return (ok or an
+  // error) on every input, and Validate and Classify on every parsed one.
+  const std::vector<std::string> corpus = {
+      "SELECT TOP 1 roomid, AVERAGE(sound) FROM sensors GROUP BY roomid EPOCH DURATION 1 min",
+      "SELECT TOP 5 roomid, AVG(sound) FROM sensors GROUP BY roomid WITH HISTORY 64",
+      "SELECT TOP 3 epoch, AVG(temperature) FROM sensors GROUP BY epoch WITH HISTORY 128",
+      "SELECT nodeid, sound FROM sensors WHERE sound > 50",
+      "SELECT sound FROM sensors EPOCH DURATION 500 ms",
+      "SELECT sound FROM sensors EPOCH DURATION 30 s",
+      "SELECT sound FROM sensors EPOCH DURATION 10",
+      "SELECT TOP 65535 epoch, AVG(sound) FROM sensors GROUP BY epoch WITH HISTORY 65535",
+      "SELECT TOP 2.0 roomid, AVG(sound) FROM sensors GROUP BY roomid",
+      "SELECT TOP 2 roomid, AVG(sound) FROM sensors WHERE sound > 10 GROUP BY roomid",
+      "SELECT TOP 2 epoch, AVG(sound) FROM sensors GROUP BY epoch",
+      "SELECT TOP 2 roomid, AVG(sound) FROM sensors GROUP BY sound",
+      "SELECT MEDIAN(sound) FROM sensors",
+      "SELECT TOP x roomid FROM sensors",
+      "SELECT AVG( FROM sensors",
+      "-3.5 7.25 < <= > >= = != <>",
+  };
+  // Bytes that steer mutations toward the dialect's tokens.
+  const std::string tokens = " (),.-<>=!0123456789eETOPSELECTWHBYmsin";
+  util::Rng rng(20090329);
+  size_t inputs = 0;
+  size_t parsed = 0;
+  for (int round = 0; round < 700; ++round) {
+    for (const std::string& seed : corpus) {
+      std::string sql = seed;
+      const int mutations = 1 + static_cast<int>(rng.NextBounded(4));
+      for (int m = 0; m < mutations; ++m) {
+        const size_t at = sql.empty() ? 0 : rng.NextBounded(sql.size());
+        switch (rng.NextBounded(4)) {
+          case 0:  // flip one bit
+            if (!sql.empty()) sql[at] = static_cast<char>(sql[at] ^ (1 << rng.NextBounded(8)));
+            break;
+          case 1: {  // insert a dialect byte or any byte
+            const char c = rng.NextBernoulli(0.5)
+                               ? tokens[rng.NextBounded(tokens.size())]
+                               : static_cast<char>(rng.NextBounded(256));
+            sql.insert(sql.begin() + static_cast<long>(at), c);
+            break;
+          }
+          case 2:  // delete one byte
+            if (!sql.empty()) sql.erase(at, 1);
+            break;
+          default:  // truncate
+            sql.resize(at);
+            break;
+        }
+      }
+      ++inputs;
+      auto result = Parse(sql);
+      if (!result.ok()) continue;
+      ++parsed;
+      Validate(result.value());
+      Classify(result.value());
+    }
+  }
+  EXPECT_GE(inputs, 10000u);
+  // Both outcomes occur, so the mutations reach past the first token.
+  EXPECT_GT(parsed, inputs / 20);
+  EXPECT_LT(parsed, inputs - inputs / 20);
 }
 
 TEST(QueryClassTest, Names) {
