@@ -368,12 +368,12 @@ Network::MessageCost::MessageCost(size_t bytes)
 bool Network::ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot,
                               const MessageCost& cost, TrafficCounters& delta) {
   const ReliabilityOptions& rel = options_.reliability;
-  const size_t frames = cost.frames;
   double link_loss = LinkLossProb(sender, receiver);
   // The EWMA samples *message*-level outcomes, so planning works at message
   // level too: a message dies when any of its frames does.
   double msg_loss =
-      frames <= 1 ? link_loss : 1.0 - std::pow(1.0 - link_loss, static_cast<double>(frames));
+      cost.frames <= 1 ? link_loss
+                       : 1.0 - std::pow(1.0 - link_loss, static_cast<double>(cost.frames));
   LinkEstimator& est = state_.link_est[link_slot];
   NodeId other = link_slot == sender ? receiver : sender;
   if (est.to != other) {
@@ -408,7 +408,7 @@ bool Network::ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot,
     }
     ChargeTx(sender, cost, delta);
     bool lost = false;
-    for (size_t f = 0; f < frames && !lost; ++f) {
+    for (size_t f = 0; f < cost.frames && !lost; ++f) {
       lost = rng_.NextBernoulli(link_loss);
     }
     est.ewma = kEwmaAlpha * (lost ? 1.0 : 0.0) + (1.0 - kEwmaAlpha) * est.ewma;
