@@ -78,7 +78,7 @@ void RegisterReliabilityTradeoff(runner::ScenarioRegistry& registry) {
 
         sim::NetworkOptions on_opt = off_opt;
         on_opt.reliability.enabled = true;
-        on_opt.reliability.max_retries = 6;
+        on_opt.max_retries = 6;
         on_opt.reliability.residual_target = 0.01;
         on_opt.reliability.retry_budget = rc.budget;
         on_opt.reliability.wave_depth_budget = rc.deadline;

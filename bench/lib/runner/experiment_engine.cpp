@@ -1,6 +1,7 @@
 #include "runner/experiment_engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <exception>
 #include <thread>
@@ -57,25 +58,28 @@ ScenarioRun ExperimentEngine::Run(const Scenario& scenario) const {
     run.trials[i].spec = trials[i].spec;
   }
 
-  // Fork-join over the trial indices: each worker claims indices and writes
-  // into its own result slot, so the output order is the enumeration order
-  // regardless of scheduling. Exceptions stay per-trial (recorded in the
-  // result), never escape the pool.
+  // Fork-join over the trial indices: every thread claims indices from one
+  // counter and writes into each trial's own result slot, so the output
+  // order is the enumeration order regardless of scheduling. Exceptions stay
+  // per-trial (recorded in the result), never escape the pool.
   util::TaskPool pool(std::min(options_.threads, std::max<size_t>(trials.size(), 1)));
-  pool.ParallelFor(trials.size(), [&](size_t i) {
-    TrialResult& result = run.trials[i];
-    auto trial_start = std::chrono::steady_clock::now();
-    try {
-      result.metrics = trials[i].run();
-      result.ok = true;
-    } catch (const std::exception& e) {
-      result.ok = false;
-      result.error = e.what();
-    } catch (...) {
-      result.ok = false;
-      result.error = "unknown exception";
+  std::atomic<size_t> next{0};
+  pool.RunPerThread(pool.thread_count(), [&](size_t) {
+    for (size_t i = next++; i < trials.size(); i = next++) {
+      TrialResult& result = run.trials[i];
+      auto trial_start = std::chrono::steady_clock::now();
+      try {
+        result.metrics = trials[i].run();
+        result.ok = true;
+      } catch (const std::exception& e) {
+        result.ok = false;
+        result.error = e.what();
+      } catch (...) {
+        result.ok = false;
+        result.error = "unknown exception";
+      }
+      result.wall_ms = MsSince(trial_start);
     }
-    result.wall_ms = MsSince(trial_start);
   });
 
   run.wall_ms = MsSince(sweep_start);

@@ -19,9 +19,11 @@ struct TopKResult {
   /// from. Under churn this is the surviving (alive and routable)
   /// population, so consumers can tell a quiet network from a shrunken one.
   uint32_t contributors = 0;
-  /// Fraction of the expected population (alive, attached sensors) whose
-  /// readings made it into this answer, in [0, 1]. 1.0 when the reliability
-  /// layer is off or nothing was lost; a partial answer advertises itself.
+  /// contributors / the expected population (alive, attached sensors), in
+  /// [0, 1]; a partial answer advertises itself. Stamped whether or not the
+  /// reliability layer is on. TAG reads 1.0 when nothing was lost; MINT
+  /// reads below 1 even then, because sensors its views pruned count as
+  /// absent.
   double completeness = 1.0;
   /// True when an epoch deadline truncated a wave this epoch: the answer is
   /// structurally partial, not merely loss-thinned.

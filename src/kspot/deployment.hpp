@@ -27,7 +27,8 @@ struct DeploymentConfig {
   uint64_t seed = 1;
   /// Per-frame loss probability.
   double loss_prob = 0.0;
-  /// Link-layer retries.
+  /// Link-layer retries: the flat ARQ loop's count, and the adaptive
+  /// policy's cap when `reliability.enabled`.
   int max_retries = 0;
   /// Per-node battery budget, joules; <= 0 means unlimited. Shared: every
   /// query's traffic drains the same meters.

@@ -26,9 +26,10 @@ struct SubscriberStats {
   /// skipped epochs and snap back to 0 when their group runs.
   sim::Epoch staleness = 0;
   /// Completeness of the view currently served (the latest materialized
-  /// ranked result's TopKResult::completeness). 1.0 before any delivery, for
-  /// tuple-select queries, and whenever the reliability layer is off —
-  /// subscribers see staleness AND how partial the data behind it is.
+  /// ranked result's TopKResult::completeness; below 1 for a MINT group
+  /// that prunes, even without loss). 1.0 before any delivery and for
+  /// tuple-select queries — subscribers see staleness AND how partial the
+  /// data behind it is.
   double completeness = 1.0;
 };
 

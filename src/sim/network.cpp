@@ -8,6 +8,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "sim/radio_model.hpp"
 
@@ -35,13 +36,50 @@ thread_local ChargeLedger* t_bound_ledger = nullptr;
 thread_local util::SharedTaskPool* t_bound_pool = nullptr;
 thread_local const Network* t_pool_net = nullptr;
 
+/// Fraction of the radio range where gray-zone loss (edge_max_loss) starts.
+constexpr double kEdgeOnset = 0.7;
+
 /// EWMA smoothing factor of the adaptive ARQ's per-link loss estimator.
 constexpr double kEwmaAlpha = 0.25;
 /// First-retry backoff; doubles per further retry up to kBackoffCapUs.
 constexpr uint64_t kBackoffBaseUs = 500;
 constexpr uint64_t kBackoffCapUs = 8000;
 
+// The one list of TrafficCounters' integer fields: Add, AddCounts and Since
+// all apply `op` through it. A field added to the struct must be added here,
+// which the size check below enforces.
+static_assert(sizeof(TrafficCounters) == 6 * sizeof(uint64_t) + 2 * sizeof(double),
+              "TrafficCounters changed: update ForEachCount");
+
+template <typename Op>
+void ForEachCount(TrafficCounters& to, const TrafficCounters& from, Op op) {
+  op(to.messages, from.messages);
+  op(to.frames, from.frames);
+  op(to.payload_bytes, from.payload_bytes);
+  op(to.onair_bytes, from.onair_bytes);
+  op(to.retries, from.retries);
+  op(to.backoff_us, from.backoff_us);
+}
+
 }  // namespace
+
+void TrafficCounters::AddCounts(const TrafficCounters& other) {
+  ForEachCount(*this, other, [](uint64_t& a, uint64_t b) { a += b; });
+}
+
+void TrafficCounters::Add(const TrafficCounters& other) {
+  AddCounts(other);
+  tx_energy_j += other.tx_energy_j;
+  rx_energy_j += other.rx_energy_j;
+}
+
+TrafficCounters TrafficCounters::Since(const TrafficCounters& earlier) const {
+  TrafficCounters d = *this;
+  ForEachCount(d, earlier, [](uint64_t& a, uint64_t b) { a -= b; });
+  d.tx_energy_j -= earlier.tx_energy_j;
+  d.rx_energy_j -= earlier.rx_energy_j;
+  return d;
+}
 
 PhaseId Network::InternPhase(std::string_view name) {
   PhaseRegistry& reg = Registry();
@@ -63,20 +101,31 @@ const std::string& Network::PhaseName(PhaseId id) {
 
 Network::Network(const Topology* topology, const RoutingTree* tree, NetworkOptions options,
                  util::Rng rng)
-    : topology_(topology), tree_(tree), options_(options), rng_(rng) {
-  // A NaN loss would draw the RNG for every frame and never lose one; a
-  // negative retry count would run no attempt, so every unicast would
-  // vanish uncharged. Both are configuration errors, not loss models.
-  if (!(options.loss_prob >= 0.0 && options.loss_prob <= 1.0)) {
-    std::fprintf(stderr, "sim::Network: loss_prob %g is outside [0, 1]\n", options.loss_prob);
-    std::abort();
+    : topology_(topology),
+      tree_(tree),
+      options_(options),
+      rng_(rng),
+      meters_(topology->num_nodes(), EnergyMeter(options.battery_j)),
+      up_(topology->num_nodes(), 1),
+      extra_loss_(topology->num_nodes(), 0.0),
+      sent_by_(topology->num_nodes(), 0),
+      link_est_(topology->num_nodes()),
+      retry_budget_left_(topology->num_nodes(), options.reliability.retry_budget) {
+  // A NaN loss would draw the RNG for every frame and never lose one, and a
+  // loss above 1 breaks the Bernoulli draws; a negative retry count would
+  // run no attempt, so every unicast would vanish uncharged. All are
+  // configuration errors, not loss models.
+  for (auto [name, loss] : {std::pair{"loss_prob", options.loss_prob},
+                            std::pair{"edge_max_loss", options.edge_max_loss}}) {
+    if (!(loss >= 0.0 && loss <= 1.0)) {
+      std::fprintf(stderr, "sim::Network: %s %g is outside [0, 1]\n", name, loss);
+      std::abort();
+    }
   }
   if (options.max_retries < 0) {
     std::fprintf(stderr, "sim::Network: max_retries %d is negative\n", options.max_retries);
     std::abort();
   }
-  state_.Reset(topology->num_nodes(), options.battery_j);
-  BeginReliabilityEpoch();
   static const PhaseId kDefaultPhase = InternPhase("default");
   SetPhase(kDefaultPhase);
 }
@@ -124,11 +173,11 @@ ChargeLedger* Network::BoundLedger() const {
 }
 
 void Network::TouchPhase(PhaseId id) {
-  if (id >= state_.by_phase.size()) {
-    state_.by_phase.resize(id + 1);
-    state_.phase_touched.resize(id + 1, 0);
+  if (id >= by_phase_.size()) {
+    by_phase_.resize(id + 1);
+    phase_touched_.resize(id + 1, 0);
   }
-  state_.phase_touched[id] = 1;
+  phase_touched_[id] = 1;
 }
 
 void Network::SetPhase(PhaseId id) {
@@ -196,15 +245,15 @@ void Network::ReplayBookings(const ChargeLedger& ledger, ChargeLedger::Cursor& a
   // The energy sums of the total and the current phase are added in
   // registers, in booking order, and stored back on a phase switch and at
   // the end: the same additions in the same order as booking them in place.
-  double total[2] = {state_.total.tx_energy_j, state_.total.rx_energy_j};
+  double total[2] = {total_.tx_energy_j, total_.rx_energy_j};
   double in_phase[2];
   auto load = [&] {
-    const TrafficCounters& c = state_.by_phase[phase];
+    const TrafficCounters& c = by_phase_[phase];
     in_phase[0] = c.tx_energy_j;
     in_phase[1] = c.rx_energy_j;
   };
   auto store = [&] {
-    TrafficCounters& c = state_.by_phase[phase];
+    TrafficCounters& c = by_phase_[phase];
     c.tx_energy_j = in_phase[0];
     c.rx_energy_j = in_phase[1];
   };
@@ -223,12 +272,12 @@ void Network::ReplayBookings(const ChargeLedger& ledger, ChargeLedger::Cursor& a
         load();
         continue;
       case ChargeLedger::kTx:
-        state_.meters[id].AddTx(*joules);
-        state_.sent_by[id] += 1;
+        meters_[id].AddTx(*joules);
+        sent_by_[id] += 1;
         delta[0] += *joules++;
         break;
       case ChargeLedger::kRx:
-        state_.meters[id].AddRx(*joules);
+        meters_[id].AddRx(*joules);
         delta[1] += *joules++;
         break;
     }
@@ -240,20 +289,20 @@ void Network::ReplayBookings(const ChargeLedger& ledger, ChargeLedger::Cursor& a
     }
   }
   store();
-  state_.total.tx_energy_j = total[0];
-  state_.total.rx_energy_j = total[1];
+  total_.tx_energy_j = total[0];
+  total_.rx_energy_j = total[1];
   at.joule_ = static_cast<size_t>(joules - ledger.joules_.data());
 }
 
 void Network::ReplayCounts(const ChargeLedger& ledger) {
   const PhaseId inherited = phase_id_;
-  state_.total.AddCounts(ledger.inherited_counts_);
-  state_.by_phase[inherited].AddCounts(ledger.inherited_counts_);
+  total_.AddCounts(ledger.inherited_counts_);
+  by_phase_[inherited].AddCounts(ledger.inherited_counts_);
   for (PhaseId id = 0; id < ledger.phase_touched_.size(); ++id) {
     if (!ledger.phase_touched_[id]) continue;
     TouchPhase(id);
-    state_.total.AddCounts(ledger.phase_counts_[id]);
-    state_.by_phase[id].AddCounts(ledger.phase_counts_[id]);
+    total_.AddCounts(ledger.phase_counts_[id]);
+    by_phase_[id].AddCounts(ledger.phase_counts_[id]);
   }
   clock_.JumpTo(clock_.now() + ledger.clock_.now());
   if (ledger.phase_ != ChargeLedger::kInheritedPhase) SetPhase(ledger.phase_);
@@ -272,20 +321,20 @@ TrafficCounters Network::PhaseTotal(const std::string& phase) const {
 }
 
 TrafficCounters Network::PhaseTotal(PhaseId id) const {
-  return id < state_.by_phase.size() ? state_.by_phase[id] : TrafficCounters{};
+  return id < by_phase_.size() ? by_phase_[id] : TrafficCounters{};
 }
 
 std::map<std::string, TrafficCounters> Network::by_phase() const {
   std::map<std::string, TrafficCounters> out;
-  for (PhaseId id = 0; id < state_.by_phase.size(); ++id) {
-    if (state_.phase_touched[id]) out.emplace(PhaseName(id), state_.by_phase[id]);
+  for (PhaseId id = 0; id < by_phase_.size(); ++id) {
+    if (phase_touched_[id]) out.emplace(PhaseName(id), by_phase_[id]);
   }
   return out;
 }
 
 size_t Network::AliveCount() const {
   size_t n = 0;
-  for (size_t i = 0; i < state_.meters.size(); ++i) {
+  for (size_t i = 0; i < meters_.size(); ++i) {
     if (NodeAlive(static_cast<NodeId>(i))) ++n;
   }
   return n;
@@ -296,35 +345,33 @@ double Network::LinkLossProb(NodeId from, NodeId to) const {
   if (options_.edge_max_loss > 0.0 && topology_->comm_range() > 0.0) {
     double frac = Distance(topology_->position(from), topology_->position(to)) /
                   topology_->comm_range();
-    double onset = options_.edge_onset;
-    if (frac > onset && onset < 1.0) {
-      double t = std::min(1.0, (frac - onset) / (1.0 - onset));
+    if (frac > kEdgeOnset) {
+      double t = std::min(1.0, (frac - kEdgeOnset) / (1.0 - kEdgeOnset));
       double edge = options_.edge_max_loss * t * t;
       p = p + (1.0 - p) * edge;
     }
   }
   // Degradation episodes at either endpoint compound independently with the
   // link's baseline loss (each is one more way a frame can die).
-  for (double extra : {state_.extra_loss[from], state_.extra_loss[to]}) {
+  for (double extra : {extra_loss_[from], extra_loss_[to]}) {
     if (extra > 0.0) p = p + (1.0 - p) * std::min(1.0, extra);
   }
-  // The compounding above keeps p in [0, 1] for in-range inputs (the
-  // constructor rejects a baseline outside it), but a configured
-  // edge_max_loss > 1 could push it out, and a probability > 1 silently
-  // breaks the Bernoulli draws.
+  // The compounding keeps p in [0, 1] (the constructor rejects a baseline or
+  // gray-zone loss outside it); the clamp pins the bounds against rounding,
+  // since a probability > 1 silently breaks the Bernoulli draws.
   return std::clamp(p, 0.0, 1.0);
 }
 
 void Network::BeginReliabilityEpoch() {
-  std::fill(state_.retry_budget_left.begin(), state_.retry_budget_left.end(),
+  std::fill(retry_budget_left_.begin(), retry_budget_left_.end(),
             options_.reliability.retry_budget);
-  state_.epoch_degraded = 0;
-  state_.truncated_nodes = 0;
+  epoch_degraded_ = 0;
+  truncated_nodes_ = 0;
 }
 
 void Network::MarkEpochDegraded(uint32_t truncated) {
-  state_.epoch_degraded = 1;
-  state_.truncated_nodes += truncated;
+  epoch_degraded_ = 1;
+  truncated_nodes_ += truncated;
 }
 
 uint32_t Network::ApplyWaveDepthBudget(int depth_cap) {
@@ -338,7 +385,7 @@ uint32_t Network::ApplyWaveDepthBudget(int depth_cap) {
 
 size_t Network::AliveAttachedSensors() const {
   size_t n = 0;
-  for (size_t i = 1; i < state_.meters.size(); ++i) {
+  for (size_t i = 1; i < meters_.size(); ++i) {
     auto id = static_cast<NodeId>(i);
     if (NodeAlive(id) && tree_->attached(id)) ++n;
   }
@@ -347,7 +394,7 @@ size_t Network::AliveAttachedSensors() const {
 
 int Network::PlannedAttempts(double ewma_loss) const {
   const ReliabilityOptions& rel = options_.reliability;
-  int cap = std::max(1, rel.max_retries + 1);
+  const int cap = options_.max_retries + 1;
   if (!(ewma_loss > 0.0)) return 1;   // clean link: one attempt suffices
   if (ewma_loss >= 1.0) return cap;   // a link at loss 1.0: spend the whole allowance
   double need = std::log(std::max(rel.residual_target, 1e-12)) / std::log(ewma_loss);
@@ -374,7 +421,7 @@ bool Network::ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot,
   double msg_loss =
       cost.frames <= 1 ? link_loss
                        : 1.0 - std::pow(1.0 - link_loss, static_cast<double>(cost.frames));
-  LinkEstimator& est = state_.link_est[link_slot];
+  LinkEstimator& est = link_est_[link_slot];
   NodeId other = link_slot == sender ? receiver : sender;
   if (est.to != other) {
     // First sighting of this link (or churn re-parented the node): the prior
@@ -393,8 +440,8 @@ bool Network::ReliableUnicast(NodeId sender, NodeId receiver, NodeId link_slot,
     if (!NodeAlive(sender)) break;
     if (attempt > 0) {
       if (rel.retry_budget > 0) {
-        if (state_.retry_budget_left[sender] == 0) break;
-        --state_.retry_budget_left[sender];
+        if (retry_budget_left_[sender] == 0) break;
+        --retry_budget_left_[sender];
       }
       uint64_t backoff = attempt - 1 >= 30
                              ? kBackoffCapUs
@@ -424,8 +471,8 @@ void Network::ChargeTx(NodeId sender, const MessageCost& cost, TrafficCounters& 
   if (ChargeLedger* ledger = BoundLedger()) {
     ledger->Charge(ChargeLedger::kTx, sender, cost.tx_j);
   } else {
-    state_.meters[sender].AddTx(cost.tx_j);
-    state_.sent_by[sender] += 1;
+    meters_[sender].AddTx(cost.tx_j);
+    sent_by_[sender] += 1;
   }
   delta.messages += 1;
   delta.frames += cost.frames;
@@ -438,7 +485,7 @@ void Network::ChargeRx(NodeId node, double joules, TrafficCounters& delta) {
   if (ChargeLedger* ledger = BoundLedger()) {
     ledger->Charge(ChargeLedger::kRx, node, joules);
   } else {
-    state_.meters[node].AddRx(joules);
+    meters_[node].AddRx(joules);
   }
   delta.rx_energy_j += joules;
 }
@@ -446,8 +493,8 @@ void Network::ChargeRx(NodeId node, double joules, TrafficCounters& delta) {
 void Network::Book(const TrafficCounters& delta) {
   ChargeLedger* ledger = BoundLedger();
   if (ledger == nullptr) {
-    state_.total.Add(delta);
-    state_.by_phase[phase_id_].Add(delta);
+    total_.Add(delta);
+    by_phase_[phase_id_].Add(delta);
     return;
   }
   const PhaseId phase = ledger->phase_;

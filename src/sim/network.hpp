@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -8,7 +9,6 @@
 
 #include "sim/energy_model.hpp"
 #include "sim/routing_tree.hpp"
-#include "sim/network_state.hpp"
 #include "sim/topology.hpp"
 #include "sim/types.hpp"
 #include "util/rng.hpp"
@@ -18,6 +18,37 @@ struct SharedTaskPool;
 }  // namespace kspot::util
 
 namespace kspot::sim {
+
+/// Aggregated traffic counters. These are exactly the numbers the KSpot
+/// System Panel projects at the demo: message count, frame (packet) count,
+/// application bytes, on-air bytes and radio energy.
+struct TrafficCounters {
+  uint64_t messages = 0;      ///< Logical messages sent (suppressed sends cost nothing).
+  uint64_t frames = 0;        ///< TinyOS frames after fragmentation.
+  uint64_t payload_bytes = 0; ///< Application payload bytes.
+  uint64_t onair_bytes = 0;   ///< Bytes on the air incl. headers + preambles.
+  uint64_t retries = 0;       ///< Adaptive-ARQ retransmissions (reliability layer).
+  uint64_t backoff_us = 0;    ///< Idle-listen backoff time spent before retries.
+  double tx_energy_j = 0.0;   ///< Sender-side radio energy, joules.
+  double rx_energy_j = 0.0;   ///< Receiver-side radio energy, joules.
+
+  /// Element-wise accumulate.
+  void Add(const TrafficCounters& other);
+  /// Accumulates the integer fields only (a charge ledger replays the energy
+  /// fields from its journal, in charge order).
+  void AddCounts(const TrafficCounters& other);
+  /// Element-wise difference (this - other); counters must be monotone.
+  TrafficCounters Since(const TrafficCounters& earlier) const;
+  /// Total radio energy charged.
+  double energy_j() const { return tx_energy_j + rx_energy_j; }
+};
+
+/// Interned identifier of a protocol-phase label ("mint.update", "tja.lb").
+/// Ids are process-global: the same label always interns to the same id, so
+/// algorithms cache the id of their string literals once and per-epoch phase
+/// switches are an integer compare plus an array index instead of a
+/// string-keyed map lookup.
+using PhaseId = uint32_t;
 
 /// Simulated time of one network. Transmissions advance it monotonically;
 /// wave schedules that replay a per-slot frontier (sim::DownWave) also set
@@ -109,25 +140,23 @@ class ChargeLedger {
 /// The end-to-end reliability & graceful-degradation layer (everything off
 /// by default — a default-constructed struct leaves the network bit-identical
 /// to a build without it). When enabled, unicast sends replace the flat
-/// `max_retries` ARQ loop with an adaptive per-link policy: an EWMA
-/// link-quality estimator (NetworkState::link_est) schedules just enough
-/// attempts to push the residual per-message loss under `residual_target`,
-/// retries wait out an exponential backoff charged as idle-listen energy,
-/// and a per-node per-epoch retry budget bounds the worst-case spend.
-/// `wave_depth_budget` adds epoch deadlines: converge-cast/dissemination
-/// waves truncate at that slot depth and the epoch is marked degraded.
+/// ARQ loop with an adaptive per-link policy: an EWMA link-quality estimator
+/// (one LinkEstimator per link) schedules just enough attempts to push the
+/// residual per-message loss under `residual_target`, at most
+/// NetworkOptions::max_retries + 1 of them; retries wait out an exponential
+/// backoff charged as idle-listen energy, and a per-node per-epoch retry
+/// budget bounds the worst-case spend. `wave_depth_budget` adds epoch
+/// deadlines: converge-cast/dissemination waves truncate at that slot depth
+/// and the epoch is marked degraded.
 struct ReliabilityOptions {
   /// Master switch. Off: the flat NetworkOptions::max_retries loop runs and
   /// nothing below is consulted (byte-identical to the pre-layer network).
   bool enabled = false;
-  /// Hard cap on retransmissions per message (the adaptive policy picks a
-  /// count in [0, max_retries] from the link estimate).
-  int max_retries = 3;
   /// Retransmissions one node may spend per epoch; 0 = unlimited. Refilled
   /// by Network::BeginReliabilityEpoch.
   uint32_t retry_budget = 64;
   /// Target residual per-message loss: attempts A are chosen as the smallest
-  /// count with ewma^A <= residual_target (capped by max_retries). The
+  /// count with ewma^A <= residual_target (capped at max_retries + 1). The
   /// estimate is floored at the loss model's own message-level loss, so the
   /// EWMA only ever adapts the policy *upward* from the modeled link.
   double residual_target = 0.05;
@@ -141,14 +170,14 @@ struct ReliabilityOptions {
 struct NetworkOptions {
   /// Baseline per-frame loss probability on unicast and broadcast links.
   double loss_prob = 0.0;
-  /// Adds distance-dependent loss on top of the baseline: links beyond
-  /// `edge_onset` of the radio range degrade quadratically up to
-  /// `edge_max_loss` at full range — the gray-zone behaviour of real CC1000
-  /// links. Off (0) keeps the i.i.d. disc model.
+  /// Adds distance-dependent loss on top of the baseline: links beyond 0.7
+  /// of the radio range degrade quadratically up to `edge_max_loss` at full
+  /// range — the gray-zone behaviour of real CC1000 links. Off (0) keeps the
+  /// i.i.d. disc model.
   double edge_max_loss = 0.0;
-  /// Fraction of the range where degradation starts (when edge_max_loss>0).
-  double edge_onset = 0.7;
-  /// Link-layer retransmissions per unicast message (TinyOS-style ARQ).
+  /// Link-layer retransmissions per unicast message (TinyOS-style ARQ): the
+  /// flat loop's count, and the adaptive policy's cap when
+  /// reliability.enabled.
   int max_retries = 0;
   /// Per-node battery budget, joules; <= 0 means unlimited.
   double battery_j = 0.0;
@@ -162,8 +191,7 @@ struct NetworkOptions {
 /// (RadioModel, EnergyModel), applies losses, and maintains the traffic
 /// counters (globally and attributed to named protocol phases).
 ///
-/// All per-epoch mutable state lives in one value-type NetworkState, so a
-/// Network is freely copyable: copies evolve independently.
+/// A Network is freely copyable: copies evolve independently.
 ///
 /// Several threads may step on one network at once when each binds its own
 /// ChargeLedger with a LedgerScope and the network CanJournalCharges(): their
@@ -195,8 +223,8 @@ class Network {
   };
 
   /// `topology` and `tree` must outlive the network. Aborts with a message
-  /// when `options.loss_prob` is NaN or outside [0, 1], or
-  /// `options.max_retries` is negative.
+  /// when `options.loss_prob` or `options.edge_max_loss` is NaN or outside
+  /// [0, 1], or `options.max_retries` is negative.
   Network(const Topology* topology, const RoutingTree* tree, NetworkOptions options,
           util::Rng rng);
 
@@ -241,7 +269,7 @@ class Network {
 
   /// Grand-total counters. A thread bound to a ledger still reads the shared
   /// total, which its charges reach only at Replay.
-  const TrafficCounters& total() const { return state_.total; }
+  const TrafficCounters& total() const { return total_; }
   /// Counters attributed to `phase` (zeroes if the phase never sent).
   TrafficCounters PhaseTotal(const std::string& phase) const;
   /// Counters attributed to the interned phase `id`.
@@ -251,28 +279,28 @@ class Network {
   std::map<std::string, TrafficCounters> by_phase() const;
 
   /// Per-node energy ledger.
-  EnergyMeter& meter(NodeId id) { return state_.meters[id]; }
-  const EnergyMeter& meter(NodeId id) const { return state_.meters[id]; }
+  EnergyMeter& meter(NodeId id) { return meters_[id]; }
+  const EnergyMeter& meter(NodeId id) const { return meters_[id]; }
 
   /// Administrative up/down control (crash-fault injection). A node taken
   /// down neither sends nor receives until brought back up; its battery
   /// ledger is untouched, so crash and battery death stay distinguishable.
-  void SetNodeUp(NodeId id, bool up) { state_.up[id] = up ? 1 : 0; }
+  void SetNodeUp(NodeId id, bool up) { up_[id] = up ? 1 : 0; }
   /// True unless the node was administratively taken down.
-  bool NodeUp(NodeId id) const { return state_.up[id] != 0; }
+  bool NodeUp(NodeId id) const { return up_[id] != 0; }
 
   /// Extra per-frame loss applied to every link touching `id` (link-quality
   /// degradation episodes); compounds with the baseline loss model.
-  void SetNodeExtraLoss(NodeId id, double extra_loss) { state_.extra_loss[id] = extra_loss; }
+  void SetNodeExtraLoss(NodeId id, double extra_loss) { extra_loss_[id] = extra_loss; }
   /// The degradation episode loss currently in force at `id` (0 = none).
-  double NodeExtraLoss(NodeId id) const { return state_.extra_loss[id]; }
+  double NodeExtraLoss(NodeId id) const { return extra_loss_[id]; }
 
   /// True while `id` is administratively up and has battery left. With
   /// unlimited batteries no meter can die, so the meters are not read (a
   /// split wave's lanes check liveness while the calling thread's replay
   /// writes the meters).
   bool NodeAlive(NodeId id) const {
-    return state_.up[id] != 0 && (options_.battery_j <= 0.0 || state_.meters[id].alive());
+    return up_[id] != 0 && (options_.battery_j <= 0.0 || meters_[id].alive());
   }
   /// Number of alive nodes.
   size_t AliveCount() const;
@@ -285,7 +313,7 @@ class Network {
   void DeliverControl(NodeId from, NodeId to, size_t payload_bytes);
 
   /// Messages transmitted by each node (for hotspot analysis near the sink).
-  uint64_t MessagesSentBy(NodeId id) const { return state_.sent_by[id]; }
+  uint64_t MessagesSentBy(NodeId id) const { return sent_by_[id]; }
 
   /// The simulated clock transmissions advance (the calling thread's
   /// ledger's, when bound).
@@ -341,13 +369,13 @@ class Network {
   /// Opens a reliability epoch: refills every node's retry budget and clears
   /// the degraded flag / truncation count. Call once per epoch before the
   /// waves when ReliabilityOptions::enabled; a no-op worth skipping when it
-  /// is off. The constructor runs it once so standalone single-epoch use
-  /// starts with full budgets.
+  /// is off. A new network starts with full budgets, so standalone
+  /// single-epoch use needs no call.
   void BeginReliabilityEpoch();
   /// True when a wave deadline truncated this epoch.
-  bool EpochDegraded() const { return state_.epoch_degraded != 0; }
+  bool EpochDegraded() const { return epoch_degraded_ != 0; }
   /// Alive wave-order nodes deadlines cut this epoch.
-  uint32_t TruncatedNodes() const { return state_.truncated_nodes; }
+  uint32_t TruncatedNodes() const { return truncated_nodes_; }
   /// Marks the epoch degraded, attributing `truncated` cut nodes.
   void MarkEpochDegraded(uint32_t truncated);
   /// Counts the alive wave-order nodes deeper than `depth_cap` slots — the
@@ -365,8 +393,41 @@ class Network {
   NetworkOptions options_;
   util::Rng rng_;
   Clock clock_;
-  /// Every mutable per-epoch ledger, owned as one value (see NetworkState).
-  NetworkState state_;
+  /// Per-node energy ledger (battery budget included).
+  std::vector<EnergyMeter> meters_;
+  /// 1 unless the node was administratively taken down (crash injection).
+  std::vector<uint8_t> up_;
+  /// Extra per-frame loss in force at each node (degradation episodes).
+  std::vector<double> extra_loss_;
+  /// Messages transmitted by each node (hotspot accounting).
+  std::vector<uint64_t> sent_by_;
+  TrafficCounters total_;
+  /// Per-phase counters indexed by PhaseId; slots are allocated lazily the
+  /// first time SetPhase selects the id. `phase_touched_` marks slots this
+  /// network actually selected (so by_phase() reports exactly the phases the
+  /// run visited, zero-traffic ones included).
+  std::vector<TrafficCounters> by_phase_;
+  std::vector<uint8_t> phase_touched_;
+  /// One node's EWMA estimate of its current tree link's per-frame loss
+  /// (reliability layer). The slot is indexed by the *child* endpoint of the
+  /// link regardless of transfer direction — LinkLossProb is symmetric, so
+  /// up and down traffic share one estimate — and `to` records the other
+  /// endpoint so a churn re-parenting resets the estimate instead of
+  /// inheriting a stale one.
+  struct LinkEstimator {
+    NodeId to = kNoNode;  ///< Other endpoint the estimate refers to.
+    double ewma = 0.0;    ///< EWMA per-frame loss; seeded from the loss model.
+  };
+  /// Per-child-endpoint link-quality estimators. Sized always, consulted
+  /// only when ReliabilityOptions::enabled.
+  std::vector<LinkEstimator> link_est_;
+  /// Retransmissions each node may still spend this epoch; refilled by
+  /// BeginReliabilityEpoch.
+  std::vector<uint32_t> retry_budget_left_;
+  /// 1 when a wave deadline truncated this epoch (graceful degradation).
+  uint8_t epoch_degraded_ = 0;
+  /// Alive wave-order nodes the deadline cut this epoch, cumulative.
+  uint32_t truncated_nodes_ = 0;
   PhaseId phase_id_ = 0;
   /// Label of the current phase (registry storage is pointer-stable), so the
   /// string SetPhase overload's unchanged-phase fast path needs no lock.
@@ -413,7 +474,7 @@ class Network {
   bool UnicastHop(NodeId sender, NodeId receiver, NodeId link_slot, const MessageCost& cost);
   /// Attempts the adaptive policy schedules for a link estimated at
   /// `ewma_loss`: the smallest A with ewma^A <= residual_target, in
-  /// [1, reliability.max_retries + 1]. Deterministic.
+  /// [1, max_retries + 1]. Deterministic.
   int PlannedAttempts(double ewma_loss) const;
 };
 

@@ -31,10 +31,6 @@ RoutingTree RoutingTree::BuildClusterAware(const Topology& topology, util::Rng& 
   return Build(topology, ParentRule::kClusterAware, &rng);
 }
 
-RoutingTree RoutingTree::BuildMinHop(const Topology& topology) {
-  return Build(topology, ParentRule::kFirstHeard, nullptr);
-}
-
 RoutingTree RoutingTree::FromParents(std::vector<NodeId> parents) {
   RoutingTree tree;
   tree.parents_ = std::move(parents);

@@ -105,9 +105,6 @@ class RoutingTree {
   /// The topology must be connected.
   static RoutingTree BuildFirstHeard(const Topology& topology, util::Rng& rng);
 
-  /// Builds a minimum-hop (plain BFS, lowest-id tiebreak) tree. Deterministic.
-  static RoutingTree BuildMinHop(const Topology& topology);
-
   /// Builds a *cluster-aware* first-heard tree: joining nodes prefer a parent
   /// from their own room when one is in range, so rooms form contiguous
   /// subtrees and GROUP BY groups close low in the hierarchy. This is the

@@ -67,20 +67,13 @@ void TaskPool::RunIndex(Job& job, size_t i) {
   }
 }
 
-void TaskPool::RunIndices(Job& job) {
-  while (true) {
-    size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= job.count) return;
-    RunIndex(job, i);
-  }
-}
-
 void TaskPool::WorkerLoop(size_t index) {
   uint64_t seen = 0;
   while (true) {
     // Each worker holds its own reference to the job, so a worker that wakes
-    // after the caller already left the barrier (every index claimed by
-    // others) still reads valid Job state when it checks out empty-handed.
+    // after the caller already left the barrier (a job with fewer indices
+    // than threads) still reads valid Job state when it checks out
+    // empty-handed.
     std::shared_ptr<Job> job;
     // Parked time between jobs; wall-clock only, recorded outside the lock.
     const bool measure_idle = obs::MetricsOn();
@@ -108,27 +101,9 @@ void TaskPool::WorkerLoop(size_t index) {
         static obs::Histogram& claim_us = obs::Registry().histogram("taskpool.claim_us");
         claim_us.Observe(static_cast<double>(obs::NowMicros() - job->publish_us));
       }
-      if (!job->pinned) {
-        RunIndices(*job);
-      } else if (index < job->count) {
-        RunIndex(*job, index);
-      }
+      if (index < job->count) RunIndex(*job, index);
     }
   }
-}
-
-void TaskPool::ParallelFor(size_t count, const std::function<void(size_t)>& fn) {
-  if (count == 0) return;
-  if (worker_count_ == 0 || count == 1) {
-    for (size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  auto job = std::make_shared<Job>();
-  job->fn = &fn;
-  job->count = count;
-  Publish(job);
-  RunIndices(*job);
-  Join(*job);
 }
 
 void TaskPool::RunPerThread(size_t count, const std::function<void(size_t)>& fn) {
@@ -143,7 +118,6 @@ void TaskPool::RunPerThread(size_t count, const std::function<void(size_t)>& fn)
   auto job = std::make_shared<Job>();
   job->fn = &fn;
   job->count = count;
-  job->pinned = true;
   Publish(job);
   RunIndex(*job, 0);
   Join(*job);
@@ -166,11 +140,9 @@ void TaskPool::Publish(const std::shared_ptr<Job>& job) {
 void TaskPool::Join(Job& job) {
   PollFor([&] { return job.done.load(std::memory_order_acquire) == job.count; });
   {
-    // Workers that claimed an index may still be inside fn; the barrier waits
-    // for the completion count, not the claim count. `fn` itself is safe to
-    // release after that: a late worker's first claim is >= count (and a
-    // pinned worker past count runs nothing), so it never dereferences the
-    // callback.
+    // Workers may still be inside fn until the completion count reaches
+    // count. `fn` itself is safe to release after that: a late worker's
+    // index is past count, so it never dereferences the callback.
     std::unique_lock<std::mutex> lock(mu_);
     cv_done_.wait(lock, [&] { return job.done.load(std::memory_order_acquire) == job.count; });
     job_ = nullptr;

@@ -12,21 +12,19 @@
 
 namespace kspot::util {
 
-/// A persistent fork-join worker pool for index-parallel jobs.
+/// A persistent fork-join worker pool: every job runs index i on thread i.
 ///
-/// One pool serves any number of sequential ParallelFor calls; the worker
+/// One pool serves any number of sequential RunPerThread calls; the worker
 /// threads are spawned once and wait between jobs, so per-call overhead is
 /// a notify + join barrier instead of thread creation. An idle worker (and
 /// a caller at the barrier) polls for up to two milliseconds before parking
 /// on a condition variable, so a caller that fans out every few
-/// milliseconds never pays a park/wake round trip. The trial fan-out of
-/// runner::ExperimentEngine, the coordinator's concurrent epochs and split
-/// converge-casts run on this pool.
+/// milliseconds never pays a park/wake round trip. The coordinator's
+/// concurrent epochs, split converge-casts and the bench harness's trial
+/// fan-out run on this pool; a caller that wants dynamic distribution claims
+/// its work items from its own counter inside the job.
 ///
-/// ParallelFor is a barrier: it returns only when every index has executed.
-/// Indices are claimed from an atomic counter, so work is distributed
-/// dynamically; callers needing deterministic *results* must make each
-/// index's work independent of claim order (the engine's trials are).
+/// RunPerThread is a barrier: it returns only when every index has executed.
 class TaskPool {
  public:
   /// Creates a pool with `threads` workers; 0 = hardware concurrency.
@@ -40,35 +38,27 @@ class TaskPool {
   /// Worker count (>= 1; the calling thread participates in every job).
   size_t thread_count() const { return worker_count_ + 1; }
 
-  /// Runs `fn(i)` for every i in [0, count), distributing indices over the
-  /// workers plus the calling thread, and returns when all have finished.
-  /// Exceptions thrown by `fn` propagate to the caller (first one wins).
-  void ParallelFor(size_t count, const std::function<void(size_t)>& fn);
-
-  /// Like ParallelFor, but index i always runs on thread i (0 is the calling
-  /// thread), so whatever a thread keeps from call to call — its allocator
-  /// arena, warm caches — stays with the index. Requires
-  /// count <= thread_count().
+  /// Runs `fn(i)` for every i in [0, count) with index i on thread i (0 is
+  /// the calling thread), so whatever a thread keeps from call to call — its
+  /// allocator arena, warm caches — stays with the index, and returns when
+  /// all have finished. Requires count <= thread_count(). Exceptions thrown
+  /// by `fn` propagate to the caller (first one wins).
   void RunPerThread(size_t count, const std::function<void(size_t)>& fn);
 
  private:
   struct Job {
     const std::function<void(size_t)>* fn = nullptr;
     size_t count = 0;
-    /// RunPerThread: worker t runs index t only, instead of claiming.
-    bool pinned = false;
     /// Wall-clock publish time (obs::NowMicros) when metrics were enabled at
     /// publish, 0 otherwise; workers read it (after the mutex handoff) to
     /// record their claim latency.
     uint64_t publish_us = 0;
-    std::atomic<size_t> next{0};
     std::atomic<size_t> done{0};
     std::exception_ptr error;
     std::mutex error_mu;
   };
 
   void WorkerLoop(size_t index);
-  void RunIndices(Job& job);
   void RunIndex(Job& job, size_t i);
   void Publish(const std::shared_ptr<Job>& job);
   void Join(Job& job);

@@ -95,22 +95,22 @@ TEST(LossTest, RetriesCostExtraTransmissions) {
 TEST(LossTest, GrayZoneLinksAreLossier) {
   sim::NetworkOptions opt;
   opt.edge_max_loss = 0.6;
-  opt.edge_onset = 0.5;
-  auto bed = TestBed::Grid(25, 4, 631, opt);
-  // Synthetic link endpoints: a short link (adjacent grid cells, well inside
-  // the range) versus the longest tree link.
+  // An 8 x 8 grid under an 18 m range: adjacent cells (0.69 of the range)
+  // sit just short of the gray zone, diagonal tree links (0.98) deep in it.
+  auto bed = TestBed::Grid(64, 4, 631, opt);
   double short_loss = 1.0, long_loss = 0.0;
   for (sim::NodeId id = 1; id < bed.tree.num_nodes(); ++id) {
     double p = bed.net->LinkLossProb(id, bed.tree.parent(id));
     short_loss = std::min(short_loss, p);
     long_loss = std::max(long_loss, p);
   }
-  EXPECT_LE(short_loss, long_loss);
+  EXPECT_EQ(short_loss, 0.0);
+  EXPECT_GT(long_loss, short_loss);
   EXPECT_LE(long_loss, 0.6 + 1e-9);
   // Baseline loss composes with the gray zone.
   sim::NetworkOptions both = opt;
   both.loss_prob = 0.1;
-  auto bed2 = TestBed::Grid(25, 4, 631, both);
+  auto bed2 = TestBed::Grid(64, 4, 631, both);
   for (sim::NodeId id = 1; id < bed2.tree.num_nodes(); ++id) {
     EXPECT_GE(bed2.net->LinkLossProb(id, bed2.tree.parent(id)), 0.1 - 1e-12);
   }
@@ -121,7 +121,6 @@ TEST(LossTest, GrayZoneDegradesRecallOnSparseDeployments) {
   // recall must drop below the lossless baseline.
   sim::NetworkOptions gray;
   gray.edge_max_loss = 0.9;
-  gray.edge_onset = 0.3;
   auto lossy = TestBed::Grid(36, 6, 641, gray);
   auto clean = TestBed::Grid(36, 6, 641);
   data::GaussianGenerator gen_a(36, data::Modality::kSound, 2.0, util::Rng(97));

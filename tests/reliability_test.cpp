@@ -22,8 +22,7 @@ using sim::NodeId;
 TEST(LinkLossTest, ExtremeEdgeLossClampsToOne) {
   sim::NetworkOptions opt;
   opt.loss_prob = 0.1;
-  opt.edge_max_loss = 3.0;  // misconfigured: would push p to 2.8 unclamped
-  opt.edge_onset = 0.5;
+  opt.edge_max_loss = 1.0;  // the largest the constructor accepts
   bench::Bed bed = bench::Bed::Grid(49, 8, 11, opt);
   // A pair well beyond the communication range maxes out the gray zone.
   NodeId far_a = 1;
@@ -117,7 +116,7 @@ TEST(ReliabilityTest, AdaptiveRetriesRecoverCompleteness) {
 
   sim::NetworkOptions on_opt = off_opt;
   on_opt.reliability.enabled = true;
-  on_opt.reliability.max_retries = 6;
+  on_opt.max_retries = 6;
   on_opt.reliability.residual_target = 0.01;
   bench::Bed on_bed = bench::Bed::Clustered(49, 12, 23, on_opt);
   RelSummary on = RunTag(on_bed, 20);
@@ -133,11 +132,28 @@ TEST(ReliabilityTest, AdaptiveRetriesRecoverCompleteness) {
   EXPECT_GT(on_mean, 0.9);
 }
 
+TEST(ReliabilityTest, MaxRetriesCapsAdaptiveAttempts) {
+  // A link that loses every frame makes the policy spend its whole
+  // allowance: exactly max_retries + 1 transmissions, one message.
+  for (int max_retries : {0, 2}) {
+    SCOPED_TRACE(max_retries);
+    sim::NetworkOptions opt;
+    opt.loss_prob = 1.0;
+    opt.max_retries = max_retries;
+    opt.reliability.enabled = true;
+    bench::Bed bed = bench::Bed::Grid(9, 4, 5, opt);
+    NodeId leaf = bed.tree.post_order().front();
+    EXPECT_FALSE(bed.net->UnicastToParent(leaf, 10));
+    EXPECT_EQ(bed.net->total().messages, static_cast<uint64_t>(max_retries) + 1);
+    EXPECT_EQ(bed.net->total().retries, static_cast<uint64_t>(max_retries));
+  }
+}
+
 TEST(ReliabilityTest, RetryBudgetBoundsPerEpochSpend) {
   sim::NetworkOptions opt;
   opt.loss_prob = 0.5;
   opt.reliability.enabled = true;
-  opt.reliability.max_retries = 6;
+  opt.max_retries = 6;
   opt.reliability.residual_target = 0.01;
   opt.reliability.retry_budget = 1;
   bench::Bed bed = bench::Bed::Clustered(49, 12, 29, opt);
@@ -212,7 +228,7 @@ TEST(ReliabilityTest, GenerousDeadlineIsBitInert) {
 TEST(ReliabilityTest, LosslessCompletenessConserved) {
   sim::NetworkOptions opt;
   opt.reliability.enabled = true;
-  opt.reliability.max_retries = 4;
+  opt.max_retries = 4;
   bench::Bed bed = bench::Bed::Grid(150, 10, 77, opt);
   RelSummary serial = RunTag(bed, 12);
   for (double c : serial.completeness) EXPECT_EQ(c, 1.0);

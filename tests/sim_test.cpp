@@ -100,7 +100,7 @@ TEST(RoutingTreeTest, MinHopDepthsAreShortestPaths) {
   TopologyOptions opt;
   opt.num_nodes = 49;
   Topology t = MakeGrid(opt);
-  RoutingTree tree = RoutingTree::BuildMinHop(t);
+  RoutingTree tree = kspot::testing::MinHopTree(t);
   EXPECT_EQ(tree.depth(kSinkId), 0);
   // Every non-sink node's parent is exactly one hop shallower.
   for (NodeId id = 1; id < t.num_nodes(); ++id) {
@@ -326,6 +326,12 @@ TEST(NetworkDeathTest, LossOutsideZeroToOneAborts) {
     opt.loss_prob = loss;
     EXPECT_DEATH(Network(&topology, &tree, opt, util::Rng(1)), "loss_prob .* outside \\[0, 1\\]");
   }
+  for (double loss : {std::nan(""), -0.1, 1.5, 3.0}) {
+    NetworkOptions opt;
+    opt.edge_max_loss = loss;
+    EXPECT_DEATH(Network(&topology, &tree, opt, util::Rng(1)),
+                 "edge_max_loss .* outside \\[0, 1\\]");
+  }
 }
 
 TEST(NetworkDeathTest, NegativeRetriesAbort) {
@@ -390,6 +396,7 @@ TEST(NetworkChargePinTest, FrameBoundaryChargesMatchRecordedDigests) {
   EXPECT_EQ(FrameBoundaryChargeDigest(flat), 0x5b9ccbbb2cc2f285ULL);
   NetworkOptions adaptive = flat;
   adaptive.reliability.enabled = true;
+  adaptive.max_retries = 3;  // the adaptive cap the digest was recorded with
   EXPECT_EQ(FrameBoundaryChargeDigest(adaptive), 0x2572f3d66359eb73ULL);
 }
 

@@ -8,6 +8,7 @@
 #include "core/oracle.hpp"
 #include "core/query_spec.hpp"
 #include "data/generators.hpp"
+#include "sim/neighbor_index.hpp"
 #include "sim/network.hpp"
 #include "sim/routing_tree.hpp"
 #include "sim/topology.hpp"
@@ -30,6 +31,13 @@ inline std::vector<std::vector<sim::NodeId>> AllPairsAdjacency(const sim::Topolo
     }
   }
   return adj;
+}
+
+/// The minimum-hop tree: plain BFS from the sink, beacons heard in node
+/// order (lowest-id parent wins). Deterministic; draws nothing.
+inline sim::RoutingTree MinHopTree(const sim::Topology& topology) {
+  return sim::RoutingTree::FromParents(
+      sim::GrowTree(sim::NeighborIndex(topology), sim::ParentRule::kFirstHeard, nullptr));
 }
 
 /// A ready-to-run simulated deployment: topology + tree + network, with the

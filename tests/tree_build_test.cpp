@@ -252,7 +252,7 @@ void ExpectBuildersMatchReference(const Topology& t, uint64_t seed) {
   util::Rng c(seed), d(seed);
   EXPECT_EQ(Parents(RoutingTree::BuildFirstHeard(t, c)), ReferenceFirstHeard(t, &d));
   EXPECT_EQ(c.NextU64(), d.NextU64());
-  EXPECT_EQ(Parents(RoutingTree::BuildMinHop(t)), ReferenceFirstHeard(t, nullptr));
+  EXPECT_EQ(Parents(kspot::testing::MinHopTree(t)), ReferenceFirstHeard(t, nullptr));
 }
 
 TEST(TreeReferenceTest, BuildersMatchAdjacencyListBuilders) {
@@ -326,10 +326,10 @@ TEST(TreeGoldenTest, FirstHeardDeepGridAndUniform) {
 TEST(TreeGoldenTest, MinHopDeepGridAndUniform) {
   // Min-hop draws nothing: the rng half of the pin is the seed's first draw.
   Topology grid = DeepGrid(5000, 16);
-  ExpectPin(Pin([&](util::Rng&) { return RoutingTree::BuildMinHop(grid); }, 5),
+  ExpectPin(Pin([&](util::Rng&) { return kspot::testing::MinHopTree(grid); }, 5),
             {0x1e998df7c0268f6dULL, 0x49d55178ca54cf69ULL});
   Topology uniform = Uniform();
-  ExpectPin(Pin([&](util::Rng&) { return RoutingTree::BuildMinHop(uniform); }, 12),
+  ExpectPin(Pin([&](util::Rng&) { return kspot::testing::MinHopTree(uniform); }, 12),
             {0x830d2462569d6d81ULL, 0x4ef464db5271a8a1ULL});
 }
 

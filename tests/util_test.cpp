@@ -389,43 +389,63 @@ TEST(TablePrinterTest, AlignsColumns) {
 
 TEST(TaskPoolTest, RunsEveryIndexExactlyOnce) {
   TaskPool pool(4);
-  constexpr size_t kCount = 1000;
-  std::vector<std::atomic<int>> hits(kCount);
-  pool.ParallelFor(kCount, [&](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  for (size_t count = 1; count <= pool.thread_count(); ++count) {
+    std::vector<std::atomic<int>> hits(count);
+    pool.RunPerThread(count, [&](size_t i) { hits[i].fetch_add(1); });
+    for (size_t i = 0; i < count; ++i) EXPECT_EQ(hits[i].load(), 1) << count << " " << i;
+  }
+  // Work items claimed from a shared counter inside one job (the bench
+  // harness's trial fan-out) also run exactly once each.
+  constexpr size_t kItems = 1000;
+  std::vector<std::atomic<int>> items(kItems);
+  std::atomic<size_t> next{0};
+  pool.RunPerThread(pool.thread_count(), [&](size_t) {
+    for (size_t i = next++; i < kItems; i = next++) items[i].fetch_add(1);
+  });
+  for (size_t i = 0; i < kItems; ++i) EXPECT_EQ(items[i].load(), 1) << i;
 }
 
 TEST(TaskPoolTest, ZeroCountIsANoop) {
   TaskPool pool(4);
-  pool.ParallelFor(0, [&](size_t) { FAIL() << "fn must not run for count 0"; });
+  pool.RunPerThread(0, [&](size_t) { FAIL() << "fn must not run for count 0"; });
 }
 
 TEST(TaskPoolTest, PoolOfOneRunsInlineOnCaller) {
   TaskPool pool(1);
   EXPECT_EQ(pool.thread_count(), 1u);
   std::thread::id caller = std::this_thread::get_id();
-  pool.ParallelFor(16, [&](size_t) { EXPECT_EQ(std::this_thread::get_id(), caller); });
+  size_t runs = 0;
+  pool.RunPerThread(1, [&](size_t i) {
+    EXPECT_EQ(i, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++runs;
+  });
+  EXPECT_EQ(runs, 1u);
+  EXPECT_THROW(pool.RunPerThread(2, [](size_t) {}), std::invalid_argument);
 }
 
 TEST(TaskPoolTest, ExceptionPropagatesToCaller) {
   TaskPool pool(4);
-  EXPECT_THROW(pool.ParallelFor(64,
-                                [&](size_t i) {
-                                  if (i == 13) throw std::runtime_error("boom");
-                                }),
-               std::runtime_error);
-  // The pool survives a throwing job and serves the next one.
-  std::atomic<size_t> count{0};
-  pool.ParallelFor(64, [&](size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 64u);
+  for (size_t thrower : {size_t{0}, size_t{2}}) {
+    EXPECT_THROW(pool.RunPerThread(4,
+                                   [&](size_t i) {
+                                     if (i == thrower) throw std::runtime_error("boom");
+                                   }),
+                 std::runtime_error)
+        << thrower;
+    // The pool survives a throwing job and serves the next one.
+    std::atomic<size_t> count{0};
+    pool.RunPerThread(4, [&](size_t) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 4u);
+  }
 }
 
 TEST(TaskPoolTest, ReusableAcrossManyJobs) {
   TaskPool pool(3);
   for (int round = 0; round < 50; ++round) {
     std::atomic<size_t> sum{0};
-    pool.ParallelFor(10, [&](size_t i) { sum.fetch_add(i); });
-    EXPECT_EQ(sum.load(), 45u);
+    pool.RunPerThread(3, [&](size_t i) { sum.fetch_add(i + 1); });
+    EXPECT_EQ(sum.load(), 6u);
   }
 }
 
@@ -441,10 +461,6 @@ TEST(TaskPoolTest, RunPerThreadKeepsEachIndexOnOneThread) {
                       [&](size_t i) { again[i] = std::this_thread::get_id(); });
     for (size_t i = 0; i < (round % 2 == 0 ? 3u : 2u); ++i) EXPECT_EQ(again[i], first[i]);
   }
-  // Pinned and claimed jobs share the workers.
-  std::atomic<size_t> sum{0};
-  pool.ParallelFor(10, [&](size_t i) { sum.fetch_add(i); });
-  EXPECT_EQ(sum.load(), 45u);
   EXPECT_THROW(pool.RunPerThread(4, [](size_t) {}), std::invalid_argument);
 }
 
